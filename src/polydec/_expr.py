@@ -37,6 +37,14 @@ def tokenize(text):
     return out
 
 
+def parse_int_list(text):
+    """Comma-separated integers, e.g. ``2,0,2,1``."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ParseError(f"expected comma-separated integers: {text!r}") from None
+
+
 class _Parser:
     """Evaluates token streams to little-endian coefficient lists."""
 

@@ -224,21 +224,22 @@ def find_irreducible(K, n, seed):
             return f
 
 
-def poly_str(K, coeffs, var):
-    """Canonical text form, highest power first, e.g. ``x^3+2*x``."""
-    if not coeffs:
-        return "0"
+def poly_str(K, terms, var):
+    """Canonical text form, highest power first, e.g. ``x^3+2*x``.
+
+    ``terms`` are (exponent, representation) pairs in rising exponent
+    order; zero coefficients are skipped.
+    """
     z = K.zero()
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
+    out = []
+    for e, c in reversed(list(terms)):
         if c == z:
             continue
         cs = K.elt_str(c)
         wrapped = f"({cs})" if any(s in cs for s in "+-*") else cs
         if e == 0:
-            terms.append(wrapped)
+            out.append(wrapped)
         else:
             v = var if e == 1 else f"{var}^{e}"
-            terms.append(v if c == K.one() else f"{wrapped}*{v}")
-    return "+".join(terms)
+            out.append(v if c == K.one() else f"{wrapped}*{v}")
+    return "+".join(out) or "0"

@@ -9,9 +9,11 @@ coefficient order) wins, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 from . import upoly
+from ._expr import parse_int_list
 from .additive import (
     AdditivePoly,
     add_compose,
@@ -53,14 +55,7 @@ class OrderedFactorisation(tuple):
 
     @classmethod
     def parse(cls, text):
-        return cls(int(part) for part in text.split(","))
-
-    @property
-    def product(self):
-        out = 1
-        for e in self:
-            out *= e
-        return out
+        return cls(parse_int_list(text))
 
 
 class UnorderedFactorisation(tuple):
@@ -68,13 +63,6 @@ class UnorderedFactorisation(tuple):
 
     def __new__(cls, entries):
         return super().__new__(cls, sorted((int(e) for e in entries), reverse=True))
-
-    @property
-    def product(self):
-        out = 1
-        for e in self:
-            out *= e
-        return out
 
 
 def _compose_chain(factors):
@@ -247,7 +235,7 @@ def is_refinement(kappa, rho):
     """
     kappa = OrderedFactorisation(kappa)
     rho = OrderedFactorisation(rho)
-    if kappa.product != rho.product:
+    if math.prod(kappa) != math.prod(rho):
         raise ProductMismatch("factorisations have different products")
     i = 0
     for target in rho:
@@ -282,7 +270,7 @@ def decompose_ordered(f, shape, seed=0):
     filtering complete decompositions whose shape refines it."""
     _require_monic_additive(f, min_expn=1)
     shape = OrderedFactorisation(shape)
-    if shape.product != f.degree:
+    if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     seen = {}
     for dec in all_complete_decompositions(f, seed=seed):
@@ -386,7 +374,7 @@ def cr_decompose(f, shape, seed=0):
     """
     _require_monic_additive(f, min_expn=1)
     shape = OrderedFactorisation(shape)
-    if shape.product != f.degree:
+    if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     basis = indec_basis(f, seed)
     if basis is None:
@@ -502,7 +490,7 @@ def simfree_bidecomp(f, shape, seed=0):
     shape = OrderedFactorisation(shape)
     if len(shape) != 2:
         raise BadLength("bidecomposition shape must have two entries")
-    if shape.product != f.degree:
+    if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     dec = complete_decomposition(f, seed)
     m = len(dec.factors)

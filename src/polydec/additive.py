@@ -10,9 +10,11 @@ composition multiple) comes out of the extended Euclidean scheme.
 
 from __future__ import annotations
 
+from . import _polyops as po
 from . import upoly
 from .errors import (
     BothZero,
+    DegreeError,
     DependentBasis,
     DivideByZero,
     FieldMismatch,
@@ -23,38 +25,17 @@ from .errors import (
     ZeroInput,
 )
 from .field import Felt
-from .upoly import Poly
+from .upoly import CoeffVector, Poly
 
 
-class AdditivePoly:
+class AdditivePoly(CoeffVector):
     """Additive polynomial sum(a[i] * x**(p**i)); a[-1] != 0 unless zero."""
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        reps = []
-        for c in coeffs:
-            if isinstance(c, Felt):
-                if c.field != field:
-                    raise FieldMismatch("coefficient from a different field")
-                reps.append(c.rep)
-            elif isinstance(c, int):
-                reps.append(field.from_int(c))
-            else:
-                reps.append(c)
-        z = field.zero()
-        while reps and reps[-1] == z:
-            reps.pop()
-        self.field = field
-        self.coeffs = tuple(reps)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, [])
+    __slots__ = ()
 
     @classmethod
     def x(cls, field):
-        return cls(field, [1])
+        return cls._raw(field, [field.one()])
 
     @classmethod
     def monomial(cls, field, i, c=1):
@@ -64,7 +45,7 @@ class AdditivePoly:
     @classmethod
     def p_linear(cls, a):
         """x**p - a*x for a Felt a."""
-        return cls(a.field, [-a, a.field.felt(1)])
+        return cls(a.field, [-a, 1])
 
     @classmethod
     def from_poly(cls, f):
@@ -85,7 +66,7 @@ class AdditivePoly:
             while len(out) <= idx:
                 out.append(z)
             out[idx] = c
-        return cls(K, out)
+        return cls._raw(K, out)
 
     @classmethod
     def parse(cls, field, text, var="x"):
@@ -102,7 +83,7 @@ class AdditivePoly:
         for c in self.coeffs:
             out[power] = c
             power *= p
-        return Poly(K, out)
+        return Poly._raw(K, out)
 
     @property
     def expn(self):
@@ -115,42 +96,20 @@ class AdditivePoly:
             return upoly.NEG_INF
         return self.field.p ** self.expn
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
     def is_simple(self):
         """Monic with nonzero linear coefficient (squarefree kernel)."""
         return self.is_monic() and self.coeffs[0] != self.field.zero()
 
-    def lc(self):
-        if not self.coeffs:
-            raise ZeroInput("zero polynomial has no leading coefficient")
-        return Felt(self.field, self.coeffs[-1])
-
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return Felt(self.field, self.coeffs[i])
-        return Felt(self.field, self.field.zero())
-
     def monic(self):
-        if self.is_zero():
-            raise ZeroInput("cannot normalise the zero polynomial")
-        if self.is_monic():
-            return self
-        c = self.field.inv(self.coeffs[-1])
-        return self.scale(Felt(self.field, c))
+        return AdditivePoly._raw(self.field, po.monic(self.field, self.coeffs))
 
     def scale(self, c):
-        rep = self.field.from_int(c) if isinstance(c, int) else getattr(c, "rep", c)
         K = self.field
-        return AdditivePoly(K, [K.mul(a, rep) for a in self.coeffs])
+        return AdditivePoly._raw(K, po.scale(K, self.coeffs, K.rep(c)))
 
     def evaluate(self, x):
         K = self.field
-        rep = K.from_int(x) if isinstance(x, int) else getattr(x, "rep", x)
+        rep = K.rep(x)
         acc = K.zero()
         power = rep
         for i, a in enumerate(self.coeffs):
@@ -162,49 +121,18 @@ class AdditivePoly:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        K = self.field
-        z = K.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return AdditivePoly(K, [K.add(x, y) for x, y in zip(a, b)])
+        return AdditivePoly._raw(self.field, po.add(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        K = self.field
-        z = K.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return AdditivePoly(K, [K.sub(x, y) for x, y in zip(a, b)])
+        return AdditivePoly._raw(self.field, po.sub(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        K = self.field
-        return AdditivePoly(K, [K.neg(x) for x in self.coeffs])
-
-    def _check(self, other):
-        if not isinstance(other, AdditivePoly):
-            raise TypeError("expected an AdditivePoly")
-        if other.field != self.field:
-            raise FieldMismatch("additive polynomials over different fields")
-
-    def __eq__(self, other):
-        if not isinstance(other, AdditivePoly):
-            return NotImplemented
-        return other.field == self.field and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def key(self):
-        K = self.field
-        return (len(self.coeffs), tuple(K.elt_key(c) for c in self.coeffs))
+        return AdditivePoly._raw(self.field, po.neg(self.field, self.coeffs))
 
     def __str__(self):
-        return str(self.to_poly())
-
-    def __repr__(self):
-        return str(self)
+        p = self.field.p
+        return po.poly_str(self.field, ((p**i, c) for i, c in enumerate(self.coeffs)), "x")
 
 
 def add_compose(f, g):
@@ -222,7 +150,7 @@ def add_compose(f, g):
             if b == z:
                 continue
             out[i + j] = K.add(out[i + j], K.mul(a, K.frobenius_rep(b, i)))
-    return AdditivePoly(K, out)
+    return AdditivePoly._raw(K, out)
 
 
 def add_rdivrem(f, g):
@@ -241,7 +169,7 @@ def add_rdivrem(f, g):
         c = K.mul(rem.coeffs[-1], K.inv(K.frobenius_rep(b, nu - rho)))
         q[nu - rho] = c
         rem = rem - add_compose(AdditivePoly.monomial(K, nu - rho, Felt(K, c)), g)
-    return AdditivePoly(K, q), rem
+    return AdditivePoly._raw(K, q), rem
 
 
 def right_divides(g, f):
@@ -268,8 +196,10 @@ def euclid_scheme(f, g):
 def meet(f, g):
     """Greatest common right composition factor, monic.
 
-    Coincides with the ordinary multiplicative gcd because compositional
-    and multiplicative remainders agree for additive polynomials.
+    The last nonzero remainder of the Euclidean scheme, made monic, so it
+    stays in exponent space on vectors of length expn + 1.  It coincides
+    with the ordinary multiplicative gcd because compositional and
+    multiplicative remainders agree for additive polynomials.
     """
     f._check(g)
     if f.is_zero() and g.is_zero():
@@ -278,7 +208,7 @@ def meet(f, g):
         return g.monic()
     if g.is_zero():
         return f.monic()
-    return AdditivePoly.from_poly(upoly.gcd(f.to_poly(), g.to_poly()))
+    return euclid_scheme(f, g)[-1].monic()
 
 
 def join(f, g):
@@ -321,7 +251,7 @@ def _monic_candidates(field, expn):
         return
     elts = list(field.elements())
     for combo in itertools.product(elts, repeat=expn):
-        yield AdditivePoly(field, list(combo) + [field.one()])
+        yield AdditivePoly._raw(field, list(combo) + [field.one()])
 
 
 def _scalar_twist(v, d):
@@ -332,7 +262,7 @@ def _scalar_twist(v, d):
     out = []
     for i, c in enumerate(v.coeffs):
         out.append(K.mul(c, K.pow_(d, K.p**nu - K.p**i)))
-    return AdditivePoly(K, out)
+    return AdditivePoly._raw(K, out)
 
 
 def is_similar(f, g, expn_bound=3, order_bound=32):
@@ -499,7 +429,7 @@ def peel_frobenius(f):
         for _ in range(ell):
             r = K.pth_root_rep(r)
         out.append(r)
-    return ell, AdditivePoly(K, out)
+    return ell, AdditivePoly._raw(K, out)
 
 
 def min_add_mult(f, _check_monic=True):
@@ -513,8 +443,6 @@ def min_add_mult(f, _check_monic=True):
         raise ZeroInput("zero polynomial has no minimal additive multiple")
     if _check_monic and not f.is_monic():
         raise NotMonic("minimal additive multiple requires a monic input")
-    from . import _polyops as po
-
     K = f.field
     n = f.degree
     z = K.zero()
@@ -540,7 +468,7 @@ def min_add_mult(f, _check_monic=True):
             # vec == 0 means h_k + sum(combo[j] h_j, j<k) ... with combo[k] = 1,
             # so x**(p**k) + sum combo[j] x**(p**j) is the additive multiple.
             coeffs = list(combo[:-1]) + [K.one()]
-            return AdditivePoly(K, coeffs)
+            return AdditivePoly._raw(K, coeffs)
         pivot = nonzero[-1]
         inv = K.inv(vec[pivot])
         vec = [K.mul(x, inv) for x in vec]
@@ -558,8 +486,8 @@ def counts(p, nu, sigma):
     containing a fixed (sigma-1)-dimensional one; F = number of maximal
     flags = prod_{1<=i<=nu} T(nu, i).  T is 1 by convention at sigma = 0.
     """
-    if not (0 <= sigma <= nu):
-        raise ValueError("need 0 <= sigma <= nu")
+    if p < 2 or not (0 <= sigma <= nu):
+        raise DegreeError("need p >= 2 and 0 <= sigma <= nu")
     num = 1
     den = 1
     for i in range(sigma):

@@ -3,8 +3,8 @@
 Exit codes: 0 for success/found, 1 for a clean "no decomposition" (or
 negative verdict), 2 for usage or input errors.  Output is line-oriented;
 ``--json`` switches decomposition-shaped results to the JSON schema
-``{"target", "field", "factors", "complete"}``.  Identical argv and seed
-give byte-identical output.
+``{"target", "field", "factors", "complete"}`` (an empty result prints
+``[]``).  Identical argv and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import sys
 
 from . import addecomp, additive, gendecomp, ratfun, upoly
 from .additive import AdditivePoly
+from ._expr import parse_int_list
 from .addecomp import OrderedFactorisation
-from .errors import NotAdditive, ParseError, PolydecError
+from .errors import ParseError, PolydecError
 from .field import parse_field_spec
 from .gendecomp import Strategy
 from .upoly import Poly
@@ -40,22 +41,24 @@ def _additive(field, text):
 
 
 def _shape(args):
+    """The --shape entries as a list of ints."""
     if not getattr(args, "shape", None):
         raise ParseError("--shape is required for this subcommand")
-    return OrderedFactorisation.parse(args.shape)
+    return parse_int_list(args.shape)
 
 
-def _emit_decs(args, decs, empty_message="no decomposition"):
-    if not decs:
-        print(empty_message)
-        return 1
+def _emit(args, records, lines):
+    """Print JSON records under --json, else text lines; 1 when empty."""
     if getattr(args, "json", False):
-        payload = [d.to_json_dict() for d in decs]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True))
+        print(json.dumps(records[0] if len(records) == 1 else records, sort_keys=True))
     else:
-        for d in decs:
-            print(d)
-    return 0
+        for line in lines or ["no decomposition"]:
+            print(line)
+    return 0 if lines else 1
+
+
+def _emit_decs(args, decs):
+    return _emit(args, [d.to_json_dict() for d in decs], [str(d) for d in decs])
 
 
 def _cmd_compose(args):
@@ -79,7 +82,7 @@ def _monicized(f):
 
 def _cmd_decompose(args):
     field = _field_of(args)
-    shape = _shape(args)
+    shape = OrderedFactorisation(_shape(args))
     strategy = Strategy(args.strategy)
     f = _monicized(_poly(args, field, args.expr))
     decs = gendecomp.ord_fact_decomp(f, shape, strategy, args.seed)
@@ -196,17 +199,21 @@ def _cmd_absdec(args):
 
 def _cmd_ratdec(args):
     field = _field_of(args)
-    quad = [int(v) for v in args.shape.split(",")]
+    quad = _shape(args)
     if len(quad) != 4:
         raise ParseError("ratdec shape must be rN,rD,sN,sD")
     f = ratfun.parse_rational(field, args.expr)
     pairs = ratfun.general_rat_dec(f, quad, args.seed)
-    if not pairs:
-        print("no decomposition")
-        return 1
-    for g, h in pairs:
-        print(f"({g}) o ({h})")
-    return 0
+    records = [
+        {
+            "target": str(f),
+            "field": field.describe(),
+            "factors": [str(g), str(h)],
+            "complete": False,
+        }
+        for g, h in pairs
+    ]
+    return _emit(args, records, [f"({g}) o ({h})" for g, h in pairs])
 
 
 def _cmd_selftest(args):
@@ -311,9 +318,6 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except NotAdditive as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PolydecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from . import _polyops as po
 from .errors import (
+    DegreeError,
     DivideByZero,
     FieldMismatch,
     NotMonic,
@@ -79,15 +80,22 @@ class Field:
         """The unique representation b with b**p = a."""
         return self.frobenius_rep(a, self.degree_over_prime - 1)
 
-    def felt(self, x):
-        """Coerce an int, Felt, or raw representation into a Felt."""
+    def rep(self, x):
+        """Coerce an int, Felt, or raw representation into a representation.
+
+        A Felt of another field raises FieldMismatch.
+        """
         if isinstance(x, Felt):
             if x.field != self:
                 raise FieldMismatch(f"element of {x.field} used in {self}")
-            return x
+            return x.rep
         if isinstance(x, int):
-            return Felt(self, self.from_int(x))
-        return Felt(self, x)
+            return self.from_int(x)
+        return x
+
+    def felt(self, x):
+        """Coerce an int, Felt, or raw representation into a Felt."""
+        return Felt(self, self.rep(x))
 
     def elements(self):
         """All element representations, in canonical order."""
@@ -276,9 +284,7 @@ class ExtensionField(Field):
             yield tuple(combo)
 
     def elt_str(self, a):
-        base = self.base
-        coeffs = po.trim(base, list(a))
-        return po.poly_str(base, coeffs, self.gen_name)
+        return po.poly_str(self.base, enumerate(a), self.gen_name)
 
     def elt_key(self, a):
         base = self.base
@@ -290,7 +296,7 @@ class ExtensionField(Field):
         return self.embed(self.base.generator_by_name(name))
 
     def describe(self):
-        mod_str = po.poly_str(self.base, list(self.modulus), self.gen_name)
+        mod_str = po.poly_str(self.base, enumerate(self.modulus), self.gen_name)
         return f"{self.base.describe()}[{self.gen_name}]/({mod_str})"
 
     def __eq__(self, other):
@@ -414,6 +420,8 @@ def build_extension(base, modulus):
 
 def find_irreducible(base, degree, seed=0):
     """Seeded deterministic search for a monic irreducible rep list."""
+    if degree < 1:
+        raise DegreeError("irreducible polynomials have degree >= 1")
     return po.find_irreducible(base, degree, seed)
 
 
@@ -461,6 +469,8 @@ def parse_field_spec(text, seed=0):
         if not (p_txt.isdigit() and e_txt.isdigit()):
             raise ParseError(f"bad prime power {head!r}")
         p, e = int(p_txt), int(e_txt)
+        if e < 1:
+            raise ParseError(f"prime power exponent must be >= 1: {head!r}")
         base = build_prime_field(p)
         if e == 1:
             field = base

@@ -11,18 +11,15 @@ all factors monic, inner factors with zero constant term.
 from __future__ import annotations
 
 import enum
+import math
 
 from . import addecomp, additive, upoly
 from .addecomp import Decomposition, OrderedFactorisation
-from .errors import (
-    DegreeError,
-    NotIrreducible,
-    NotMonic,
-    NotTame,
-    ProductMismatch,
-)
+from .errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
 from .field import Felt, build_extension
-from .upoly import Poly
+from .upoly import Poly, require_monic
+
+_INPUTS = "decomposition inputs"
 
 
 class Strategy(enum.Enum):
@@ -30,12 +27,6 @@ class Strategy(enum.Enum):
     SEPARATED = "sep"
     IRREDUCIBLE_FF = "irred"
     ADDITIVE = "additive"
-
-
-def _require_monic(f):
-    if not f.is_monic():
-        raise NotMonic("decomposition inputs must be monic")
-    return f
 
 
 def tame_bidecomp(f, shape):
@@ -46,7 +37,7 @@ def tame_bidecomp(f, shape):
     c_{s-k} = (a_{rs-k} - coeff(mu_k**r, rs-k)) / r on the partial sums
     mu_k of its top k terms; the outer factor is then a right division.
     """
-    _require_monic(f)
+    require_monic(f, _INPUTS)
     r, s = _shape2(f, shape)
     K = f.field
     if r % K.p == 0:
@@ -68,7 +59,7 @@ def _shape2(f, shape):
     shape = OrderedFactorisation(shape)
     if len(shape) != 2:
         raise DegreeError("bidecomposition shape must have two entries")
-    if shape.product != f.degree:
+    if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     return shape[0], shape[1]
 
@@ -76,41 +67,19 @@ def _shape2(f, shape):
 def sep_bidecomp(f, shape, seed=0):
     """All normal (g, h) with f = g(h) for the given (r, s) shape.
 
-    Candidate inner factors are x times subset products of the irreducible
-    factors of f - f(0); each candidate of degree s is checked by right
-    division.  Works in tame and wild cases alike.
+    Candidate inner factors are x times the monic degree-(s - 1) divisors
+    of (f - f(0))/x; each candidate is checked by right division.  Works in
+    tame and wild cases alike.
     """
-    _require_monic(f)
+    require_monic(f, _INPUTS)
     r, s = _shape2(f, shape)
-    K = f.field
-    base = f.shift_constant(-f.coeff(0))
-    parts, _ = upoly.factor(base, seed)
-    x = Poly.x(K)
-    items = []
-    for irr, mult in parts:
-        avail = mult - 1 if irr == x else mult
-        if avail > 0:
-            items.append((irr, avail))
+    x = Poly.x(f.field)
     found = []
-
-    def rec(idx, h, deg):
-        if deg == s:
-            g = upoly.right_divide(f, h)
-            if g is not None:
-                found.append((g, h))
-            return
-        if idx >= len(items):
-            return
-        irr, avail = items[idx]
-        step = irr.degree
-        cand = h
-        for e in range(avail + 1):
-            if deg + e * step > s:
-                break
-            rec(idx + 1, cand, deg + e * step)
-            if e < avail:
-                cand = cand * irr
-    rec(0, x, 1)
+    for u in upoly.monic_divisors(f.shift_constant(-f.coeff(0)) // x, s - 1, seed):
+        h = x * u
+        g = upoly.right_divide(f, h)
+        if g is not None:
+            found.append((g, h))
     found.sort(key=lambda gh: (gh[1].key(), gh[0].key()))
     return found
 
@@ -122,7 +91,7 @@ def irred_ff_bidecomp(f, shape):
     {alpha**(q**(j*r))}; its vanishing polynomial must have all
     positive-degree coefficients down in F.
     """
-    _require_monic(f)
+    require_monic(f, _INPUTS)
     entries = tuple(shape)
     if len(entries) == 2 and min(entries) < 2:
         raise DegreeError("normal bidecomposition factors need degree >= 2")
@@ -171,9 +140,9 @@ def _bidecompositions(f, shape, strategy, seed):
 def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED, seed=0):
     """All decompositions of f matching the ordered factorisation that are
     reachable by recursive bidecomposition under the chosen strategy."""
-    _require_monic(f)
+    require_monic(f, _INPUTS)
     shape = OrderedFactorisation(shape)
-    if shape.product != f.degree:
+    if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     if strategy is Strategy.ADDITIVE:
         decs = addecomp.decompose_ordered(
@@ -185,7 +154,7 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED, seed=0):
     if len(shape) == 1:
         return [Decomposition(f, (f,))]
     inner = shape[-1]
-    outer_product = shape.product // inner
+    outer_product = math.prod(shape) // inner
     out = []
     for g, h in _bidecompositions(f, (outer_product, inner), strategy, seed):
         if len(shape) == 2:
@@ -210,7 +179,7 @@ def first_complete(f, strategy=Strategy.SEPARATED, seed=0):
     is decomposed recursively.  The tame recurrence is used as a fast path
     whenever p does not divide d.
     """
-    _require_monic(f)
+    require_monic(f, _INPUTS)
     if strategy is Strategy.ADDITIVE:
         dec = addecomp.complete_decomposition(additive.AdditivePoly.from_poly(f), seed)
         return Decomposition(f, dec.as_poly_factors(), complete=True)
@@ -234,7 +203,6 @@ def first_complete(f, strategy=Strategy.SEPARATED, seed=0):
             g, h = got
             if h.degree < 2:
                 continue
-            tail = first_complete(h, strategy, seed) if h.degree >= 2 else None
-            inner_factors = tail.factors if tail else (h,)
-            return Decomposition(f, (g,) + inner_factors, complete=True)
+            tail = first_complete(h, strategy, seed)
+            return Decomposition(f, (g,) + tail.factors, complete=True)
     return Decomposition(f, (f,), complete=True)

@@ -304,42 +304,6 @@ def _outer_pair(nN, nD, sN, sD, strict):
     return rN, rD
 
 
-def _monic_divisors(w, degree, seed, *, root_at_zero=None, coprime_to=None):
-    """Monic degree-d divisors of w, optionally filtered, in sorted order."""
-    parts, _ = upoly.factor(w, seed)
-    out = []
-
-    def rec(idx, cur):
-        deg = int(cur.degree)
-        if deg == degree:
-            out.append(cur)
-            return
-        if idx >= len(parts):
-            return
-        irr, mult = parts[idx]
-        step = int(irr.degree)
-        cand = cur
-        for e in range(mult + 1):
-            if int(cur.degree) + e * step > degree:
-                break
-            rec(idx + 1, cand)
-            if e < mult:
-                cand = cand * irr
-
-    rec(0, Poly.one(w.field))
-    filtered = []
-    for h in out:
-        if root_at_zero is True and not h.coeff(0).is_zero():
-            continue
-        if root_at_zero is False and h.coeff(0).is_zero():
-            continue
-        if coprime_to is not None and upoly.gcd(h, coprime_to).degree > 0:
-            continue
-        filtered.append(h)
-    filtered.sort(key=lambda g: g.key())
-    return filtered
-
-
 def norm_rat_dec(f, quad, seed=0):
     """All normal decompositions of f with the degree quadruple
     (rN, rD, sN, sD).
@@ -362,7 +326,9 @@ def norm_rat_dec(f, quad, seed=0):
         raise DegreeInfeasible("degree quadruple does not match the input")
     K = f.field
     found = []
-    for hD in _monic_divisors(f.den, sD, seed, root_at_zero=False):
+    for hD in upoly.monic_divisors(f.den, sD, seed):
+        if hD.coeff(0).is_zero():
+            continue
         power = hD ** (rN - rD)
         B, rem = divmod(f.den, power)
         if not rem.is_zero():
@@ -377,7 +343,9 @@ def norm_rat_dec(f, quad, seed=0):
             bound = B - (hD**rD).scale(b0bar)
         if bound.is_zero():
             continue
-        for hN in _monic_divisors(bound, sN, seed, root_at_zero=True, coprime_to=hD):
+        for hN in upoly.monic_divisors(bound, sN, seed):
+            if not hN.coeff(0).is_zero() or upoly.gcd(hN, hD).degree > 0:
+                continue
             h = RationalFunction(hN, hD)
             g = rat_right_divide(f, h)
             if g is not None:

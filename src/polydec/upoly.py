@@ -15,6 +15,7 @@ from . import _polyops as po
 from ._expr import eval_poly_text
 from .errors import (
     BothZero,
+    DegreeError,
     DegreeMismatch,
     DivideByZero,
     FieldMismatch,
@@ -26,25 +27,21 @@ from .field import Felt
 NEG_INF = float("-inf")
 
 
-class Poly:
-    """Dense univariate polynomial, coefficients low-to-high, canonical."""
+class CoeffVector:
+    """Canonical coefficient vector over a field, low index first.
+
+    ``coeffs`` is a tuple of field representations without trailing zeros.
+    Holds what :class:`Poly` and :class:`polydec.additive.AdditivePoly`
+    share: coercion, accessors, equality, hashing and the sort key.  Values
+    of different subclasses never compare equal.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         """Build from an iterable of Felt / int / raw representations."""
-        reps = []
-        for c in coeffs:
-            if isinstance(c, Felt):
-                if c.field != field:
-                    raise FieldMismatch("coefficient from a different field")
-                reps.append(c.rep)
-            elif isinstance(c, int):
-                reps.append(field.from_int(c))
-            else:
-                reps.append(c)
         self.field = field
-        self.coeffs = tuple(po.trim(field, reps))
+        self.coeffs = tuple(po.trim(field, [field.rep(c) for c in coeffs]))
 
     @classmethod
     def _raw(cls, field, reps):
@@ -57,34 +54,6 @@ class Poly:
     def zero(cls, field):
         return cls._raw(field, [])
 
-    @classmethod
-    def one(cls, field):
-        return cls._raw(field, [field.one()])
-
-    @classmethod
-    def x(cls, field):
-        return cls._raw(field, [field.zero(), field.one()])
-
-    @classmethod
-    def monomial(cls, field, e, c=1):
-        rep = field.from_int(c) if isinstance(c, int) else getattr(c, "rep", c)
-        if rep == field.zero():
-            return cls.zero(field)
-        return cls._raw(field, [field.zero()] * e + [rep])
-
-    @classmethod
-    def constant(cls, field, c):
-        rep = field.from_int(c) if isinstance(c, int) else getattr(c, "rep", c)
-        return cls._raw(field, [rep])
-
-    @classmethod
-    def parse(cls, field, text, var="x"):
-        return cls._raw(field, eval_poly_text(field, text, var))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
     def is_zero(self):
         return not self.coeffs
 
@@ -96,37 +65,85 @@ class Poly:
             raise ZeroInput("zero polynomial has no leading coefficient")
         return Felt(self.field, self.coeffs[-1])
 
-    def coeff(self, e):
-        if 0 <= e < len(self.coeffs):
-            return Felt(self.field, self.coeffs[e])
+    def coeff(self, i):
+        if 0 <= i < len(self.coeffs):
+            return Felt(self.field, self.coeffs[i])
         return Felt(self.field, self.field.zero())
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if other.field != self.field:
+            raise FieldMismatch("polynomials over different fields")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return other.field == self.field and other.coeffs == self.coeffs
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def key(self):
+        """Canonical sort key: (length, coefficient keys low-to-high)."""
+        K = self.field
+        return (len(self.coeffs), tuple(K.elt_key(c) for c in self.coeffs))
+
+    def __repr__(self):
+        return str(self)
+
+
+class Poly(CoeffVector):
+    """Dense univariate polynomial, coefficients low-to-high, canonical."""
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls, field):
+        return cls._raw(field, [field.one()])
+
+    @classmethod
+    def x(cls, field):
+        return cls._raw(field, [field.zero(), field.one()])
+
+    @classmethod
+    def monomial(cls, field, e, c=1):
+        rep = field.rep(c)
+        if rep == field.zero():
+            return cls.zero(field)
+        return cls._raw(field, [field.zero()] * e + [rep])
+
+    @classmethod
+    def constant(cls, field, c):
+        return cls._raw(field, [field.rep(c)])
+
+    @classmethod
+    def parse(cls, field, text, var="x"):
+        return cls._raw(field, eval_poly_text(field, text, var))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def monic(self):
         return Poly._raw(self.field, po.monic(self.field, list(self.coeffs)))
 
     def scale(self, c):
-        rep = self.field.from_int(c) if isinstance(c, int) else getattr(c, "rep", c)
-        return Poly._raw(self.field, po.scale(self.field, list(self.coeffs), rep))
+        K = self.field
+        return Poly._raw(K, po.scale(K, list(self.coeffs), K.rep(c)))
 
     def derivative(self):
         return Poly._raw(self.field, po.derivative(self.field, list(self.coeffs)))
 
     def evaluate(self, x):
-        rep = self.field.from_int(x) if isinstance(x, int) else getattr(x, "rep", x)
-        return Felt(self.field, po.evaluate(self.field, list(self.coeffs), rep))
+        K = self.field
+        return Felt(K, po.evaluate(K, list(self.coeffs), K.rep(x)))
 
     def shift_constant(self, c):
         """self + c for a scalar c."""
-        rep = self.field.from_int(c) if isinstance(c, int) else getattr(c, "rep", c)
         reps = list(self.coeffs) or [self.field.zero()]
-        reps[0] = self.field.add(reps[0], rep)
+        reps[0] = self.field.add(reps[0], self.field.rep(c))
         return Poly._raw(self.field, reps)
-
-    def _check(self, other):
-        if not isinstance(other, Poly):
-            raise TypeError("expected a Poly")
-        if other.field != self.field:
-            raise FieldMismatch("polynomials over different fields")
 
     def __add__(self, other):
         self._check(other)
@@ -169,24 +186,8 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return other.field == self.field and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
-    def key(self):
-        """Canonical sort key: (degree, coefficient keys low-to-high)."""
-        K = self.field
-        return (len(self.coeffs), tuple(K.elt_key(c) for c in self.coeffs))
-
     def __str__(self):
-        return po.poly_str(self.field, list(self.coeffs), "x")
-
-    def __repr__(self):
-        return str(self)
+        return po.poly_str(self.field, enumerate(self.coeffs), "x")
 
 
 def gcd(f, g):
@@ -367,10 +368,38 @@ def factor(f, seed=0):
     return ordered, lc
 
 
+def monic_divisors(f, d, seed=0):
+    """All monic divisors of degree d of a nonzero f, sorted by key.
+
+    Each divisor is one product of the irreducible factors of f, taken
+    with multiplicities up to theirs.
+    """
+    parts, _ = factor(f, seed)
+    out = []
+
+    def rec(idx, cur, deg):
+        if deg == d:
+            out.append(cur)
+            return
+        if idx >= len(parts):
+            return
+        irr, mult = parts[idx]
+        for e in range(mult + 1):
+            if deg + e * irr.degree > d:
+                break
+            rec(idx + 1, cur, deg + e * irr.degree)
+            if e < mult:
+                cur = cur * irr
+
+    rec(0, Poly.one(f.field), 0)
+    out.sort(key=lambda g: g.key())
+    return out
+
+
 def chebyshev(i, field):
     """The i-th Chebyshev polynomial over ``field`` by the 2x recurrence."""
     if i < 0:
-        raise ValueError("Chebyshev index must be nonnegative")
+        raise DegreeError("Chebyshev index must be nonnegative")
     t0 = Poly.one(field)
     if i == 0:
         return t0

@@ -8,6 +8,14 @@ import pytest
 from polydec import AdditivePoly, Poly, build_extension, build_prime_field, parse_field_spec
 
 
+TOWER = "GF(2)[g1]/(g1^2+g1+1)[g2]/(g2^2+g2+g1)"
+
+
+def field_of(spec):
+    """A prime field for an int p, else the field of a spec string."""
+    return build_prime_field(spec) if isinstance(spec, int) else parse_field_spec(spec)
+
+
 @pytest.fixture(scope="session")
 def F2():
     return build_prime_field(2)
@@ -76,6 +84,25 @@ def span(p, vectors, nu):
 
 
 def subspaces_of_dim(p, nu, sigma):
+    """All sigma-dimensional subspaces of Z_p**nu, one per reduced row
+    echelon basis: pivot columns, then every value of the free entries."""
+    seen = set()
+    for pivots in itertools.combinations(range(nu), sigma):
+        free = [
+            (r, c)
+            for r, pc in enumerate(pivots)
+            for c in range(pc + 1, nu)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(c == pc) for c in range(nu)] for pc in pivots]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            seen.add(span(p, [tuple(row) for row in rows], nu))
+    return seen
+
+
+def subspaces_of_dim_exhaustive(p, nu, sigma):
     """All sigma-dimensional subspaces of Z_p**nu, by exhaustive spans."""
     vectors = list(itertools.product(range(p), repeat=nu))
     seen = set()

@@ -36,6 +36,7 @@ from polydec.errors import (
     NotCoprime,
     NotSimilarityFree,
     NotSimple,
+    ParseError,
     ProductMismatch,
 )
 
@@ -125,6 +126,9 @@ def test_is_refinement():
         is_refinement((2, 2), (5,))
     with pytest.raises(BadLength):
         OrderedFactorisation((1, 4))
+    assert OrderedFactorisation.parse("2,3") == (2, 3)
+    with pytest.raises(ParseError):
+        OrderedFactorisation.parse("2,x")
 
 
 def test_decompose_ordered_wild_examples(F5):

@@ -23,8 +23,10 @@ from polydec.addecomp import Decomposition
 from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
 from polydec.errors import (
     BothZero,
+    DegreeError,
     DependentBasis,
     DivideByZero,
+    FieldMismatch,
     NotAdditive,
     NotIndecomposable,
     NotMonic,
@@ -33,7 +35,15 @@ from polydec.errors import (
 )
 from polydec.field import frobenius
 
-from conftest import monic_additive_polys, seeded_rng, subspaces_of_dim, count_maximal_flags
+from conftest import (
+    TOWER,
+    count_maximal_flags,
+    field_of,
+    monic_additive_polys,
+    seeded_rng,
+    subspaces_of_dim,
+    subspaces_of_dim_exhaustive,
+)
 
 
 def rand_additive(field, rng, expn, monic=True):
@@ -111,12 +121,10 @@ def test_join_examples(F3):
         join(f, AdditivePoly.zero(F3))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_meet_is_multiplicative_gcd_randomized(p):
-    from polydec import build_prime_field
-
-    K = build_prime_field(p)
-    rng = seeded_rng(("meet", p))
+@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", "GF(3^2)", TOWER])
+def test_meet_is_multiplicative_gcd_randomized(spec):
+    K = field_of(spec)
+    rng = seeded_rng(("meet", spec))
     for _ in range(30):
         f = rand_additive(K, rng, rng.randrange(1, 5), monic=False)
         g = rand_additive(K, rng, rng.randrange(1, 5), monic=False)
@@ -382,6 +390,22 @@ def test_counts_match_brute_force(p, nu_max):
         assert counts(p, nu, 0)[2] == count_maximal_flags(p, nu)
 
 
+@pytest.mark.parametrize("p,nu_max", [(2, 3), (3, 2)])
+def test_echelon_subspaces_match_exhaustive_spans(p, nu_max):
+    for nu in range(nu_max + 1):
+        for sigma in range(nu + 1):
+            assert subspaces_of_dim(p, nu, sigma) == subspaces_of_dim_exhaustive(p, nu, sigma)
+
+
+def test_counts_rejects_out_of_range_arguments():
+    with pytest.raises(DegreeError):
+        counts(2, 1, 5)
+    with pytest.raises(DegreeError):
+        counts(2, 2, -1)
+    with pytest.raises(DegreeError):
+        counts(1, 2, 1)
+
+
 def test_counts_extension_step_brute_force():
     # T(nu, sigma): sigma-dim subspaces of Z_p^nu over a fixed (sigma-1)-dim one
     p, nu, sigma = 2, 3, 2
@@ -413,3 +437,36 @@ def test_meet_is_multiplicative_gcd_hypothesis(ac, bc):
     f = AdditivePoly(K, ac + [1])
     g = AdditivePoly(K, bc + [1])
     assert meet(f, g).to_poly() == poly_gcd(f.to_poly(), g.to_poly())
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", "GF(3^2)", TOWER])
+@given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=5))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_str_is_dense_str_and_parses_back(spec, picks):
+    K = field_of(spec)
+    elts = list(K.elements())
+    f = AdditivePoly(K, [elts[i % len(elts)] for i in picks])
+    assert str(f) == str(f.to_poly())
+    assert AdditivePoly.parse(K, str(f)) == f
+
+
+def test_poly_and_additive_poly_never_mix(F3):
+    c = [2, 1]
+    assert Poly(F3, c) != AdditivePoly(F3, c)
+    assert AdditivePoly(F3, c) != Poly(F3, c)
+    with pytest.raises(TypeError):
+        Poly(F3, c)._check(AdditivePoly(F3, c))
+    with pytest.raises(TypeError):
+        AdditivePoly(F3, c)._check(Poly(F3, c))
+
+
+def test_foreign_felt_is_rejected(F3, F5, F4):
+    for K, foreign in ((F3, F5.felt(2)), (F4, F5.felt(2)), (F3, F4.gen())):
+        for cls in (Poly, AdditivePoly):
+            f = cls(K, [1, 1])
+            with pytest.raises(FieldMismatch):
+                f.scale(foreign)
+            with pytest.raises(FieldMismatch):
+                f.evaluate(foreign)
+            with pytest.raises(FieldMismatch):
+                cls.monomial(K, 1, foreign)

@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from polydec.cli import main
 
@@ -194,3 +197,55 @@ def test_non_monic_input_is_normalized_with_note(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("note: input scaled by 3")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["meet", "--field", "GF(2^0)", "x^2", "x"],
+        ["counts", "2", "1", "5"],
+        ["counts", "1", "2", "1"],
+        ["decompose", "--field", "GF(2)", "--shape", "2,x", "x^4+x"],
+        ["chebyshev", "--field", "GF(5)", "--", "-1"],
+        ["ratdec", "--field", "GF(5)", "x^4/(x^2+2*x+1)"],
+        ["ratdec", "--field", "GF(5)", "--shape", "2,x,1,1", "x^4/(x^2+2*x+1)"],
+        ["ratdec", "--field", "GF(5)", "--shape", "2,0,2", "x^4/(x^2+2*x+1)"],
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    start = time.monotonic()
+    code, _out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 5
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_ratdec_json(capsys):
+    code, out, _ = run(
+        capsys, "ratdec", "--json", "--field", "GF(5)", "--shape", "2,0,2,1",
+        "x^4/(x^2+2*x+1)",
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec == {
+        "target": "x^4/(x^2+2*x+1)",
+        "field": "GF(5)",
+        "factors": ["x^2", "x^2/(x+1)"],
+        "complete": False,
+    }
+
+
+def test_empty_result_json_is_empty_list(capsys):
+    code, out, _ = run(
+        capsys, "ratdec", "--json", "--field", "GF(5)", "--shape", "4,0,1,1",
+        "x^4/(x^2+2*x+1)",
+    )
+    assert code == 1 and json.loads(out) == []
+    code, out, _ = run(
+        capsys,
+        "decompose", "--field", "GF(5)", "--strategy", "sep", "--json",
+        "--shape", "5,5", "x^25+x^5+x",
+    )
+    assert code == 1 and json.loads(out) == []

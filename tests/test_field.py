@@ -6,11 +6,12 @@ from polydec import (
     Poly,
     build_extension,
     build_prime_field,
+    find_irreducible,
     frobenius,
     parse_field_spec,
     pth_root,
 )
-from polydec.errors import FieldMismatch, NotPrime, Reducible
+from polydec.errors import DegreeError, FieldMismatch, NotPrime, ParseError, Reducible
 
 from conftest import seeded_rng
 
@@ -162,3 +163,10 @@ def test_order_is_p_to_total_tower_degree():
     assert K.p == 2 and K.degree_over_prime == 4 and K.order == 16
     K2 = parse_field_spec("GF(2^6)")
     assert K2.order == 64 and K2.degree_over_prime == 6
+
+
+def test_prime_power_exponent_zero_rejected(F2):
+    with pytest.raises(ParseError):
+        parse_field_spec("GF(2^0)")
+    with pytest.raises(DegreeError):
+        find_irreducible(F2, 0)

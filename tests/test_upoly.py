@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from polydec import NEG_INF, Poly, chebyshev, compose, factor, gcd, right_divide
 from polydec import is_irreducible
-from polydec.errors import BothZero, DegreeMismatch, DivideByZero, ZeroInput
+from polydec.errors import BothZero, DegreeError, DegreeMismatch, DivideByZero, ZeroInput
+from polydec.upoly import monic_divisors
 
 from conftest import rand_poly, seeded_rng
 
@@ -197,6 +198,29 @@ def test_chebyshev_composition_law(p):
         for j in range(7):
             assert compose(ts[i], ts[j]) == ts[i * j]
             assert compose(ts[j], ts[i]) == ts[i * j]
+
+
+def test_chebyshev_negative_index_rejected(F5):
+    with pytest.raises(DegreeError):
+        chebyshev(-1, F5)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_monic_divisors_match_exhaustive_search(p):
+    from polydec import build_prime_field
+
+    K = build_prime_field(p)
+    rng = seeded_rng(("divisors", p))
+    for _ in range(6):
+        f = rand_poly(K, rng, rng.randrange(1, 6))
+        for d in range(f.degree + 1):
+            want = [
+                g
+                for coeffs in itertools.product(range(p), repeat=d)
+                for g in [Poly(K, list(coeffs) + [1])]
+                if (f % g).is_zero()
+            ]
+            assert monic_divisors(f, d) == sorted(want, key=lambda g: g.key())
 
 
 def test_parse_print_roundtrip(F3, F4):
