@@ -136,14 +136,38 @@ def _require_monic_additive(f, min_expn=1):
 
 
 def indec_right_factors(f, seed=0):
-    """All monic indecomposable right composition factors of f, sorted.
+    """All monic indecomposable right composition factors of f, sorted by key.
 
-    The simple candidates are minimal additive multiples of the non-x
-    irreducible multiplicative factors; candidates right-divisible by a
-    smaller candidate are struck out.  x**p joins the list exactly when f
-    is not simple.
+    Over a prime field GF(p) composition is ``c[i+j] += a_i * b_j**(p**i)``
+    with ``b_j**p = b_j``, so the ring is commutative and the linearized
+    associate ``sum a_i x**(p**i) -> sum a_i y**i`` is a ring isomorphism
+    onto GF(p)[y].  Right factors of f are then the divisors of its
+    associate and the indecomposable ones are its monic irreducible
+    divisors: one factorisation of degree expn, read back coefficient for
+    coefficient.  The factor y is x**p, present exactly when f is not
+    simple.
+
+    Over an extension field the ring is not commutative and the dense route
+    of :func:`_dense_indec_right_factors` is used instead.
     """
     _require_monic_additive(f, min_expn=1)
+    K = f.field
+    if K.degree_over_prime != 1:
+        return _dense_indec_right_factors(f, seed)
+    parts, _ = upoly.factor(Poly._raw(K, f.coeffs), seed)
+    factors = [AdditivePoly._raw(K, irr.coeffs) for irr, _mult in parts]
+    return sorted(factors, key=lambda g: g.key())
+
+
+def _dense_indec_right_factors(f, seed=0):
+    """Indecomposable right factors through the dense degree-p**expn form.
+
+    Factors the simple part of f as an ordinary polynomial; the candidates
+    are minimal additive multiples of its non-x irreducible factors, and a
+    candidate right-divisible by a smaller one is struck out.  x**p joins
+    the list exactly when f is not simple.  Valid over every field; over a
+    prime field it is the test oracle for the associate route.
+    """
     K = f.field
     ell, simple_part = peel_frobenius(f)
     parts, _ = upoly.factor(simple_part.to_poly(), seed)
@@ -199,6 +223,8 @@ def all_complete_decompositions(f, limit=None, seed=0):
     memoized so shared subproblems are solved once.
     """
     _require_monic_additive(f, min_expn=1)
+    if limit is not None and limit < 0:
+        raise BadLength("limit must be >= 0")
     memo = {}
 
     def rec(g):

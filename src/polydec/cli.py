@@ -84,6 +84,8 @@ def _cmd_decompose(args):
     field = _field_of(args)
     shape = OrderedFactorisation(_shape(args))
     strategy = Strategy(args.strategy)
+    if args.limit is not None and args.limit < 0:
+        raise ParseError("--limit must be >= 0")
     f = _monicized(_poly(args, field, args.expr))
     decs = gendecomp.ord_fact_decomp(f, shape, strategy, args.seed)
     if args.limit is not None:

@@ -14,7 +14,7 @@ class FieldMismatch(PolydecError):
 
 
 class NotPrime(PolydecError):
-    """Characteristic is not a prime number."""
+    """Characteristic is not a prime number, or too large to certify as one."""
 
 
 class NotMonic(PolydecError):

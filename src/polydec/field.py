@@ -27,14 +27,34 @@ from .errors import (
 )
 
 
+# Miller-Rabin with every prime base up to 41 has no strong pseudoprime
+# below this bound (Sorenson and Webster 2015), so the test is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin; NotPrime when n is too large to certify."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise NotPrime(f"{n} is too large to certify as prime (limit {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

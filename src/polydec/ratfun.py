@@ -366,6 +366,8 @@ def general_rat_dec(f, quad, seed=0):
     if f.is_constant():
         raise ConstantInput("cannot decompose a constant function")
     rN, rD, sN, sD = (int(v) for v in quad)
+    if min(rN, rD, sN, sD) < 0 or max(rN, rD) < 1 or max(sN, sD) < 1:
+        raise DegreeInfeasible("degree quadruple must be nonnegative with g and h nonconstant")
     K = f.field
     lam, fbar = normalize(f)
     lam_inv = lam.inverse()

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -27,7 +28,8 @@ from polydec import (
     simfree_bidecomp,
     unordered_refinements,
 )
-from polydec.addecomp import is_indecomposable
+from polydec import upoly
+from polydec.addecomp import _dense_indec_right_factors, is_indecomposable
 from polydec.additive import right_quotient
 from polydec.errors import (
     BadLength,
@@ -40,7 +42,7 @@ from polydec.errors import (
     ProductMismatch,
 )
 
-from conftest import monic_additive_polys
+from conftest import field_of, monic_additive_polys, seeded_rng
 
 
 def brute_right_factors_expn1(f):
@@ -101,6 +103,8 @@ def test_all_complete_decompositions(F4, F5):
     assert len(decs) == 3
     assert len({d.factors for d in decs}) == 3
     assert all_complete_decompositions(g4, limit=2) == decs[:2]
+    with pytest.raises(BadLength):
+        all_complete_decompositions(g4, limit=-1)
     f5 = AdditivePoly.parse(F5, "x^125+x^25+x^5+x")
     decs5 = all_complete_decompositions(f5)
     inner = {d.factors[-1] for d in decs5}
@@ -433,3 +437,61 @@ def test_factors_to_right_subset_moves_preserve_similarity(F8):
                 )
                 assert match is not None
                 remaining.remove(match)
+
+
+def rand_monic_additive(K, expn, rng, simple):
+    """Random monic additive polynomial; a non-simple one has x**p**l
+    peeled off for some l >= 1."""
+    coeffs = [K.rand_rep(rng) for _ in range(expn)] + [K.one()]
+    if simple:
+        while coeffs[0] == K.zero():
+            coeffs[0] = K.rand_rep(rng)
+    else:
+        for i in range(rng.randint(1, expn)):
+            coeffs[i] = K.zero()
+    return AdditivePoly(K, coeffs)
+
+
+@pytest.mark.parametrize("p,max_expn", [(2, 7), (3, 4), (5, 3), (7, 2)])
+def test_indec_right_factors_associate_matches_dense(p, max_expn):
+    K = field_of(p)
+    rng = seeded_rng(f"associate-vs-dense:{p}")
+    for expn in range(1, max_expn + 1):
+        for trial in range(6):
+            f = rand_monic_additive(K, expn, rng, simple=trial % 2 == 0)
+            got = indec_right_factors(f)
+            assert got == _dense_indec_right_factors(f), str(f)
+            assert all(right_quotient(f, g) is not None for g in got)
+
+
+@pytest.mark.parametrize("p,expn", [(2, 11), (3, 7)])
+def test_prime_field_decomposition_stays_in_exponent_space(monkeypatch, p, expn):
+    def no_dense(self):
+        raise AssertionError("dense expansion over a prime field")
+
+    factored = []
+    real_factor = upoly.factor
+
+    def recording_factor(g, seed=0):
+        factored.append(g.degree)
+        return real_factor(g, seed)
+
+    monkeypatch.setattr(AdditivePoly, "to_poly", no_dense)
+    monkeypatch.setattr(upoly, "factor", recording_factor)
+    K = field_of(p)
+    rng = seeded_rng(f"exponent-space:{p}")
+    for simple in (True, False):
+        f = rand_monic_additive(K, expn, rng, simple)
+        for g in indec_right_factors(f):
+            assert add_compose(right_quotient(f, g), g) == f
+        dec = complete_decomposition(f)
+        assert dec.target == f and dec.complete
+        decs = all_complete_decompositions(f)
+        assert dec in decs
+        outer = f.degree // dec.factors[-1].degree
+        shape = (outer, dec.factors[-1].degree) if outer > 1 else (f.degree,)
+        ordered = decompose_ordered(f, shape)
+        assert ordered
+        for d in decs + ordered:
+            assert functools.reduce(add_compose, d.factors) == f
+    assert factored and max(factored) <= expn

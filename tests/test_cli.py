@@ -210,6 +210,11 @@ def test_non_monic_input_is_normalized_with_note(capsys):
         ["ratdec", "--field", "GF(5)", "x^4/(x^2+2*x+1)"],
         ["ratdec", "--field", "GF(5)", "--shape", "2,x,1,1", "x^4/(x^2+2*x+1)"],
         ["ratdec", "--field", "GF(5)", "--shape", "2,0,2", "x^4/(x^2+2*x+1)"],
+        ["ratdec", "--field", "GF(5)", "--shape", "0,0,0,0", "x^4/(x^2+2*x+1)"],
+        ["ratdec", "--field", "GF(5)", "--shape", "2,-1,2,1", "x^4/(x^2+2*x+1)"],
+        ["all-complete", "--field", "GF(2)", "--limit", "-1", "x^4+x"],
+        ["decompose", "--field", "GF(2)", "--limit", "-1", "--shape", "2,2", "x^4+x"],
+        ["meet", "--field", "GF(3317044064679887385961981)", "x", "x"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -220,6 +225,13 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+def test_large_prime_field_answers_quickly(capsys):
+    start = time.monotonic()
+    code, out, _ = run(capsys, "meet", "--field", "GF(1000000000000000003)", "x", "x")
+    assert time.monotonic() - start < 5
+    assert code == 0 and out.strip() == "x"
 
 
 def test_ratdec_json(capsys):

@@ -12,6 +12,7 @@ from polydec import (
     pth_root,
 )
 from polydec.errors import DegreeError, FieldMismatch, NotPrime, ParseError, Reducible
+from polydec.field import _is_prime
 
 from conftest import seeded_rng
 
@@ -28,6 +29,25 @@ def test_char_two_addition(F2):
 def test_composite_characteristic_rejected():
     with pytest.raises(NotPrime):
         build_prime_field(6)
+
+
+def test_primality_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if trial_division(n)
+    ]
+
+
+def test_primality_of_large_characteristics():
+    assert _is_prime(1000000000000000003)
+    assert not _is_prime(1000000000000000001)
+    # strong pseudoprime to bases 2..37: the smallest input the test refuses
+    with pytest.raises(NotPrime):
+        build_prime_field(3317044064679887385961981)
+    with pytest.raises(NotPrime):
+        build_prime_field(2**89 - 1)
 
 
 def test_gf4_generator_is_cube_root_of_unity(F4):
