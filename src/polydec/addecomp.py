@@ -444,13 +444,13 @@ def cr_decompose(f, shape, seed=0):
     return dec
 
 
-def _assert_similarity_free(factors, seed=0):
+def _assert_similarity_free(factors):
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             fi, fj = factors[i], factors[j]
             if fi.expn != fj.expn:
                 continue
-            if is_similar(fi, fj)[0] or is_similar(fj, fi)[0]:
+            if is_similar(fi, fj)[0]:
                 raise NotSimilarityFree(
                     f"factors {fi} and {fj} of the complete decomposition are similar"
                 )
@@ -467,7 +467,7 @@ def factors_to_right(dec, indices, seed=0):
     """
     if not dec.complete:
         raise ValueError("decomposition must be complete")
-    _assert_similarity_free(dec.factors, seed)
+    _assert_similarity_free(dec.factors)
     m = len(dec.factors)
     indices = set(indices)
     if not indices:
@@ -522,7 +522,7 @@ def simfree_bidecomp(f, shape, seed=0):
     m = len(dec.factors)
     if m == 1:
         return None
-    _assert_similarity_free(dec.factors, seed)
+    _assert_similarity_free(dec.factors)
     inner_first = list(reversed(dec.factors))
     p = f.field.p
     sigma = 0
@@ -565,7 +565,11 @@ def _lift_additive(f, tower):
     return AdditivePoly(tower, [lift(Felt(K, c), tower) for c in f.coeffs])
 
 
-def abs_decompose(f, seed=0, expn_bound=3):
+# abs_decompose factors dense expansions of degree up to p**expn over a tower
+_ABS_EXPN_BOUND = 3
+
+
+def abs_decompose(f, seed=0):
     """Complete decomposition into p-linear factors over a field tower.
 
     Each stage adjoins a root a of the substituted polynomial
@@ -575,8 +579,8 @@ def abs_decompose(f, seed=0, expn_bound=3):
     _require_monic_additive(f, min_expn=1)
     if not f.is_simple():
         raise NotSimple("absolute decomposition requires a simple input")
-    if f.expn > expn_bound:
-        raise ExponentBoundExceeded(f"absolute decomposition bounded to expn <= {expn_bound}")
+    if f.expn > _ABS_EXPN_BOUND:
+        raise ExponentBoundExceeded(f"absolute decomposition bounded to expn <= {_ABS_EXPN_BOUND}")
     K = f.field
     p = K.p
     peeled = []  # (factor, owning field), innermost first

@@ -10,6 +10,8 @@ composition multiple) comes out of the extended Euclidean scheme.
 
 from __future__ import annotations
 
+import random
+
 from . import _polyops as po
 from . import upoly
 from .errors import (
@@ -21,10 +23,9 @@ from .errors import (
     NotAdditive,
     NotCoprime,
     NotMonic,
-    SearchBoundExceeded,
     ZeroInput,
 )
-from .field import Felt
+from .field import Felt, build_prime_field
 from .upoly import CoeffVector, Poly
 
 
@@ -172,11 +173,6 @@ def add_rdivrem(f, g):
     return AdditivePoly._raw(K, q), rem
 
 
-def right_divides(g, f):
-    """True when g is a right composition factor of f."""
-    return add_rdivrem(f, g)[1].is_zero()
-
-
 def right_quotient(f, g):
     """f with g divided off on the right, or None if g does not divide."""
     q, r = add_rdivrem(f, g)
@@ -242,62 +238,71 @@ def transform(g, f):
     return q
 
 
-def _monic_candidates(field, expn):
-    """All monic additive polynomials of the given exponent, in key order."""
-    import itertools
-
-    if expn == 0:
-        yield AdditivePoly.x(field)
-        return
-    elts = list(field.elements())
-    for combo in itertools.product(elts, repeat=expn):
-        yield AdditivePoly._raw(field, list(combo) + [field.one()])
+def _prime_coords(K, a):
+    """Coordinates of a representation over GF(p), on the tower monomials."""
+    return [a] if K.height == 0 else [c for b in a for c in _prime_coords(K.base, b)]
 
 
-def _scalar_twist(v, d):
-    """transform(u, g) for u with residue d*w mod g, given v = transform(w, g):
-    coefficient i picks up d**(p**nu - p**i)."""
-    K = v.field
-    nu = v.expn
-    out = []
-    for i, c in enumerate(v.coeffs):
-        out.append(K.mul(c, K.pow_(d, K.p**nu - K.p**i)))
-    return AdditivePoly._raw(K, out)
+def _prime_basis(K):
+    """The tower generator monomials: an F_p-basis of K, in coordinate order."""
+    if K.height == 0:
+        return [1]
+    z = (K.base.zero(),)
+    return [z * i + (b,) + z * (K.deg - 1 - i) for i in range(K.deg) for b in _prime_basis(K.base)]
 
 
-def is_similar(f, g, expn_bound=3, order_bound=32):
-    """Bounded similarity test with witness.
+def _hom_basis(f, g):
+    """An F_p-basis of Hom(f, g) = {u : expn u < expn g, g right-divides f o u}.
 
-    Returns ``(flag, witness)`` where the witness u is monic with
-    meet(u, g) = x and transform(u, g) = f.  Transformation by u depends
-    only on the residue of u mod g, so the search covers every residue:
-    monic w of exponent below expn g (plus w = x) times a leading scalar,
-    realised as the monic witness g + d*w when the scalar d is not 1.
+    u -> (f o u mod g) is F_p-linear; its columns on the F_p-basis
+    b * x**(p**i) of the domain are eliminated over GF(p), and each
+    dependence among them is a kernel vector.
+    """
+    K = f.field
+    Fp = build_prime_field(K.p)
+    domain = [AdditivePoly.monomial(K, i, b) for i in range(g.expn) for b in _prime_basis(K)]
+    n = len(domain)
+    rows, kernel = [], []
+    for k, u in enumerate(domain):
+        r = add_rdivrem(add_compose(f, u), g)[1]
+        col = [c for a in r.coeffs for c in _prime_coords(K, a)]
+        dep = _eliminate(Fp, rows, col + [0] * (n - len(col)), [int(j == k) for j in range(n)])
+        if dep is not None:
+            kernel.append(sum((v.scale(c) for v, c in zip(domain, dep)), AdditivePoly.zero(K)))
+    return kernel
+
+
+def is_similar(f, g):
+    """Similarity test with witness: ``(flag, u)``, u monic with
+    meet(u, g) = x and transform(u, g) = f.
+
+    f and g are similar exactly when 2 dim Hom(f, g) equals
+    dim Hom(f, f) + dim Hom(g, g).  Hom(f, g) holds the module maps
+    R/Rf -> R/Rg over the composition ring R; these modules are sums of
+    uniserial pieces, and on their partitions the difference of the two
+    sides is minus a sum of squares, zero only for isomorphic modules.  The
+    witness is the first seeded draw u from Hom(f, g) (as g + u when u is
+    not monic) with meet(u, g) = x: transform(u, g) right-divides f and has
+    its exponent, so it equals f.
     """
     f._check(g)
     if not (f.is_monic() and g.is_monic()):
         raise NotMonic("similarity requires monic inputs")
     if f.expn != g.expn:
         return False, None
-    if f.expn > expn_bound or f.field.order > order_bound:
-        raise SearchBoundExceeded(
-            f"similarity search bounded to expn <= {expn_bound}, order <= {order_bound}"
-        )
     K = f.field
     xpoly = AdditivePoly.x(K)
-    one = K.one()
-    units = [r for r in K.elements() if r != K.zero()]
-    for k in range(g.expn):
-        for w in _monic_candidates(K, k):
-            if meet(w, g) != xpoly:
-                continue
-            t = transform(w, g)
-            for d in units:
-                cand = t if d == one else _scalar_twist(t, d)
-                if cand == f:
-                    witness = w if d == one else g + w.scale(Felt(K, d))
-                    return True, witness
-    return False, None
+    if f == g:
+        return True, xpoly
+    homs = _hom_basis(f, g)
+    if 2 * len(homs) != len(_hom_basis(f, f)) + len(_hom_basis(g, g)):
+        return False, None
+    rng = random.Random(f"similar:{K.order}:{f.expn}")
+    while True:
+        u = sum((h.scale(rng.randrange(K.p)) for h in homs), AdditivePoly.zero(K))
+        w = u if u.is_monic() else g + u
+        if meet(w, g) == xpoly:
+            return True, w
 
 
 def transmutable(f, g, seed=0):
@@ -354,11 +359,17 @@ def transform_composition(h, dec):
 
 
 class KernelBasis:
-    """Field elements linearly independent over the prime subfield."""
+    """Field elements linearly independent over the prime subfield.
 
-    __slots__ = ("field", "elements")
+    Runs psi -> (x**p - v**(p-1) x) o psi with v = psi(theta) from psi = x.
+    The roots of psi are exactly the Z_p-span of the elements seen so far,
+    so theta is independent of them exactly when v != 0; the final psi is
+    kept for from_kernel_basis.
+    """
 
-    def __init__(self, elements, check_bound=6):
+    __slots__ = ("field", "elements", "psi")
+
+    def __init__(self, elements):
         elements = tuple(elements)
         if not elements:
             raise DependentBasis("kernel basis must be nonempty")
@@ -366,29 +377,15 @@ class KernelBasis:
         for e in elements:
             if e.field != field:
                 raise FieldMismatch("basis elements from different fields")
-        if len(elements) > check_bound:
-            raise SearchBoundExceeded(
-                f"independence check bounded to {check_bound} basis elements"
-            )
+        psi = AdditivePoly.x(field)
+        for theta in elements:
+            v = psi.evaluate(theta)
+            if v.is_zero():
+                raise DependentBasis("basis elements are Z_p-dependent")
+            psi = add_compose(AdditivePoly.p_linear(v ** (field.p - 1)), psi)
         self.field = field
         self.elements = elements
-        self._check_independent()
-
-    def _check_independent(self):
-        import itertools
-
-        K = self.field
-        zero = K.zero()
-        reps = [e.rep for e in self.elements]
-        for combo in itertools.product(range(K.p), repeat=len(reps)):
-            if not any(combo):
-                continue
-            acc = zero
-            for c, r in zip(combo, reps):
-                if c:
-                    acc = K.add(acc, K.mul(K.from_int(c), r))
-            if acc == zero:
-                raise DependentBasis("basis elements are Z_p-dependent")
+        self.psi = psi
 
     def __len__(self):
         return len(self.elements)
@@ -396,18 +393,10 @@ class KernelBasis:
 
 def from_kernel_basis(basis):
     """The monic simple additive polynomial whose roots are exactly the
-    Z_p-span of the basis, by iterating psi -> (x**p - psi(theta)**(p-1) x) o psi."""
+    Z_p-span of the basis (see KernelBasis)."""
     if not isinstance(basis, KernelBasis):
         basis = KernelBasis(basis)
-    K = basis.field
-    theta = basis.elements[0]
-    psi = AdditivePoly.p_linear(theta ** (K.p - 1))
-    for th in basis.elements[1:]:
-        v = psi.evaluate(th)
-        if v.is_zero():
-            raise DependentBasis("basis element lies in the span of earlier ones")
-        psi = add_compose(AdditivePoly.p_linear(v ** (K.p - 1)), psi)
-    return psi
+    return basis.psi
 
 
 def peel_frobenius(f):
@@ -432,7 +421,31 @@ def peel_frobenius(f):
     return ell, AdditivePoly._raw(K, out)
 
 
-def min_add_mult(f, _check_monic=True):
+def _eliminate(K, rows, vec, combo):
+    """Reduce vec against the echelon rows (pivot, row, combo), doing the
+    same to combo (row combos may be shorter).  Returns combo, a linear
+    dependence among the vectors inserted so far, when vec reduces to 0;
+    else appends the reduced row, scaled to pivot 1, and returns None.
+    """
+    z = K.zero()
+    for pivot, bvec, bcombo in rows:
+        c = vec[pivot]
+        if c != z:
+            vec = [K.sub(x, K.mul(c, y)) for x, y in zip(vec, bvec)]
+            combo = [
+                K.sub(x, K.mul(c, y))
+                for x, y in zip(combo, bcombo + [z] * (len(combo) - len(bcombo)))
+            ]
+    nonzero = [i for i, x in enumerate(vec) if x != z]
+    if not nonzero:
+        return combo
+    pivot = nonzero[-1]
+    inv = K.inv(vec[pivot])
+    rows.append((pivot, [K.mul(x, inv) for x in vec], [K.mul(x, inv) for x in combo]))
+    return None
+
+
+def min_add_mult(f):
     """Minimal additive multiple of a monic polynomial f.
 
     Scans h_i = x**(p**i) mod f for the first linear dependence over the
@@ -441,39 +454,23 @@ def min_add_mult(f, _check_monic=True):
     """
     if f.is_zero():
         raise ZeroInput("zero polynomial has no minimal additive multiple")
-    if _check_monic and not f.is_monic():
+    if not f.is_monic():
         raise NotMonic("minimal additive multiple requires a monic input")
     K = f.field
     n = f.degree
     z = K.zero()
     fc = list(f.coeffs)
-    # reduced basis rows: (pivot index, vector, combination over the h_j)
-    basis = []
+    rows = []
     h = po.mod(K, [z, K.one()], fc)
     k = 0
     while True:
-        vec = list(h) + [z] * (n - len(h))
         combo = [z] * (k + 1)
         combo[k] = K.one()
-        for pivot, bvec, bcombo in basis:
-            c = vec[pivot]
-            if c != z:
-                vec = [K.sub(x, K.mul(c, y)) for x, y in zip(vec, bvec)]
-                combo = [
-                    K.sub(x, K.mul(c, y))
-                    for x, y in zip(combo, bcombo + [z] * (len(combo) - len(bcombo)))
-                ]
-        nonzero = [i for i, x in enumerate(vec) if x != z]
-        if not nonzero:
-            # vec == 0 means h_k + sum(combo[j] h_j, j<k) ... with combo[k] = 1,
-            # so x**(p**k) + sum combo[j] x**(p**j) is the additive multiple.
-            coeffs = list(combo[:-1]) + [K.one()]
-            return AdditivePoly._raw(K, coeffs)
-        pivot = nonzero[-1]
-        inv = K.inv(vec[pivot])
-        vec = [K.mul(x, inv) for x in vec]
-        combo = [K.mul(x, inv) for x in combo]
-        basis.append((pivot, vec, combo))
+        dep = _eliminate(K, rows, list(h) + [z] * (n - len(h)), combo)
+        if dep is not None:
+            # h_k + sum(dep[j] h_j, j<k) == 0 with dep[k] = 1, so
+            # x**(p**k) + sum dep[j] x**(p**j) is the additive multiple.
+            return AdditivePoly._raw(K, dep)
         h = po.mod(K, po.powmod(K, h, K.p, fc), fc)
         k += 1
 

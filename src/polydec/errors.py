@@ -53,10 +53,6 @@ class NotAdditive(PolydecError):
     """Polynomial has a nonzero coefficient at a non-p-power exponent."""
 
 
-class SearchBoundExceeded(PolydecError):
-    """Exhaustive search was asked to exceed its configured bounds."""
-
-
 class NotIndecomposable(PolydecError):
     """An indecomposable polynomial was required."""
 

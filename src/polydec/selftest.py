@@ -12,6 +12,7 @@ from importlib import resources
 
 from . import addecomp, additive, gendecomp, upoly
 from .additive import AdditivePoly
+from .errors import DependentBasis
 from .field import parse_field_spec
 from .gendecomp import Strategy
 from .upoly import Poly
@@ -163,7 +164,7 @@ def _check_scaled_kernel(rec, field):
         try:
             additive.KernelBasis(basis + [cand])
             basis.append(cand)
-        except Exception:
+        except DependentBasis:
             continue
     f = additive.from_kernel_basis(basis)
     decs = addecomp.all_complete_decompositions(f)

@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from polydec import AdditivePoly, Poly, build_extension, build_prime_field, parse_field_spec
+from polydec import (
+    AdditivePoly,
+    Poly,
+    build_extension,
+    build_prime_field,
+    meet,
+    parse_field_spec,
+    transform,
+)
 
 
 TOWER = "GF(2)[g1]/(g1^2+g1+1)[g2]/(g2^2+g2+g1)"
@@ -70,6 +78,26 @@ def monic_additive_polys(field, expn):
     elts = list(field.elements())
     for combo in itertools.product(elts, repeat=expn):
         yield AdditivePoly(field, list(combo) + [field.one()])
+
+
+def similarity_class_by_enumeration(g):
+    """Every transform(u, g) with u monic and meet(u, g) = x, found by search.
+
+    Transformation by u depends only on the residue of u mod g, so the
+    search covers every residue: monic w of exponent below expn g times a
+    nonzero scalar d, realised as the monic u = g + d*w when d is not 1.
+    """
+    K = g.field
+    xpoly = AdditivePoly.x(K)
+    units = [d for d in K.elements() if d != K.zero()]
+    found = {g}
+    for k in range(g.expn):
+        for w in monic_additive_polys(K, k):
+            if meet(w, g) != xpoly:
+                continue
+            for d in units:
+                found.add(transform(w if d == K.one() else g + w.scale(d), g))
+    return found
 
 
 def span(p, vectors, nu):

@@ -30,7 +30,6 @@ from polydec.errors import (
     NotAdditive,
     NotIndecomposable,
     NotMonic,
-    SearchBoundExceeded,
     ZeroInput,
 )
 from polydec.field import frobenius
@@ -41,6 +40,7 @@ from conftest import (
     field_of,
     monic_additive_polys,
     seeded_rng,
+    similarity_class_by_enumeration,
     subspaces_of_dim,
     subspaces_of_dim_exhaustive,
 )
@@ -233,10 +233,77 @@ def test_similarity_witness_is_valid(F8):
     assert transform(witness, b) == a
 
 
-def test_similarity_bound_errors(F3):
+def test_similarity_past_old_bound_returns_x(F3):
     f = AdditivePoly(F3, [1, 0, 0, 0, 1])  # expn 4
-    with pytest.raises(SearchBoundExceeded):
-        is_similar(f, f.scale(1))
+    assert is_similar(f, f.scale(1)) == (True, AdditivePoly.x(F3))
+
+
+def assert_similarity_witness(f, g, witness):
+    assert witness.is_monic()
+    assert meet(witness, g) == AdditivePoly.x(g.field)
+    assert transform(witness, g) == f
+
+
+def planted_similar_pair(K, rng, expn):
+    """(transform(u, g), g) for random monic g and u with meet(u, g) = x;
+    over an extension field, redrawn until the two differ."""
+    while True:
+        g = rand_additive(K, rng, expn)
+        u = rand_additive(K, rng, rng.randrange(expn))
+        if meet(u, g) != AdditivePoly.x(K):
+            continue
+        f = transform(u, g)
+        if f != g or K.degree_over_prime == 1:
+            return f, g
+
+
+def check_similarity_against_enumeration(pairs):
+    classes = {}
+    for f, g in pairs:
+        if g not in classes:
+            classes[g] = similarity_class_by_enumeration(g)
+        flag, witness = is_similar(f, g)
+        assert flag == (f in classes[g]), (str(f), str(g))
+        if flag:
+            assert_similarity_witness(f, g, witness)
+        else:
+            assert witness is None
+
+
+@pytest.mark.parametrize("spec, expns", [("GF(2^2)", (1, 2)), (TOWER, (1,))])
+def test_similarity_matches_enumeration_exhaustive(spec, expns):
+    K = field_of(spec)
+    for expn in expns:
+        polys = list(monic_additive_polys(K, expn))
+        check_similarity_against_enumeration(itertools.product(polys, repeat=2))
+
+
+@pytest.mark.parametrize("spec", ["GF(2^3)", "GF(3^2)"])
+def test_similarity_matches_enumeration_sampled(spec):
+    K = field_of(spec)
+    rng = seeded_rng(f"similar-sampled:{spec}")
+    pairs = []
+    for _ in range(15):
+        f, g = planted_similar_pair(K, rng, 2)
+        pairs += [(f, g), (rand_additive(K, rng, 2), g), (rand_additive(K, rng, 2), g)]
+    check_similarity_against_enumeration(pairs)
+
+
+@pytest.mark.parametrize("spec, expn", [("GF(3)", 4), ("GF(2^6)", 4), ("GF(7^2)", 3)])
+def test_similarity_past_old_bounds_gives_valid_witness(spec, expn):
+    K = field_of(spec)
+    rng = seeded_rng(f"similar-large:{spec}")
+    f, g = planted_similar_pair(K, rng, expn)
+    flag, witness = is_similar(f, g)
+    assert flag
+    assert_similarity_witness(f, g, witness)
+    h = rand_additive(K, rng, expn)
+    flag, witness = is_similar(h, g)
+    if flag:
+        assert_similarity_witness(h, g, witness)
+    if K.degree_over_prime == 1:
+        # the ring is commutative over GF(p): similar means equal
+        assert not flag and h != g
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -315,6 +382,31 @@ def test_kernel_basis_independence_check(F4):
         KernelBasis([w, w])
     with pytest.raises(DependentBasis):
         from_kernel_basis([F4.felt(1), F4.felt(1)])
+
+
+def test_kernel_basis_accepts_eight_elements():
+    K = field_of("GF(2^8)")
+    g = K.gen()
+    basis = KernelBasis([g**i for i in range(8)])
+    assert from_kernel_basis(basis) == AdditivePoly.parse(K, "x^256+x")
+    with pytest.raises(DependentBasis):
+        KernelBasis([g**i for i in range(6)] + [g + g**5])
+
+
+def test_kernel_basis_matches_brute_force_independence(F8):
+    elts = list(F8.felts())
+    for size in range(1, len(elts) + 1):
+        for subset in itertools.combinations(elts, size):
+            dependent = any(
+                sum((e for c, e in zip(combo, subset) if c), F8.felt(0)).is_zero()
+                for combo in itertools.product(range(2), repeat=size)
+                if any(combo)
+            )
+            if dependent:
+                with pytest.raises(DependentBasis):
+                    KernelBasis(subset)
+            else:
+                assert KernelBasis(subset).psi.expn == size
 
 
 def test_from_kernel_basis_examples(F3, F4):

@@ -81,6 +81,16 @@ def test_similar_true_and_false(capsys):
     assert code == 1 and out.strip() == "false"
 
 
+def test_similar_expn_4_answers_quickly_and_deterministically(capsys):
+    # x^16+g1*x^8+... is transform(x^2+x, x^16+g1*x^4+x^2+x) over GF(4)
+    argv = ["similar", "--field", "GF(2^2)", "x^16+g1*x^8+x^4+x^2+(g1+1)*x", "x^16+g1*x^4+x^2+x"]
+    start = time.monotonic()
+    code, out, _ = run(capsys, *argv)
+    assert time.monotonic() - start < 5
+    assert code == 0 and out.startswith("true witness=")
+    assert run(capsys, *argv) == (code, out, "")
+
+
 def test_transmute(capsys):
     code, out, _ = run(capsys, "transmute", "--field", "GF(2)", "x^2", "x^2")
     assert code == 1 and "no transmutation" in out
