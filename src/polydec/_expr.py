@@ -95,19 +95,9 @@ class _Parser:
             e = self.take()
             if not e.isdigit():
                 raise ParseError(f"exponent must be a natural number, got {e!r}")
-            value = self._pow(value, int(e))
+            K = self.K
+            value = po._power(lambda a, b: po.mul(K, a, b), [K.one()], value, int(e))
         return value
-
-    def _pow(self, value, n):
-        result = [self.K.one()]
-        base = value
-        while n:
-            if n & 1:
-                result = po.mul(self.K, result, base)
-            n >>= 1
-            if n:
-                base = po.mul(self.K, base, base)
-        return result
 
     def atom(self):
         t = self.take()

@@ -139,17 +139,26 @@ def extgcd(K, a, b):
     return scale(K, r0, c), scale(K, u0, c), scale(K, v0, c)
 
 
-def powmod(K, a, n, m):
-    """a**n reduced modulo m, by binary powering."""
-    result = [K.one()]
-    base = mod(K, a, m)
+def _power(mul, one, a, n):
+    """a**n for n >= 0 by binary powering with the product ``mul``.
+
+    The one loop behind field, polynomial, modular and parser powers.  The
+    leading underscore keeps it out of the per-layer tracer, which gives
+    field element operations no spans.
+    """
+    result = one
     while n:
         if n & 1:
-            result = mod(K, mul(K, result, base), m)
+            result = mul(result, a)
         n >>= 1
         if n:
-            base = mod(K, mul(K, base, base), m)
+            a = mul(a, a)
     return result
+
+
+def powmod(K, a, n, m):
+    """a**n reduced modulo m, by binary powering."""
+    return _power(lambda u, v: mod(K, mul(K, u, v), m), [K.one()], mod(K, a, m), n)
 
 
 def evaluate(K, a, x):

@@ -9,6 +9,7 @@ coefficient order) wins, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -23,7 +24,6 @@ from .additive import (
     min_add_mult,
     peel_frobenius,
     right_quotient,
-    transform,
     transform_composition,
     transmutable,
 )
@@ -66,16 +66,8 @@ class UnorderedFactorisation(tuple):
 
 
 def _compose_chain(factors):
-    first = factors[0]
-    if isinstance(first, AdditivePoly):
-        acc = first
-        for f in factors[1:]:
-            acc = add_compose(acc, f)
-        return acc
-    acc = first
-    for f in factors[1:]:
-        acc = upoly.compose(acc, f)
-    return acc
+    compose = add_compose if isinstance(factors[0], AdditivePoly) else upoly.compose
+    return functools.reduce(compose, factors)
 
 
 @dataclass(frozen=True)
@@ -135,7 +127,7 @@ def _require_monic_additive(f, min_expn=1):
     return f
 
 
-def indec_right_factors(f, seed=0):
+def indec_right_factors(f):
     """All monic indecomposable right composition factors of f, sorted by key.
 
     Over a prime field GF(p) composition is ``c[i+j] += a_i * b_j**(p**i)``
@@ -153,13 +145,13 @@ def indec_right_factors(f, seed=0):
     _require_monic_additive(f, min_expn=1)
     K = f.field
     if K.degree_over_prime != 1:
-        return _dense_indec_right_factors(f, seed)
-    parts, _ = upoly.factor(Poly._raw(K, f.coeffs), seed)
+        return _dense_indec_right_factors(f)
+    parts, _ = upoly.factor(Poly._raw(K, f.coeffs))
     factors = [AdditivePoly._raw(K, irr.coeffs) for irr, _mult in parts]
     return sorted(factors, key=lambda g: g.key())
 
 
-def _dense_indec_right_factors(f, seed=0):
+def _dense_indec_right_factors(f):
     """Indecomposable right factors through the dense degree-p**expn form.
 
     Factors the simple part of f as an ordinary polynomial; the candidates
@@ -170,7 +162,7 @@ def _dense_indec_right_factors(f, seed=0):
     """
     K = f.field
     ell, simple_part = peel_frobenius(f)
-    parts, _ = upoly.factor(simple_part.to_poly(), seed)
+    parts, _ = upoly.factor(simple_part.to_poly())
     xpoly = Poly.x(K)
     candidates = {}
     for irr, _mult in parts:
@@ -190,23 +182,23 @@ def _dense_indec_right_factors(f, seed=0):
     return kept
 
 
-def is_indecomposable(f, seed=0):
+def is_indecomposable(f):
     """True when f has no decomposition into factors of degree >= p."""
     if f.expn == 1:
         return True
     if f.expn < 1:
         return False
-    return indec_right_factors(f, seed) == [f]
+    return indec_right_factors(f) == [f]
 
 
-def complete_decomposition(f, seed=0):
+def complete_decomposition(f):
     """One complete decomposition, peeling the first indecomposable right
     factor at every stage."""
     _require_monic_additive(f, min_expn=1)
     factors_inner_first = []
     cur = f
     while True:
-        rf = indec_right_factors(cur, seed)
+        rf = indec_right_factors(cur)
         if rf == [cur]:
             factors_inner_first.append(cur)
             break
@@ -216,7 +208,7 @@ def complete_decomposition(f, seed=0):
     return Decomposition(f, tuple(reversed(factors_inner_first)), complete=True)
 
 
-def all_complete_decompositions(f, limit=None, seed=0):
+def all_complete_decompositions(f, limit=None):
     """All complete decompositions, in deterministic order.
 
     Branches over every indecomposable right factor; quotient results are
@@ -231,7 +223,7 @@ def all_complete_decompositions(f, limit=None, seed=0):
         known = memo.get(g)
         if known is not None:
             return known
-        rf = indec_right_factors(g, seed)
+        rf = indec_right_factors(g)
         if rf == [g]:
             memo[g] = [(g,)]
             return memo[g]
@@ -291,7 +283,7 @@ def _regroup(factors, shape):
     return tuple(out)
 
 
-def decompose_ordered(f, shape, seed=0):
+def decompose_ordered(f, shape):
     """All decompositions of f matching the ordered factorisation, found by
     filtering complete decompositions whose shape refines it."""
     _require_monic_additive(f, min_expn=1)
@@ -299,7 +291,7 @@ def decompose_ordered(f, shape, seed=0):
     if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
     seen = {}
-    for dec in all_complete_decompositions(f, seed=seed):
+    for dec in all_complete_decompositions(f):
         if not is_refinement(dec.shape, shape):
             continue
         grouped = _regroup(dec.factors, shape)
@@ -308,7 +300,7 @@ def decompose_ordered(f, shape, seed=0):
     return [seen[k] for k in sorted(seen)]
 
 
-def indec_basis(f, seed=0):
+def indec_basis(f):
     """An indecomposable basis when f is completely reducible, else None.
 
     Folds the indecomposable right factors into a running join; f is
@@ -318,7 +310,7 @@ def indec_basis(f, seed=0):
     xp = AdditivePoly.x(f.field)
     basis = []
     g = xp
-    for v in indec_right_factors(f, seed):
+    for v in indec_right_factors(f):
         if meet(v, g) == xp:
             g = v if g == xp else join(g, v)
             basis.append(v)
@@ -392,7 +384,7 @@ def basis_to_dec(parts):
     return Decomposition(g_prev, tuple(reversed(factors_inner_first)))
 
 
-def cr_decompose(f, shape, seed=0):
+def cr_decompose(f, shape):
     """Decomposition of a completely reducible f matching the shape, or None.
 
     Builds an indecomposable basis, groups it by a matching unordered
@@ -402,7 +394,7 @@ def cr_decompose(f, shape, seed=0):
     shape = OrderedFactorisation(shape)
     if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
-    basis = indec_basis(f, seed)
+    basis = indec_basis(f)
     if basis is None:
         raise NotCompletelyReducible("input is not a join of indecomposables")
     p = f.field.p
@@ -456,7 +448,7 @@ def _assert_similarity_free(factors):
                 )
 
 
-def factors_to_right(dec, indices, seed=0):
+def factors_to_right(dec, indices):
     """Move the factors at the given original positions to the right.
 
     ``indices`` refers to positions in ``dec`` counted from the innermost
@@ -487,7 +479,7 @@ def factors_to_right(dec, indices, seed=0):
                 placed = True
                 break
             comp = _compose_chain(list(reversed(pos[ell:k])))
-            trans = transmutable(pos[k], comp, seed)
+            trans = transmutable(pos[k], comp)
             if not trans:
                 continue
             _gbar, fbar = trans[0]
@@ -505,7 +497,7 @@ def factors_to_right(dec, indices, seed=0):
     return Decomposition(dec.target, tuple(reversed(pos)), complete=True)
 
 
-def simfree_bidecomp(f, shape, seed=0):
+def simfree_bidecomp(f, shape):
     """Two-factor decomposition of a similarity-free f with the given
     (p**rho, p**sigma) shape, or None.
 
@@ -518,7 +510,7 @@ def simfree_bidecomp(f, shape, seed=0):
         raise BadLength("bidecomposition shape must have two entries")
     if math.prod(shape) != f.degree:
         raise ProductMismatch("shape does not multiply to deg f")
-    dec = complete_decomposition(f, seed)
+    dec = complete_decomposition(f)
     m = len(dec.factors)
     if m == 1:
         return None
@@ -535,7 +527,7 @@ def simfree_bidecomp(f, shape, seed=0):
         chosen = [k + 1 for k in range(m) if mask >> k & 1]
         if sum(inner_first[k - 1].expn for k in chosen) != sigma:
             continue
-        res = factors_to_right(dec, set(chosen), seed)
+        res = factors_to_right(dec, set(chosen))
         if res is None:
             continue
         t = len(chosen)
@@ -569,7 +561,7 @@ def _lift_additive(f, tower):
 _ABS_EXPN_BOUND = 3
 
 
-def abs_decompose(f, seed=0):
+def abs_decompose(f):
     """Complete decomposition into p-linear factors over a field tower.
 
     Each stage adjoins a root a of the substituted polynomial
@@ -588,7 +580,7 @@ def abs_decompose(f, seed=0):
     curK = K
     while cur.expn > 1:
         hp = _exponent_divide(cur.to_poly() // Poly.x(curK), max(1, p - 1))
-        parts, _ = upoly.factor(hp, seed)
+        parts, _ = upoly.factor(hp)
         u1 = parts[0][0]
         if u1.degree == 1:
             a = -u1.coeff(0)

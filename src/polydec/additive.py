@@ -207,35 +207,43 @@ def meet(f, g):
     return euclid_scheme(f, g)[-1].monic()
 
 
-def join(f, g):
-    """Least common left composition multiple, monic.
+def _last_cofactor(f, g):
+    """The cofactor s of f at the zero remainder of the scheme on (f, g).
 
-    Built from the Euclidean scheme f1..fn by the alternation
-    J(n-1) = monic(f(n-1)), J(i) = monic((J(i+1) /o f(i+2)) o f(i)).
+    The remainders r_0 = f, r_1 = g, r_(i+1) = r_(i-1) - q_i o r_i are
+    r_i = s_i o f + t_i o g with s_0 = x, s_1 = 0 and
+    s_(i+1) = s_(i-1) - q_i o s_i.  At the zero remainder s o f = -t o g is
+    the least common left multiple of f and g (Ore 1933).
     """
+    K = f.field
+    r0, r1 = f, g
+    s0, s1 = AdditivePoly.x(K), AdditivePoly.zero(K)
+    while not r1.is_zero():
+        q, r = add_rdivrem(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - add_compose(q, s1)
+    return s1
+
+
+def join(f, g):
+    """Least common left composition multiple, monic: s o f for the last
+    cofactor s of f in the Euclidean scheme."""
     f._check(g)
     if f.is_zero() or g.is_zero():
         raise ZeroInput("join requires nonzero inputs")
-    seq = euclid_scheme(f, g)
-    n = len(seq)
-    j = seq[n - 2].monic()
-    for i in range(n - 3, -1, -1):
-        w = right_quotient(j, seq[i + 2])
-        if w is None:
-            raise AssertionError("Euclidean scheme invariant violated")
-        j = add_compose(w, seq[i]).monic()
-    return j
+    return add_compose(_last_cofactor(f, g), f).monic()
 
 
 def transform(g, f):
-    """The transformation of f by g: (join(g, f) right-divided by g)."""
+    """The transformation of f by g: join(g, f) right-divided by g.
+
+    That quotient is the last cofactor of g, made monic, since
+    join(g, f) = monic(s o g) and g is monic.
+    """
     g._check(f)
     if not (g.is_monic() and f.is_monic()):
         raise NotMonic("transformation requires monic inputs")
-    q = right_quotient(join(g, f), g)
-    if q is None:
-        raise AssertionError("join must be right-divisible by its argument")
-    return q
+    return _last_cofactor(g, f).monic()
 
 
 def _prime_coords(K, a):
@@ -281,7 +289,7 @@ def is_similar(f, g):
     R/Rf -> R/Rg over the composition ring R; these modules are sums of
     uniserial pieces, and on their partitions the difference of the two
     sides is minus a sum of squares, zero only for isomorphic modules.  The
-    witness is the first seeded draw u from Hom(f, g) (as g + u when u is
+    witness is the first pseudorandom draw u from Hom(f, g) (as g + u when u is
     not monic) with meet(u, g) = x: transform(u, g) right-divides f and has
     its exponent, so it equals f.
     """
@@ -305,7 +313,7 @@ def is_similar(f, g):
             return True, w
 
 
-def transmutable(f, g, seed=0):
+def transmutable(f, g):
     """All transmutations of f by g: pairs (gbar, fbar) with
     fbar similar to f, f = transform(g, fbar), gbar = transform(fbar, g),
     hence f(g) = gbar(fbar).  f must be monic indecomposable, g monic."""
@@ -315,11 +323,11 @@ def transmutable(f, g, seed=0):
     f._check(g)
     if not (f.is_monic() and g.is_monic()):
         raise NotMonic("transmutation requires monic inputs")
-    if not addecomp.is_indecomposable(f, seed):
+    if not addecomp.is_indecomposable(f):
         raise NotIndecomposable("first argument must be indecomposable")
     fg = add_compose(f, g)
     out = []
-    for fbar in addecomp.indec_right_factors(fg, seed):
+    for fbar in addecomp.indec_right_factors(fg):
         if fbar.expn != f.expn:
             continue
         gbar = right_quotient(fg, fbar)

@@ -36,10 +36,6 @@ def _poly(args, field, text):
     return f
 
 
-def _additive(field, text):
-    return AdditivePoly.parse(field, text)
-
-
 def _shape(args):
     """The --shape entries as a list of ints."""
     if not getattr(args, "shape", None):
@@ -87,7 +83,7 @@ def _cmd_decompose(args):
     if args.limit is not None and args.limit < 0:
         raise ParseError("--limit must be >= 0")
     f = _monicized(_poly(args, field, args.expr))
-    decs = gendecomp.ord_fact_decomp(f, shape, strategy, args.seed)
+    decs = gendecomp.ord_fact_decomp(f, shape, strategy)
     if args.limit is not None:
         decs = decs[: args.limit]
     return _emit_decs(args, decs)
@@ -96,45 +92,34 @@ def _cmd_decompose(args):
 def _cmd_complete(args):
     field = _field_of(args)
     f = _monicized(_poly(args, field, args.expr))
-    dec = gendecomp.first_complete(f, Strategy(args.strategy), args.seed)
+    dec = gendecomp.first_complete(f, Strategy(args.strategy))
     return _emit_decs(args, [dec])
 
 
 def _cmd_all_complete(args):
     field = _field_of(args)
-    f = _additive(field, args.expr)
-    decs = addecomp.all_complete_decompositions(f, limit=args.limit, seed=args.seed)
+    f = AdditivePoly.parse(field, args.expr)
+    decs = addecomp.all_complete_decompositions(f, limit=args.limit)
     return _emit_decs(args, decs)
 
 
-def _cmd_meet(args):
+def _additive_pair(args):
     field = _field_of(args)
-    f = _additive(field, args.exprs[0])
-    g = _additive(field, args.exprs[1])
-    print(additive.meet(f, g))
-    return 0
+    return [AdditivePoly.parse(field, text) for text in args.exprs]
 
 
-def _cmd_join(args):
-    field = _field_of(args)
-    f = _additive(field, args.exprs[0])
-    g = _additive(field, args.exprs[1])
-    print(additive.join(f, g))
-    return 0
+def _print_ring_op(name):
+    """A subcommand printing ``additive.<name>`` of its two inputs."""
 
+    def run(args):
+        print(getattr(additive, name)(*_additive_pair(args)))
+        return 0
 
-def _cmd_transform(args):
-    field = _field_of(args)
-    g = _additive(field, args.exprs[0])
-    f = _additive(field, args.exprs[1])
-    print(additive.transform(g, f))
-    return 0
+    return run
 
 
 def _cmd_similar(args):
-    field = _field_of(args)
-    f = _additive(field, args.exprs[0])
-    g = _additive(field, args.exprs[1])
+    f, g = _additive_pair(args)
     flag, witness = additive.is_similar(f, g)
     if flag:
         print(f"true witness={witness}")
@@ -144,10 +129,8 @@ def _cmd_similar(args):
 
 
 def _cmd_transmute(args):
-    field = _field_of(args)
-    f = _additive(field, args.exprs[0])
-    g = _additive(field, args.exprs[1])
-    pairs = additive.transmutable(f, g, args.seed)
+    f, g = _additive_pair(args)
+    pairs = additive.transmutable(f, g)
     if not pairs:
         print("no transmutation")
         return 1
@@ -165,8 +148,8 @@ def _cmd_minaddmult(args):
 
 def _cmd_basis(args):
     field = _field_of(args)
-    f = _additive(field, args.expr)
-    basis = addecomp.indec_basis(f, args.seed)
+    f = AdditivePoly.parse(field, args.expr)
+    basis = addecomp.indec_basis(f)
     if basis is None:
         print("not completely reducible")
         return 1
@@ -189,8 +172,8 @@ def _cmd_chebyshev(args):
 
 def _cmd_absdec(args):
     field = _field_of(args)
-    f = _additive(field, args.expr)
-    tower, dec = addecomp.abs_decompose(f, args.seed)
+    f = AdditivePoly.parse(field, args.expr)
+    tower, dec = addecomp.abs_decompose(f)
     if args.json:
         print(json.dumps(dec.to_json_dict(), sort_keys=True))
     else:
@@ -205,7 +188,7 @@ def _cmd_ratdec(args):
     if len(quad) != 4:
         raise ParseError("ratdec shape must be rN,rD,sN,sD")
     f = ratfun.parse_rational(field, args.expr)
-    pairs = ratfun.general_rat_dec(f, quad, args.seed)
+    pairs = ratfun.general_rat_dec(f, quad)
     records = [
         {
             "target": str(f),
@@ -233,7 +216,10 @@ def build_parser():
 
     def common(p, shape=False, strategy=False, limit=False, nexprs=0, expr=False):
         p.add_argument("--field", help="field spec, e.g. GF(5) or GF(2)[g1]/(g1^2+g1+1)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--seed", type=int, default=0,
+            help="picks the auto-chosen GF(p^e) modulus; factoring uses a fixed internal seed",
+        )
         p.add_argument("--json", action="store_true")
         p.add_argument("--assert-additive", action="store_true", dest="assert_additive")
         if shape:
@@ -269,9 +255,9 @@ def build_parser():
     p.set_defaults(func=_cmd_all_complete)
 
     for name, fn, help_text in [
-        ("meet", _cmd_meet, "greatest common right composition factor"),
-        ("join", _cmd_join, "least common left composition multiple"),
-        ("transform", _cmd_transform, "transformation of the second input by the first"),
+        ("meet", _print_ring_op("meet"), "greatest common right composition factor"),
+        ("join", _print_ring_op("join"), "least common left composition multiple"),
+        ("transform", _print_ring_op("transform"), "transformation of the second input by the first"),
         ("similar", _cmd_similar, "similarity test with witness"),
         ("transmute", _cmd_transmute, "all transmutations of f by g"),
     ]:

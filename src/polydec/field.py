@@ -79,15 +79,7 @@ class Field:
     def pow_(self, a, n):
         if n < 0:
             return self.pow_(self.inv(a), -n)
-        result = self.one()
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            n >>= 1
-            if n:
-                base = self.mul(base, base)
-        return result
+        return po._power(self.mul, self.one(), a, n)
 
     def frobenius_rep(self, a, times):
         """a raised to the p**times power."""
@@ -281,6 +273,8 @@ class ExtensionField(Field):
         return tuple(prod[:d])
 
     def inv(self, a):
+        if a == self.one():
+            return a
         base = self.base
         coeffs = po.trim(base, list(a))
         if not coeffs:

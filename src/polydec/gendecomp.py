@@ -15,7 +15,7 @@ import math
 
 from . import addecomp, additive, upoly
 from .addecomp import Decomposition, OrderedFactorisation
-from .errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
+from .errors import DegreeError, NotIrreducible, NotTame, ProductMismatch, Reducible
 from .field import Felt, build_extension
 from .upoly import Poly, require_monic
 
@@ -64,7 +64,7 @@ def _shape2(f, shape):
     return shape[0], shape[1]
 
 
-def sep_bidecomp(f, shape, seed=0):
+def sep_bidecomp(f, shape):
     """All normal (g, h) with f = g(h) for the given (r, s) shape.
 
     Candidate inner factors are x times the monic degree-(s - 1) divisors
@@ -75,7 +75,7 @@ def sep_bidecomp(f, shape, seed=0):
     r, s = _shape2(f, shape)
     x = Poly.x(f.field)
     found = []
-    for u in upoly.monic_divisors(f.shift_constant(-f.coeff(0)) // x, s - 1, seed):
+    for u in upoly.monic_divisors(f.shift_constant(-f.coeff(0)) // x, s - 1):
         h = x * u
         g = upoly.right_divide(f, h)
         if g is not None:
@@ -96,10 +96,11 @@ def irred_ff_bidecomp(f, shape):
     if len(entries) == 2 and min(entries) < 2:
         raise DegreeError("normal bidecomposition factors need degree >= 2")
     r, s = _shape2(f, shape)
-    if not upoly.is_irreducible(f):
-        raise NotIrreducible("input must be irreducible over its field")
     K = f.field
-    ext = build_extension(K, f)
+    try:
+        ext = build_extension(K, f)
+    except Reducible:
+        raise NotIrreducible("input must be irreducible over its field") from None
     e_step = K.degree_over_prime * r
     alpha = ext.gen()
     roots = []
@@ -123,21 +124,27 @@ def irred_ff_bidecomp(f, shape):
     return g, h
 
 
-def _bidecompositions(f, shape, strategy, seed):
-    """All normal pairs for one level of the recursion, sorted."""
+def _bidecompositions(f, shape, strategy):
+    """All normal pairs for one level of the recursion, sorted.
+
+    Under SEPARATED the tame recurrence answers whenever p does not divide
+    the outer degree: the normal decomposition is then unique (von zur
+    Gathen 1990), so the subset search could find no other pair.
+    """
     r, s = _shape2(f, shape)
-    if strategy is Strategy.TAME:
-        if r % f.field.p == 0:
-            raise NotTame("tame strategy with p | outer degree")
-        got = tame_bidecomp(f, shape)
-        return [got] if got is not None else []
+    tame = r % f.field.p != 0
+    if strategy is Strategy.TAME and not tame:
+        raise NotTame("tame strategy with p | outer degree")
     if strategy is Strategy.IRREDUCIBLE_FF:
         got = irred_ff_bidecomp(f, shape)
-        return [got] if got is not None else []
-    return sep_bidecomp(f, shape, seed)
+    elif tame:
+        got = tame_bidecomp(f, shape)
+    else:
+        return sep_bidecomp(f, shape)
+    return [got] if got is not None else []
 
 
-def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED, seed=0):
+def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED):
     """All decompositions of f matching the ordered factorisation that are
     reachable by recursive bidecomposition under the chosen strategy."""
     require_monic(f, _INPUTS)
@@ -146,7 +153,7 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED, seed=0):
         raise ProductMismatch("shape does not multiply to deg f")
     if strategy is Strategy.ADDITIVE:
         decs = addecomp.decompose_ordered(
-            additive.AdditivePoly.from_poly(f), shape, seed
+            additive.AdditivePoly.from_poly(f), shape
         )
         return [
             Decomposition(f, d.as_poly_factors(), complete=d.complete) for d in decs
@@ -156,11 +163,11 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED, seed=0):
     inner = shape[-1]
     outer_product = math.prod(shape) // inner
     out = []
-    for g, h in _bidecompositions(f, (outer_product, inner), strategy, seed):
+    for g, h in _bidecompositions(f, (outer_product, inner), strategy):
         if len(shape) == 2:
             out.append(Decomposition(f, (g, h)))
             continue
-        for sub in ord_fact_decomp(g, shape[:-1], strategy, seed):
+        for sub in ord_fact_decomp(g, shape[:-1], strategy):
             out.append(Decomposition(f, sub.factors + (h,)))
     out.sort(key=lambda d: d.key())
     return out
@@ -171,17 +178,16 @@ def _divisors(n):
     return out
 
 
-def first_complete(f, strategy=Strategy.SEPARATED, seed=0):
+def first_complete(f, strategy=Strategy.SEPARATED):
     """The first complete decomposition under an increasing divisor scan.
 
     Scans outer degrees d = smallest nontrivial divisor upward; the first
     split certifies an indecomposable outer factor, and the inner factor
-    is decomposed recursively.  The tame recurrence is used as a fast path
-    whenever p does not divide d.
+    is decomposed recursively.
     """
     require_monic(f, _INPUTS)
     if strategy is Strategy.ADDITIVE:
-        dec = addecomp.complete_decomposition(additive.AdditivePoly.from_poly(f), seed)
+        dec = addecomp.complete_decomposition(additive.AdditivePoly.from_poly(f))
         return Decomposition(f, dec.as_poly_factors(), complete=True)
     n = f.degree
     if n < 2:
@@ -194,15 +200,11 @@ def first_complete(f, strategy=Strategy.SEPARATED, seed=0):
         shape = (d, n // d)
         if strategy is Strategy.TAME and d % f.field.p == 0:
             continue
-        if strategy is Strategy.SEPARATED and d % f.field.p != 0:
-            got = tame_bidecomp(f, shape)
-        else:
-            pairs = _bidecompositions(f, shape, strategy, seed)
-            got = pairs[0] if pairs else None
-        if got is not None:
-            g, h = got
+        pairs = _bidecompositions(f, shape, strategy)
+        if pairs:
+            g, h = pairs[0]
             if h.degree < 2:
                 continue
-            tail = first_complete(h, strategy, seed)
+            tail = first_complete(h, strategy)
             return Decomposition(f, (g,) + tail.factors, complete=True)
     return Decomposition(f, (f,), complete=True)

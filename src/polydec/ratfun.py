@@ -60,9 +60,6 @@ class RationalFunction:
     def is_constant(self):
         return self.num.degree <= 0 and self.den.degree == 0
 
-    def is_polynomial(self):
-        return self.den.degree == 0
-
     def vanishes_at_zero(self):
         return self.num.coeff(0).is_zero()
 
@@ -304,7 +301,7 @@ def _outer_pair(nN, nD, sN, sD, strict):
     return rN, rD
 
 
-def norm_rat_dec(f, quad, seed=0):
+def norm_rat_dec(f, quad):
     """All normal decompositions of f with the degree quadruple
     (rN, rD, sN, sD).
 
@@ -326,7 +323,7 @@ def norm_rat_dec(f, quad, seed=0):
         raise DegreeInfeasible("degree quadruple does not match the input")
     K = f.field
     found = []
-    for hD in upoly.monic_divisors(f.den, sD, seed):
+    for hD in upoly.monic_divisors(f.den, sD):
         if hD.coeff(0).is_zero():
             continue
         power = hD ** (rN - rD)
@@ -343,7 +340,7 @@ def norm_rat_dec(f, quad, seed=0):
             bound = B - (hD**rD).scale(b0bar)
         if bound.is_zero():
             continue
-        for hN in upoly.monic_divisors(bound, sN, seed):
+        for hN in upoly.monic_divisors(bound, sN):
             if not hN.coeff(0).is_zero() or upoly.gcd(hN, hD).degree > 0:
                 continue
             h = RationalFunction(hN, hD)
@@ -354,14 +351,14 @@ def norm_rat_dec(f, quad, seed=0):
     return found
 
 
-def general_rat_dec(f, quad, seed=0):
+def general_rat_dec(f, quad):
     """Decompositions of an arbitrary nonconstant f with the requested
     degree quadruple, up to the normalisation conventions.
 
-    Reduces to the normal problem: directly when sN > sD, through a 1/x
-    conjugation when sN < sD, and by scanning smaller denominator degrees
-    behind an (x+1)/x conjugation when sN = sD.  Results recompose to f
-    exactly.
+    Reduces to the normal problem behind one conjugation: the identity
+    when sN > sD, 1/x when sN < sD, and (x+1)/x when sN = sD, where smaller
+    denominator degrees are scanned until one gives results.  Results
+    recompose to f exactly.
     """
     if f.is_constant():
         raise ConstantInput("cannot decompose a constant function")
@@ -381,28 +378,23 @@ def general_rat_dec(f, quad, seed=0):
             return
         out.append((g2, h2))
 
+    # conjugation t and the normal inner degree pairs to try, in order
     if sN > sD:
-        pair = _outer_pair(nN, nD, sN, sD, strict=False)
-        if pair is not None:
-            for gb, hb in norm_rat_dec(fbar, (*pair, sN, sD), seed):
-                push(flt_apply(lam_inv, gb), hb)
+        t, inner_pairs = FracLinear.identity(K), [(sN, sD)]
     elif sN < sD:
-        pair = _outer_pair(nN, nD, sD, sN, strict=False)
-        if pair is not None:
-            inv_x = FracLinear.of_ints(K, 0, 1, 1, 0)
-            for gb, hb in norm_rat_dec(fbar, (*pair, sD, sN), seed):
-                push(rat_compose(flt_apply(lam_inv, gb), inv_x.as_rational()), flt_apply(inv_x, hb))
+        t, inner_pairs = FracLinear.of_ints(K, 0, 1, 1, 0), [(sD, sN)]  # 1/x
     else:
         t = FracLinear.of_ints(K, 1, 1, 1, 0)  # (x+1)/x, inverse 1/(x-1)
-        t_inv_rat = t.inverse().as_rational()
-        for sDbar in range(sN - 1, -1, -1):
-            pair = _outer_pair(nN, nD, sN, sDbar, strict=False)
-            if pair is None:
-                continue
-            for gb, hb in norm_rat_dec(fbar, (*pair, sN, sDbar), seed):
-                push(rat_compose(flt_apply(lam_inv, gb), t_inv_rat), flt_apply(t, hb))
-            if out:
-                break
+        inner_pairs = [(sN, sDbar) for sDbar in range(sN - 1, -1, -1)]
+    t_inv_rat = t.inverse().as_rational()
+    for aN, aD in inner_pairs:
+        pair = _outer_pair(nN, nD, aN, aD, strict=False)
+        if pair is None:
+            continue
+        for gb, hb in norm_rat_dec(fbar, (*pair, aN, aD)):
+            push(rat_compose(flt_apply(lam_inv, gb), t_inv_rat), flt_apply(t, hb))
+        if out:
+            break
     seen = {}
     for g2, h2 in out:
         seen.setdefault((g2.key(), h2.key()), (g2, h2))

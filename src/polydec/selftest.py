@@ -23,32 +23,28 @@ def load_corpus():
     return json.loads(text)
 
 
-def _parse_additive(field, text):
-    return AdditivePoly.parse(field, text)
-
-
 def _check_rdivrem(rec, field):
-    f = _parse_additive(field, rec["inputs"][0])
-    g = _parse_additive(field, rec["inputs"][1])
+    f = AdditivePoly.parse(field, rec["inputs"][0])
+    g = AdditivePoly.parse(field, rec["inputs"][1])
     q, r = additive.add_rdivrem(f, g)
     return str(q) == rec["expect"]["q"] and str(r) == rec["expect"]["r"]
 
 
 def _check_meet(rec, field):
-    f = _parse_additive(field, rec["inputs"][0])
-    g = _parse_additive(field, rec["inputs"][1])
+    f = AdditivePoly.parse(field, rec["inputs"][0])
+    g = AdditivePoly.parse(field, rec["inputs"][1])
     return str(additive.meet(f, g)) == rec["expect"]["result"]
 
 
 def _check_join(rec, field):
-    f = _parse_additive(field, rec["inputs"][0])
-    g = _parse_additive(field, rec["inputs"][1])
+    f = AdditivePoly.parse(field, rec["inputs"][0])
+    g = AdditivePoly.parse(field, rec["inputs"][1])
     j = additive.join(f, g)
     if str(j) != rec["expect"]["result"]:
         return False
     for outer_text, inner_text in rec["expect"].get("verify", []):
-        outer = _parse_additive(field, outer_text)
-        inner = _parse_additive(field, inner_text)
+        outer = AdditivePoly.parse(field, outer_text)
+        inner = AdditivePoly.parse(field, inner_text)
         if additive.add_compose(outer, inner) != j:
             return False
     return True
@@ -104,13 +100,13 @@ def _check_generator_relation(rec, field):
 
 
 def _check_right_factors(rec, field):
-    f = _parse_additive(field, rec["input"])
+    f = AdditivePoly.parse(field, rec["input"])
     got = {str(g) for g in addecomp.indec_right_factors(f)}
     return all(want in got for want in rec["expect"]["contains"])
 
 
 def _check_all_complete_count(rec, field):
-    f = _parse_additive(field, rec["input"])
+    f = AdditivePoly.parse(field, rec["input"])
     return len(addecomp.all_complete_decompositions(f)) == rec["expect"]["count"]
 
 
@@ -123,14 +119,14 @@ def _check_counts(rec, field):
 
 
 def _check_similar(rec, field):
-    f = _parse_additive(field, rec["inputs"][0])
-    g = _parse_additive(field, rec["inputs"][1])
+    f = AdditivePoly.parse(field, rec["inputs"][0])
+    g = AdditivePoly.parse(field, rec["inputs"][1])
     return additive.is_similar(f, g)[0] == rec["expect"]["flag"]
 
 
 def _check_transmute_count(rec, field):
-    f = _parse_additive(field, rec["inputs"][0])
-    g = _parse_additive(field, rec["inputs"][1])
+    f = AdditivePoly.parse(field, rec["inputs"][0])
+    g = AdditivePoly.parse(field, rec["inputs"][1])
     return len(additive.transmutable(f, g)) == rec["expect"]["count"]
 
 
@@ -146,7 +142,7 @@ def _check_no_linear_factors(rec, field):
 
 
 def _check_absdec_root(rec, field):
-    f = _parse_additive(field, rec["input"])
+    f = AdditivePoly.parse(field, rec["input"])
     tower, dec = addecomp.abs_decompose(f)
     phi = Poly.parse(tower, rec["phi"])
     beta = dec.factors[-1].coeff(0)  # innermost factor x^p - a*x stores -a = beta
@@ -156,7 +152,7 @@ def _check_absdec_root(rec, field):
 def _check_scaled_kernel(rec, field):
     from .field import Felt, build_extension, find_irreducible
 
-    ext = build_extension(field, find_irreducible(field, rec["ext_degree"], seed=0))
+    ext = build_extension(field, find_irreducible(field, rec["ext_degree"]))
     eps = ext.gen()
     scaled = [eps * Felt(ext, ext.embed(r)) for r in field.elements() if r != field.zero()]
     basis = [scaled[0]]

@@ -2,13 +2,15 @@
 composition right-division, and Chebyshev polynomials.
 
 The zero polynomial has the distinguished degree ``NEG_INF``, which
-compares below every integer.  All randomness used by ``factor`` flows
-from its explicit seed, so identical calls give identical factor splits;
-the returned factor list is additionally sorted into a canonical order.
+compares below every integer.  ``factor`` draws its random splits from a
+fixed internal seed (keyed by field order and degree), so identical calls
+give identical factor splits; the returned factor list is also sorted into
+a canonical order, so no caller needs a seed.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from . import _polyops as po
@@ -163,15 +165,7 @@ class Poly(CoeffVector):
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return po._power(operator.mul, Poly.one(self.field), self, n)
 
     def __divmod__(self, other):
         self._check(other)
@@ -346,7 +340,7 @@ def _equal_degree_split(u, d, rng):
             return _equal_degree_split(g, d, rng) + _equal_degree_split(u // g, d, rng)
 
 
-def factor(f, seed=0):
+def factor(f):
     """Factor f into monic irreducibles.
 
     Returns ``(parts, lc)`` where parts is a list of (irreducible Poly,
@@ -358,7 +352,7 @@ def factor(f, seed=0):
     K = f.field
     lc = f.lc()
     fm = f.monic()
-    rng = random.Random(f"factor:{K.order}:{f.degree}:{seed}")
+    rng = random.Random(f"factor:{K.order}:{f.degree}:0")
     parts = {}
     for sq, mult in _squarefree_parts(fm):
         for prod, d in _distinct_degree(sq):
@@ -368,13 +362,13 @@ def factor(f, seed=0):
     return ordered, lc
 
 
-def monic_divisors(f, d, seed=0):
+def monic_divisors(f, d):
     """All monic divisors of degree d of a nonzero f, sorted by key.
 
     Each divisor is one product of the irreducible factors of f, taken
     with multiplicities up to theirs.
     """
-    parts, _ = factor(f, seed)
+    parts, _ = factor(f)
     out = []
 
     def rec(idx, cur, deg):

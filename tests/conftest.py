@@ -8,12 +8,14 @@ import pytest
 from polydec import (
     AdditivePoly,
     Poly,
+    add_compose,
     build_extension,
     build_prime_field,
     meet,
     parse_field_spec,
     transform,
 )
+from polydec.additive import euclid_scheme, right_quotient
 
 
 TOWER = "GF(2)[g1]/(g1^2+g1+1)[g2]/(g2^2+g2+g1)"
@@ -78,6 +80,26 @@ def monic_additive_polys(field, expn):
     elts = list(field.elements())
     for combo in itertools.product(elts, repeat=expn):
         yield AdditivePoly(field, list(combo) + [field.one()])
+
+
+def join_by_alternation(f, g):
+    """Least common left composition multiple, monic, by the alternation
+    J(n-1) = monic(f(n-1)), J(i) = monic((J(i+1) /o f(i+2)) o f(i)) over
+    the Euclidean scheme f1..fn: the oracle for join and transform."""
+    seq = euclid_scheme(f, g)
+    j = seq[-2].monic()
+    for i in range(len(seq) - 3, -1, -1):
+        w = right_quotient(j, seq[i + 2])
+        assert w is not None, "Euclidean scheme invariant violated"
+        j = add_compose(w, seq[i]).monic()
+    return j
+
+
+def transform_by_alternation(g, f):
+    """join_by_alternation(g, f) right-divided by g."""
+    q = right_quotient(join_by_alternation(g, f), g)
+    assert q is not None, "join must be right-divisible by its argument"
+    return q
 
 
 def similarity_class_by_enumeration(g):

@@ -38,11 +38,13 @@ from conftest import (
     TOWER,
     count_maximal_flags,
     field_of,
+    join_by_alternation,
     monic_additive_polys,
     seeded_rng,
     similarity_class_by_enumeration,
     subspaces_of_dim,
     subspaces_of_dim_exhaustive,
+    transform_by_alternation,
 )
 
 
@@ -149,6 +151,23 @@ def test_join_laws_randomized(p):
         m = add_compose(u, f)
         if add_rdivrem(m, g)[1].is_zero() and not m.is_zero():
             assert add_rdivrem(m, j)[1].is_zero()
+
+
+@pytest.mark.parametrize("spec", [3, "GF(2^4)", TOWER])
+def test_join_and_transform_match_alternation_oracle(spec):
+    K = field_of(spec)
+    rng = seeded_rng(("join-oracle", spec))
+    for trial in range(30):
+        monic = trial % 2 == 0
+        f = rand_additive(K, rng, rng.randrange(1, 4), monic=monic)
+        g = rand_additive(K, rng, rng.randrange(1, 4), monic=monic)
+        if trial % 3 == 0:  # plant a common right factor
+            c = rand_additive(K, rng, rng.randrange(1, 3), monic=False)
+            f, g = add_compose(f, c), add_compose(g, c)
+        assert join(f, g) == join_by_alternation(f, g), (str(f), str(g))
+        fm, gm = f.monic(), g.monic()
+        assert transform(gm, fm) == transform_by_alternation(gm, fm), (str(fm), str(gm))
+        assert transform(fm, gm) == transform_by_alternation(fm, gm), (str(fm), str(gm))
 
 
 def test_transform_trivial_cases(F3):

@@ -107,9 +107,14 @@ def test_field_axioms_exhaustive(spec):
         assert K.add(a, K.neg(a)) == zero
         if a != zero:
             assert K.mul(a, K.inv(a)) == one
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert K.mul(a, K.mul(b, c)) == K.mul(K.mul(a, b), c)
-        assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
+    # add and mul tables built once from K.add / K.mul, as element indices
+    # (an index lookup also checks that each result is a canonical element)
+    index = {a: i for i, a in enumerate(elems)}
+    add = [[index[K.add(a, b)] for b in elems] for a in elems]
+    mul = [[index[K.mul(a, b)] for b in elems] for a in elems]
+    for a, b, c in itertools.product(range(len(elems)), repeat=3):
+        assert mul[a][mul[b][c]] == mul[mul[a][b]][c]
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(5)", "GF(2^3)", "GF(3^2)", "GF(2^6)"])

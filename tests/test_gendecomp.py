@@ -166,3 +166,26 @@ def test_tame_roundtrip_and_uniqueness(spec):
 def test_first_complete_irreducible_strategy_recurses_cleanly(F2):
     dec = first_complete(Poly.parse(F2, "x^4+x+1"), Strategy.IRREDUCIBLE_FF)
     assert [str(g) for g in dec.factors] == ["x^2+x+1", "x^2+x"]
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)"])
+def test_sep_bidecomp_equals_tame_when_p_does_not_divide_r(spec):
+    """The normal tame decomposition is unique, so the subset search finds
+    exactly the tame pair, or nothing with it; half the inputs are planted."""
+    from polydec import parse_field_spec
+
+    K = parse_field_spec(spec)
+    rng = seeded_rng(("sep-tame", spec))
+    shapes = [(r, s) for r in (2, 3, 4, 5) for s in (2, 3) if r % K.p != 0]
+    hits = 0
+    for trial in range(24):
+        r, s = shapes[trial % len(shapes)]
+        if trial % 2:
+            g = rand_poly(K, rng, r, monic=True)
+            f = compose(g, rand_poly(K, rng, s, monic=True, zero_const=True))
+        else:
+            f = rand_poly(K, rng, r * s, monic=True)
+        tame = tame_bidecomp(f, (r, s))
+        assert sep_bidecomp(f, (r, s)) == ([] if tame is None else [tame]), str(f)
+        hits += tame is not None
+    assert hits >= 12

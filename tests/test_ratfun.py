@@ -218,6 +218,14 @@ def test_general_rat_dec_normal_input_matches_norm(F5):
     assert general_rat_dec(f, (2, 0, 2, 1)) == norm_rat_dec(f, (2, 0, 2, 1))
 
 
+def test_general_rat_dec_inner_numerator_degree_below_denominator(F5):
+    # sN < sD: the normal problem behind the 1/x conjugation
+    g = parse_rational(F5, "(x^2+x+4)/(x+1)")
+    h = parse_rational(F5, "(x+1)/(x^2+4*x)")
+    f = rat_compose(g, h)
+    assert general_rat_dec(f, (2, 1, 1, 2)) == [(g, h)]
+
+
 def test_general_rat_dec_reciprocal_and_equal_degree_cases(F5):
     g = parse_rational(F5, "x^2")
     h = parse_rational(F5, "x^2/(x+1)")
