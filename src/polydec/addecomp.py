@@ -397,13 +397,6 @@ def cr_decompose(f, shape):
     basis = indec_basis(f)
     if basis is None:
         raise NotCompletelyReducible("input is not a join of indecomposables")
-    p = f.field.p
-    for entry in shape:
-        e = entry
-        while e % p == 0:
-            e //= p
-        if e != 1:
-            return None
     m = len(shape)
     if m > len(basis):
         return None
@@ -521,8 +514,6 @@ def simfree_bidecomp(f, shape):
     inner_target = shape[1]
     while p**sigma < inner_target:
         sigma += 1
-    if p**sigma != inner_target:
-        return None
     for mask in range(1, 1 << m):
         chosen = [k + 1 for k in range(m) if mask >> k & 1]
         if sum(inner_first[k - 1].expn for k in chosen) != sigma:
@@ -538,26 +529,12 @@ def simfree_bidecomp(f, shape):
     return None
 
 
-def _exponent_divide(poly, k):
-    """Substitute x**(1/k): requires every exponent to be a multiple of k."""
-    K = poly.field
-    z = K.zero()
-    out = [z] * (poly.degree // k + 1) if not poly.is_zero() else []
-    for e, c in enumerate(poly.coeffs):
-        if c == z:
-            continue
-        if e % k:
-            raise AssertionError("exponent not divisible in substitution")
-        out[e // k] = c
-    return Poly(K, out)
-
-
 def _lift_additive(f, tower):
     K = f.field
     return AdditivePoly(tower, [lift(Felt(K, c), tower) for c in f.coeffs])
 
 
-# abs_decompose factors dense expansions of degree up to p**expn over a tower
+# abs_decompose factors dense polynomials of degree (p**expn - 1)/(p - 1)
 _ABS_EXPN_BOUND = 3
 
 
@@ -566,7 +543,9 @@ def abs_decompose(f):
 
     Each stage adjoins a root a of the substituted polynomial
     (f/x)(x**(1/(p-1))) when none is rational yet, peels x**p - a*x, and
-    recurses on the quotient.  Returns (tower, decomposition over it).
+    recurses on the quotient.  The substituted polynomial is read off the
+    coefficient vector: coefficient i sits at exponent (p**i - 1)/(p - 1).
+    Returns (tower, decomposition over it).
     """
     _require_monic_additive(f, min_expn=1)
     if not f.is_simple():
@@ -579,8 +558,10 @@ def abs_decompose(f):
     cur = f
     curK = K
     while cur.expn > 1:
-        hp = _exponent_divide(cur.to_poly() // Poly.x(curK), max(1, p - 1))
-        parts, _ = upoly.factor(hp)
+        hp = [curK.zero()] * ((p**cur.expn - 1) // (p - 1) + 1)
+        for i, c in enumerate(cur.coeffs):
+            hp[(p**i - 1) // (p - 1)] = c
+        parts, _ = upoly.factor(Poly._raw(curK, hp))
         u1 = parts[0][0]
         if u1.degree == 1:
             a = -u1.coeff(0)

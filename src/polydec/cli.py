@@ -207,8 +207,15 @@ def _cmd_selftest(args):
     return run_selftest(verbose=True)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so they print one error: line."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="polydec",
         description="Exact functional decomposition of polynomials over finite fields.",
     )
@@ -299,13 +306,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except PolydecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -203,8 +203,6 @@ def first_complete(f, strategy=Strategy.SEPARATED):
         pairs = _bidecompositions(f, shape, strategy)
         if pairs:
             g, h = pairs[0]
-            if h.degree < 2:
-                continue
             tail = first_complete(h, strategy)
             return Decomposition(f, (g,) + tail.factors, complete=True)
     return Decomposition(f, (f,), complete=True)

@@ -6,7 +6,8 @@ any nonconstant function to a monic one whose numerator degree exceeds its
 denominator degree; normal decompositions (monic parts, inner part
 vanishing at 0, positive degree gaps) are then found by enumerating
 denominator and numerator divisors, and a general instance reduces to
-normal ones through at most deg f conjugations.
+normal ones through shifts of the variable and a middle fractional linear
+map between the two factors.
 """
 
 from __future__ import annotations
@@ -257,16 +258,15 @@ def rat_right_divide(f, h):
         raise NotMonic("right division requires monic inputs")
     if f.delta <= 0 or h.delta <= 0 or not h.vanishes_at_zero():
         raise DegreeInfeasible("inputs must be normal (delta > 0, h(0) = 0)")
-    nN, nD = f.degree_pair
-    sN, sD = h.degree_pair
-    rN, rD = _outer_pair(nN, nD, sN, sD, strict=True)
+    pair = _outer_pair(*f.degree_pair, *h.degree_pair)
+    if pair is None:
+        raise DegreeInfeasible("degree law has no nonnegative integral solution")
+    rN, rD = pair
     q, rem = divmod(f.den, h.den ** (rN - rD))
     if not rem.is_zero():
         return None
     gN = poly_in_h(f.num, h, rN)
     if gN is None:
-        return None
-    if q.degree != rD * sN:
         return None
     gD = poly_in_h(q, h, rD)  # q is monic: quotient of monic by monic
     if gD is None:
@@ -277,28 +277,15 @@ def rat_right_divide(f, h):
     return g
 
 
-def _outer_pair(nN, nD, sN, sD, strict):
-    if sN <= sD:
-        if strict:
-            raise DegreeInfeasible("inner degree pair must have sN > sD")
+def _outer_pair(nN, nD, sN, sD):
+    """The outer pair (rN, rD) that the degree law gives for f of pair
+    (nN, nD) over an inner pair (sN, sD) with sN > sD, or None."""
+    if sN <= sD or nN % sN:
         return None
-    if nN % sN:
-        if strict:
-            raise DegreeInfeasible("sN must divide nN")
+    rD, rem = divmod(nD * sN - nN * sD, sN * (sN - sD))
+    if rem or rD < 0 or nN // sN <= rD:
         return None
-    rN = nN // sN
-    num = nD * sN - nN * sD
-    den = sN * (sN - sD)
-    if num % den:
-        if strict:
-            raise DegreeInfeasible("degree law has no integral solution")
-        return None
-    rD = num // den
-    if rD < 0 or rN <= rD:
-        if strict:
-            raise DegreeInfeasible("degree law gives a negative or inverted pair")
-        return None
-    return rN, rD
+    return nN // sN, rD
 
 
 def norm_rat_dec(f, quad):
@@ -316,10 +303,7 @@ def norm_rat_dec(f, quad):
     if f.delta <= 0:
         raise DegreeInfeasible("input must have positive degree gap")
     rN, rD, sN, sD = (int(v) for v in quad)
-    if min(rN, sN) < 1 or min(rD, sD) < 0 or sN <= sD or rN <= rD:
-        raise DegreeInfeasible("degree quadruple out of range")
-    nN, nD = f.degree_pair
-    if nN != rN * sN or nD != rN * sD - rD * sD + rD * sN:
+    if sD < 0 or _outer_pair(*f.degree_pair, sN, sD) != (rN, rD):
         raise DegreeInfeasible("degree quadruple does not match the input")
     K = f.field
     found = []
@@ -352,13 +336,26 @@ def norm_rat_dec(f, quad):
 
 
 def general_rat_dec(f, quad):
-    """Decompositions of an arbitrary nonconstant f with the requested
-    degree quadruple, up to the normalisation conventions.
+    """Decompositions f = g(h) of a nonconstant f with pair(g) = (rN, rD)
+    and pair(h) = (sN, sD), one per class, sorted.
 
-    Reduces to the normal problem behind one conjugation: the identity
-    when sN > sD, 1/x when sN < sD, and (x+1)/x when sN = sD, where smaller
-    denominator degrees are scanned until one gives results.  Results
-    recompose to f exactly.
+    A class is the set of pairs (g o mu^-1, mu o h) over fractional linear
+    maps mu.  For each shift a in K, in element order, f o (x+a) is
+    normalised and its normal classes are listed for each inner
+    denominator degree aD that a class with the requested h pair can have:
+    sD when sN > sD, sN when sN < sD, and each of 0..s-1 when sN = sD = s.
+
+    The pair of mu o hbar depends only on mu(inf), and the pair of
+    g o mu^-1 only on w = mu^-1(inf).  So the middle maps are the identity
+    when sN > sD, 1/(y-w) when sN < sD and (y-w+1)/(y-w) otherwise, with w
+    running over K in element order; the first that gives both requested
+    pairs is kept.
+
+    A class appears at every shift a with h(a) != h(inf) and is kept only
+    at the first.  h(b) = h(inf) forces f(b) = f(inf), so every class has
+    appeared by the first a with f(a) != f(inf), where the scan stops.  The
+    search is complete when |K| > max(sN, sD), since h takes the value
+    h(inf) at fewer than max(sN, sD) points of K.
     """
     if f.is_constant():
         raise ConstantInput("cannot decompose a constant function")
@@ -366,36 +363,37 @@ def general_rat_dec(f, quad):
     if min(rN, rD, sN, sD) < 0 or max(rN, rD) < 1 or max(sN, sD) < 1:
         raise DegreeInfeasible("degree quadruple must be nonnegative with g and h nonconstant")
     K = f.field
-    lam, fbar = normalize(f)
-    lam_inv = lam.inverse()
-    nN, nD = fbar.degree_pair
-    out = []
-
-    def push(g2, h2):
-        if rat_compose(g2, h2) != f:
-            return
-        if g2.degree_pair != (rN, rD) or h2.degree_pair != (sN, sD):
-            return
-        out.append((g2, h2))
-
-    # conjugation t and the normal inner degree pairs to try, in order
+    s = max(sN, sD)
     if sN > sD:
-        t, inner_pairs = FracLinear.identity(K), [(sN, sD)]
-    elif sN < sD:
-        t, inner_pairs = FracLinear.of_ints(K, 0, 1, 1, 0), [(sD, sN)]  # 1/x
+        inner_dens, middles = [sD], [FracLinear.identity(K)]
     else:
-        t = FracLinear.of_ints(K, 1, 1, 1, 0)  # (x+1)/x, inverse 1/(x-1)
-        inner_pairs = [(sN, sDbar) for sDbar in range(sN - 1, -1, -1)]
-    t_inv_rat = t.inverse().as_rational()
-    for aN, aD in inner_pairs:
-        pair = _outer_pair(nN, nD, aN, aD, strict=False)
-        if pair is None:
-            continue
-        for gb, hb in norm_rat_dec(fbar, (*pair, aN, aD)):
-            push(rat_compose(flt_apply(lam_inv, gb), t_inv_rat), flt_apply(t, hb))
-        if out:
+        c = K.felt(int(sN == sD))
+        inner_dens = [sN] if sN < sD else range(s)
+        middles = [FracLinear(c, 1 - c * w, K.felt(1), -w) for w in K.felts()]
+    middles = [(mu, mu.inverse().as_rational()) for mu in middles]
+    x = Poly.x(K)
+    out = []
+    earlier = []
+    for a in K.felts():
+        lam, fbar = normalize(rat_compose(f, from_poly(x.shift_constant(a))))
+        lam_inv = lam.inverse()
+        for aD in inner_dens:
+            pair = _outer_pair(*fbar.degree_pair, s, aD)
+            if pair is None:
+                continue
+            for gb, hb in norm_rat_dec(fbar, (*pair, s, aD)):
+                if any(not hb.den.evaluate(b - a).is_zero() for b in earlier):
+                    continue
+                g = flt_apply(lam_inv, gb)
+                h = rat_compose(hb, from_poly(x.shift_constant(-a)))
+                for mu, mu_inv in middles:
+                    g2, h2 = rat_compose(g, mu_inv), flt_apply(mu, h)
+                    if g2.degree_pair == (rN, rD) and h2.degree_pair == (sN, sD):
+                        if rat_compose(g2, h2) == f:
+                            out.append((g2, h2))
+                        break
+        if not fbar.den.coeff(0).is_zero():
             break
-    seen = {}
-    for g2, h2 in out:
-        seen.setdefault((g2.key(), h2.key()), (g2, h2))
-    return [seen[k] for k in sorted(seen)]
+        earlier.append(a)
+    out.sort(key=lambda gh: (gh[0].key(), gh[1].key()))
+    return out

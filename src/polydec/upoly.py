@@ -205,40 +205,26 @@ def compose(g, h):
 def right_divide(f, h):
     """The unique g with f = g(h), or None if no such g exists.
 
-    Divide and conquer on h-adic digits: f = Q*h^t + R forces the top and
-    bottom halves of g independently.  Requires deg h >= 1 and
-    deg h | deg f.
+    Reads g off the h-adic expansion f = sum_i c_i h**i, deg c_i < deg h
+    (Kozen-Landau 1989): f = g(h) exactly when every digit c_i is a
+    constant, and then g = sum_i c_i x**i.  The digits come from repeated
+    division by h, lowest first, so a non-constant digit stops the loop
+    early.  Requires deg h >= 1 and deg h | deg f.
     """
     if h.degree is NEG_INF or h.degree < 1:
         raise DegreeMismatch("inner polynomial must have degree >= 1")
-    if f.is_zero():
-        return Poly.zero(f.field)
-    if f.degree % h.degree != 0:
+    if not f.is_zero() and f.degree % h.degree != 0:
         raise DegreeMismatch("deg h does not divide deg f")
-    return _right_divide_rec(f, h)
-
-
-def _right_divide_rec(f, h):
-    if f.degree is NEG_INF or f.degree <= 0:
-        return f
-    if f.degree < h.degree:
-        return None
-    r = f.degree // h.degree
-    t = (r + 1) // 2
-    v = h**t
-    q, rem = divmod(f, v)
-    g0 = _right_divide_rec(rem, h)
-    if g0 is None:
-        return None
-    g1 = _right_divide_rec(q, h)
-    if g1 is None:
-        return None
-    return g1 * Poly.monomial(f.field, t) + g0
+    digits = []
+    while f.degree >= h.degree:
+        f, r = divmod(f, h)
+        if r.degree > 0:
+            return None
+        digits.append(r.coeff(0))
+    return Poly(f.field, digits + [f.coeff(0)])
 
 
 def is_irreducible(f):
-    if f.is_zero():
-        return False
     return po.is_irreducible(f.field, list(f.coeffs))
 
 
@@ -257,19 +243,15 @@ def _squarefree_parts(f):
 
     Characteristic-p variant: factors whose multiplicity is divisible by p
     hide in gcd(f, f') with zero derivative and are recovered through a
-    p-th root of the coefficient vector.
+    p-th root of the coefficient vector (all of f when f' = 0, since
+    gcd(f, 0) = f).
     """
     K = f.field
     p = K.p
     out = {}
     if f.degree == 0:
         return []
-    fp = f.derivative()
-    if fp.is_zero():
-        for part, mult in _squarefree_parts(_pth_root_poly(f)):
-            out[part] = out.get(part, 0) + mult * p
-        return sorted(out.items(), key=lambda pm: pm[0].key())
-    t = gcd(f, fp)
+    t = gcd(f, f.derivative())
     v = f // t
     i = 0
     while v.degree > 0:
@@ -301,7 +283,7 @@ def _distinct_degree(v):
     while v.degree > 0 and v.degree >= 2 * (d + 1):
         d += 1
         h = _pow_q_mod(h, q, v)
-        g = gcd(h - x, v) if not (h - x).is_zero() else v
+        g = gcd(h - x, v)
         if g.degree > 0:
             out.append((g, d))
             v = v // g

@@ -6,16 +6,23 @@ import random
 import pytest
 
 from polydec import (
+    NEG_INF,
     AdditivePoly,
+    FracLinear,
     Poly,
     add_compose,
     build_extension,
     build_prime_field,
+    flt_apply,
     meet,
+    norm_rat_dec,
+    normalize,
     parse_field_spec,
+    rat_compose,
     transform,
 )
 from polydec.additive import euclid_scheme, right_quotient
+from polydec.ratfun import _outer_pair
 
 
 TOWER = "GF(2)[g1]/(g1^2+g1+1)[g2]/(g2^2+g2+g1)"
@@ -73,6 +80,57 @@ def rand_poly(field, rng, deg, monic=False, zero_const=False):
             if lead != field.zero():
                 break
     return Poly(field, coeffs + [lead])
+
+
+def right_divide_by_h_powers(f, h):
+    """The g with f = g(h), or None, by divide and conquer on h-adic
+    digits: f = Q*h**t + R forces the top and bottom halves of g
+    independently.  The oracle for upoly.right_divide; requires
+    deg h >= 1 and deg h | deg f."""
+    if f.degree is NEG_INF or f.degree <= 0:
+        return f
+    if f.degree < h.degree:
+        return None
+    t = (f.degree // h.degree + 1) // 2
+    q, rem = divmod(f, h**t)
+    g0 = right_divide_by_h_powers(rem, h)
+    g1 = None if g0 is None else right_divide_by_h_powers(q, h)
+    if g1 is None:
+        return None
+    return g1 * Poly.monomial(f.field, t) + g0
+
+
+def general_rat_dec_one_conjugation(f, quad):
+    """Rational decompositions found behind a single conjugation: the
+    identity when sN > sD, 1/x when sN < sD, and (x+1)/x when sN = sD,
+    scanning inner denominator degrees down to the first that gives
+    results, and keeping only pairs with the requested degree pairs.  It
+    misses classes, but every pair it returns must also come from
+    general_rat_dec."""
+    rN, rD, sN, sD = quad
+    K = f.field
+    lam, fbar = normalize(f)
+    lam_inv = lam.inverse()
+    if sN > sD:
+        t, inner_pairs = FracLinear.identity(K), [(sN, sD)]
+    elif sN < sD:
+        t, inner_pairs = FracLinear.of_ints(K, 0, 1, 1, 0), [(sD, sN)]
+    else:
+        t = FracLinear.of_ints(K, 1, 1, 1, 0)
+        inner_pairs = [(sN, d) for d in range(sN - 1, -1, -1)]
+    t_inv = t.inverse().as_rational()
+    out = set()
+    for aN, aD in inner_pairs:
+        pair = _outer_pair(*fbar.degree_pair, aN, aD)
+        if pair is None:
+            continue
+        for gb, hb in norm_rat_dec(fbar, (*pair, aN, aD)):
+            g, h = rat_compose(flt_apply(lam_inv, gb), t_inv), flt_apply(t, hb)
+            if rat_compose(g, h) == f and (*g.degree_pair, *h.degree_pair) == (rN, rD, sN, sD):
+                out.add((g, h))
+        if out:
+            break
+    return out
 
 
 def monic_additive_polys(field, expn):

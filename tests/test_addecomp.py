@@ -226,7 +226,9 @@ def test_basis_to_dec(F4, F8):
         basis_to_dec([parts[0], parts[0]])
 
 
-def test_cr_decompose(F4):
+def test_cr_decompose(F2, F4):
+    # x^8+x over GF(2) has the basis x^2+x, x^4+x^2+x: two parts, not three
+    assert cr_decompose(AdditivePoly.parse(F2, "x^8+x"), (2, 2, 2)) is None
     g4 = AdditivePoly.parse(F4, "x^4+x")
     dec = cr_decompose(g4, (2, 2))
     assert dec is not None and dec.target == g4

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polydec.cli import main
+
+from conftest import TOWER
 
 
 def run(capsys, *argv):
@@ -45,6 +50,12 @@ def test_decompose_wild_pairs(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert "(x^25+x) o (x^5+x)" in lines
+    code, out, _ = run(
+        capsys,
+        "decompose", "--field", "GF(5)", "--strategy", "sep", "--limit", "1",
+        "--shape", "25,5", "x^125+x^25+x^5+x",
+    )
+    assert code == 0 and out.splitlines() == lines[:1]
 
 
 def test_decompose_json_schema(capsys):
@@ -118,6 +129,8 @@ def test_basis(capsys):
         capsys, "basis", "--field", "GF(2)[g1]/(g1^2+g1+1)", "x^4+x"
     )
     assert code == 0 and len(out.strip().splitlines()) == 2
+    code, out, _ = run(capsys, "basis", "--field", "GF(2)", "x^4+x")
+    assert code == 1 and out == "not completely reducible\n"
 
 
 def test_all_complete(capsys):
@@ -157,6 +170,12 @@ def test_ratdec(capsys):
         capsys, "ratdec", "--field", "GF(5)", "--shape", "4,0,1,1", "x^4/(x^2+2*x+1)"
     )
     assert code == 1
+    # the outer factor's pair is reached only through a middle map 1/(y-w)
+    code, out, _ = run(
+        capsys, "ratdec", "--field", "GF(5)", "--shape", "2,1,1,2",
+        "(x^4+2*x^3+2*x+2)/(x^4+4*x^3+3*x^2+3*x+2)",
+    )
+    assert code == 0 and out == "((x^2+3*x+4)/(x+4)) o ((x+1)/(x^2+2))\n"
 
 
 def test_usage_errors_exit_2(capsys):
@@ -271,3 +290,78 @@ def test_empty_result_json_is_empty_list(capsys):
         "--shape", "5,5", "x^25+x^5+x",
     )
     assert code == 1 and json.loads(out) == []
+
+
+
+_FIELDS = ["GF(2)", "GF(5)", "GF(2^2)", TOWER]
+_ADDITIVE = ["all-complete", "basis", "absdec", "meet", "join", "transform", "similar", "transmute"]
+# exponents of up to 3 digits go where the work stays small: additive input
+# over a prime field is either rejected at parse time or kept in exponent
+# space; everything else works on dense polynomials of that degree, and
+# factoring one of degree a few hundred takes seconds to minutes
+_SMALL = st.one_of(st.sampled_from([1, 2, 4, 8, 16]), st.integers(0, 16))
+_WIDE = st.one_of(
+    st.sampled_from([1, 2, 4, 5, 8, 16, 25, 64, 125, 256, 512, 625]), st.integers(0, 999)
+)
+
+
+@st.composite
+def _polynomial_text(draw, exponents):
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from("+-"), st.sampled_from([1, 2, 3, 9]), exponents),
+        min_size=1, max_size=3,
+    ))
+    text = "".join(f"{sign}{c}*x^{e}" for sign, c, e in terms)
+    return text.lstrip("+"), max(e for _s, _c, e in terms)
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(
+        _ADDITIVE + ["compose", "decompose", "complete", "minaddmult", "ratdec", "counts", "chebyshev"]
+    ))
+    if cmd == "counts":
+        return [cmd] + [str(draw(st.integers(-1, 5))) for _ in range(3)]
+    field = draw(st.sampled_from(_FIELDS))
+    argv = [cmd, "--field", field]
+    for flag in ("--json", "--assert-additive"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--seed", str(draw(st.integers(0, 3)))]
+    if cmd == "chebyshev":
+        return argv + ["--", str(draw(st.integers(-1, 60)))]
+    # a leading '-' reads as an option unless '--' comes first
+    end_of_options = ["--"] if draw(st.booleans()) else []
+    wide = cmd in _ADDITIVE and field in ("GF(2)", "GF(5)")
+    text, degree = draw(_polynomial_text(_WIDE if wide else _SMALL))
+    if cmd in ("decompose", "complete"):
+        argv += ["--strategy", draw(st.sampled_from(["tame", "sep", "irred", "additive"]))]
+    if cmd in ("decompose", "all-complete") and draw(st.booleans()):
+        argv += ["--limit", str(draw(st.integers(-1, 3)))]
+    if cmd == "decompose":
+        good = [f"{d},{degree // d}" for d in range(2, degree) if degree % d == 0]
+        argv += ["--shape", draw(st.sampled_from(good + ["2,2", "3,x", "1,4", ""]))]
+    if cmd == "ratdec":
+        quad = draw(st.one_of(
+            st.lists(st.integers(0, 3), min_size=4, max_size=4),
+            st.lists(st.integers(-1, 3), min_size=3, max_size=5),
+        ))
+        quad = ",".join(map(str, quad))
+        text = f"({text})/({draw(_polynomial_text(_SMALL))[0]})"
+        return argv + ["--shape", quad] + end_of_options + [text]
+    if cmd in ("compose", "meet", "join", "transform", "similar", "transmute"):
+        second = draw(_polynomial_text(_WIDE if wide else _SMALL))[0]
+        return argv + end_of_options + [text, second]
+    return argv + end_of_options + [text]
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=5000, derandomize=True)
+def test_argv_grammar_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:"))

@@ -20,6 +20,7 @@ from conftest import seeded_rng
 def test_prime_field_inverse(F5):
     a = F5.felt(3)
     assert a * a.inv() == 1
+    assert 1 / a == a.inv() and 2 - a == F5.felt(4)
 
 
 def test_char_two_addition(F2):

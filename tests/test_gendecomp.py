@@ -126,6 +126,8 @@ def test_first_complete_examples(F2, F3, F5):
     assert acc == dw and dec.complete
     # deterministic: repeated runs give byte-identical output
     assert str(first_complete(dw)) == str(dec)
+    add = first_complete(Poly.parse(F2, "x^8+x^4+x^2+x"), Strategy.ADDITIVE)
+    assert str(add) == "(x^2+x) o (x^2+x) o (x^2+x)" and add.complete
     # an indecomposable input comes back whole
     f = Poly.parse(F5, "x^6+x^2+1")
     if all(

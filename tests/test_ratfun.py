@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polydec import (
@@ -23,7 +25,7 @@ from polydec.errors import (
 )
 from polydec.ratfun import from_poly
 
-from conftest import rand_poly, seeded_rng
+from conftest import field_of, general_rat_dec_one_conjugation, rand_poly, seeded_rng
 
 
 def test_rat_reduce_examples(F2, F5):
@@ -243,3 +245,95 @@ def test_general_rat_dec_reciprocal_and_equal_degree_cases(F5):
     assert rat_compose(g2, h2) == f
     got = general_rat_dec(f, (*g2.degree_pair, *h2.degree_pair))
     assert (g2, h2) in got
+
+
+def _with_pair(field, rng, pair):
+    """Random reduced rational function with exactly the given degree pair."""
+    while True:
+        num = rand_poly(field, rng, pair[0])
+        den = rand_poly(field, rng, pair[1], monic=True)
+        f = rat_reduce(num, den)
+        if f.degree_pair == pair:
+            return f
+
+
+def _kernel_form(h):
+    """hN(x) hD(y) - hD(x) hN(y), scaled to a leading 1.  Two rational
+    functions agree up to a fractional linear map on the left exactly when
+    these coefficient lists are equal."""
+    n = max(h.degree_pair)
+    N, D = h.num.coeff, h.den.coeff
+    flat = [N(i) * D(j) - D(i) * N(j) for i in range(n + 1) for j in range(n + 1)]
+    lead = next(c for c in flat if not c.is_zero())
+    return tuple(c / lead for c in flat)
+
+
+def _check_general_rat_dec(f, quad, h):
+    """general_rat_dec(f, quad) finds the class of h once, returns valid
+    pairs in distinct classes, and returns every pair that
+    general_rat_dec_one_conjugation finds."""
+    got = general_rat_dec(f, quad)
+    for g2, h2 in got:
+        assert (*g2.degree_pair, *h2.degree_pair) == quad
+        assert rat_compose(g2, h2) == f
+    forms = [_kernel_form(h2) for _g2, h2 in got]
+    assert len(set(forms)) == len(forms)
+    assert _kernel_form(h) in forms
+    assert general_rat_dec_one_conjugation(f, quad) <= set(got)
+
+
+_PAIRS = [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("spec", [3, 5, 7, "GF(3^2)"])
+def test_general_rat_dec_finds_every_planted_pair(spec):
+    K = field_of(spec)
+    rng = seeded_rng(("planted-rat", spec))
+    for gp, hp in itertools.product(_PAIRS, repeat=2):
+        g, h = _with_pair(K, rng, gp), _with_pair(K, rng, hp)
+        _check_general_rat_dec(rat_compose(g, h), (*gp, *hp), h)
+
+
+def test_general_rat_dec_exhaustive_over_gf3(F3):
+    # every g o h with deg g = deg h = 2 over GF(3), asked under each
+    # quadruple a middle map mu gives it, (g o mu^-1, mu o h).  Affine maps
+    # on the left of g and on the right of h keep both degree pairs and
+    # carry results along, so g and h run over one of each orbit.
+    K = F3
+    rats = [
+        f
+        for pair in [(2, 0), (0, 2), (2, 1), (1, 2), (2, 2)]
+        for num in itertools.product(range(3), repeat=pair[0] + 1)
+        for den in itertools.product(range(3), repeat=pair[1])
+        if num[-1]
+        for f in [rat_reduce(Poly(K, num), Poly(K, list(den) + [1]))]
+        if f.degree_pair == pair
+    ]
+    assert len(rats) == 216
+    affine = [FracLinear.of_ints(K, c, d, 0, 1) for c in (1, 2) for d in range(3)]
+    moebius = [
+        FracLinear.of_ints(K, *t)
+        for t in itertools.product(range(3), repeat=4)
+        if (t[0] * t[3] - t[1] * t[2]) % 3 and next(v for v in t if v) == 1
+    ]
+    assert len(moebius) == 24
+    outer, seen = [], set()
+    for g in rats:
+        if g not in seen:
+            outer.append(g)
+            seen.update(flt_apply(a, g) for a in affine)
+    inner, seen = [], set()
+    for h in rats:
+        if _kernel_form(h) not in seen:
+            inner.append(h)
+            seen.update(_kernel_form(rat_compose(h, a.as_rational())) for a in affine)
+    assert (len(outer), len(inner)) == (36, 3)
+    for g, h in itertools.product(outer, inner):
+        f = rat_compose(g, h)
+        quads = {
+            (*rat_compose(g, mu.inverse().as_rational()).degree_pair,
+             *flt_apply(mu, h).degree_pair)
+            for mu in moebius
+        }
+        for quad in quads:
+            _check_general_rat_dec(f, quad, h)

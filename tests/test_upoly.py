@@ -8,7 +8,7 @@ from polydec import is_irreducible
 from polydec.errors import BothZero, DegreeError, DegreeMismatch, DivideByZero, ZeroInput
 from polydec.upoly import monic_divisors
 
-from conftest import rand_poly, seeded_rng
+from conftest import TOWER, field_of, rand_poly, right_divide_by_h_powers, seeded_rng
 
 
 def test_divmod_examples(F2, F3):
@@ -67,6 +67,29 @@ def test_right_divide_examples(F5, F7):
     )
     assert all(compose(g, sq) != target for g in all_g)
     assert right_divide(target, sq) is None
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", TOWER])
+def test_right_divide_matches_h_power_recursion(spec):
+    # compositions g(h), the same with one coefficient changed, and random
+    # f of a degree deg h divides; h is monic only every third time
+    K = field_of(spec)
+    rng = seeded_rng(("rdiv-oracle", spec))
+    hits = 0
+    for i in range(60):
+        r, s = rng.randrange(0, 6), rng.randrange(1, 5)
+        h = rand_poly(K, rng, s, monic=i % 3 == 0)
+        f = compose(rand_poly(K, rng, r), h)
+        if i % 3 == 1:
+            f = f + Poly.monomial(K, rng.randrange(max(1, r * s)), 1)
+        elif i % 3 == 2:
+            f = rand_poly(K, rng, r * s)
+        got = right_divide(f, h)
+        assert got == right_divide_by_h_powers(f, h)
+        if got is not None:
+            hits += 1
+            assert compose(got, h) == f
+    assert 20 <= hits < 60
 
 
 def test_right_divide_degree_mismatch(F5):
