@@ -13,6 +13,7 @@ map between the two factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import upoly
 from ._expr import eval_rational_text
@@ -294,9 +295,9 @@ def norm_rat_dec(f, quad):
 
     Denominator candidates hD are the monic degree-sD divisors of fD not
     vanishing at 0 whose (rN - rD) power still divides fD; numerator
-    candidates divide B - b0 hD**rD (or fN - f(0) fD when rD = 0, where
-    that bound degenerates to zero); each pair is settled by right
-    division.
+    candidates divide the nonzero B - b0 hD**rD (or fN - f(0) fD when
+    rD = 0, where that bound degenerates to zero); each pair is settled
+    by right division.
     """
     if not f.is_monic():
         raise NotMonic("input must be monic")
@@ -305,7 +306,6 @@ def norm_rat_dec(f, quad):
     rN, rD, sN, sD = (int(v) for v in quad)
     if sD < 0 or _outer_pair(*f.degree_pair, sN, sD) != (rN, rD):
         raise DegreeInfeasible("degree quadruple does not match the input")
-    K = f.field
     found = []
     for hD in upoly.monic_divisors(f.den, sD):
         if hD.coeff(0).is_zero():
@@ -315,15 +315,11 @@ def norm_rat_dec(f, quad):
         if not rem.is_zero():
             continue
         if rD == 0:
-            if B != Poly.one(K):
-                continue
             b0 = f.num.coeff(0) / f.den.coeff(0)
             bound = f.num - f.den.scale(b0)
         else:
             b0bar = f.den.coeff(0) / hD.coeff(0) ** rN
             bound = B - (hD**rD).scale(b0bar)
-        if bound.is_zero():
-            continue
         for hN in upoly.monic_divisors(bound, sN):
             if not hN.coeff(0).is_zero() or upoly.gcd(hN, hD).degree > 0:
                 continue
@@ -345,11 +341,9 @@ def general_rat_dec(f, quad):
     denominator degree aD that a class with the requested h pair can have:
     sD when sN > sD, sN when sN < sD, and each of 0..s-1 when sN = sD = s.
 
-    The pair of mu o hbar depends only on mu(inf), and the pair of
-    g o mu^-1 only on w = mu^-1(inf).  So the middle maps are the identity
-    when sN > sD, 1/(y-w) when sN < sD and (y-w+1)/(y-w) otherwise, with w
-    running over K in element order; the first that gives both requested
-    pairs is kept.
+    The pair of mu o hbar depends only on mu(inf), so the middle maps mu
+    of _middle_maps suffice; the first that gives both requested pairs is
+    kept.
 
     A class appears at every shift a with h(a) != h(inf) and is kept only
     at the first.  h(b) = h(inf) forces f(b) = f(inf), so every class has
@@ -364,13 +358,7 @@ def general_rat_dec(f, quad):
         raise DegreeInfeasible("degree quadruple must be nonnegative with g and h nonconstant")
     K = f.field
     s = max(sN, sD)
-    if sN > sD:
-        inner_dens, middles = [sD], [FracLinear.identity(K)]
-    else:
-        c = K.felt(int(sN == sD))
-        inner_dens = [sN] if sN < sD else range(s)
-        middles = [FracLinear(c, 1 - c * w, K.felt(1), -w) for w in K.felts()]
-    middles = [(mu, mu.inverse().as_rational()) for mu in middles]
+    inner_dens = [sD] if sN > sD else [sN] if sN < sD else range(s)
     x = Poly.x(K)
     out = []
     earlier = []
@@ -386,14 +374,27 @@ def general_rat_dec(f, quad):
                     continue
                 g = flt_apply(lam_inv, gb)
                 h = rat_compose(hb, from_poly(x.shift_constant(-a)))
-                for mu, mu_inv in middles:
-                    g2, h2 = rat_compose(g, mu_inv), flt_apply(mu, h)
+                for mu in _middle_maps(g, sN, sD):
+                    g2, h2 = rat_compose(g, mu.inverse().as_rational()), flt_apply(mu, h)
                     if g2.degree_pair == (rN, rD) and h2.degree_pair == (sN, sD):
-                        if rat_compose(g2, h2) == f:
-                            out.append((g2, h2))
+                        out.append((g2, h2))
                         break
         if not fbar.den.coeff(0).is_zero():
             break
         earlier.append(a)
     out.sort(key=lambda gh: (gh[0].key(), gh[1].key()))
     return out
+
+
+def _middle_maps(g, sN, sD):
+    """Middle maps mu for outer part g: the identity if sN > sD, else
+    1/(y-w) if sN < sD and (y-w+1)/(y-w) if sN = sD, in the element order
+    of w = mu^-1(inf).  The pair of g o mu^-1 depends only on how often w
+    is a root of g.num and g.den, so w runs over those roots and one other."""
+    K = g.field
+    if sN > sD:
+        return [FracLinear.identity(K)]
+    ws = [-q.coeff(0) for q, _ in upoly.factor(g.num * g.den)[0] if q.degree == 1]
+    ws += [w for w in islice(K.felts(), len(ws) + 1) if w not in ws][:1]
+    c = K.felt(int(sN == sD))
+    return [FracLinear(c, 1 - c * w, K.felt(1), -w) for w in sorted(ws, key=Felt.key)]

@@ -263,6 +263,34 @@ def test_large_prime_field_answers_quickly(capsys):
     assert code == 0 and out.strip() == "x"
 
 
+@pytest.mark.parametrize(
+    "shape, target, want",
+    [
+        (
+            "2,1,1,2",
+            "(4*x^4+33*x^3+70*x^2+6*x+1)/(x^4+9*x^3+21*x^2+4*x)",
+            "((x^2+x+4)/(x+1)) o ((x+1)/(x^2+4*x))",
+        ),
+        (
+            "2,1,2,2",
+            "(666666666666666670*x^4+333333333333333335*x^3+5*x^2+333333333333333335*x"
+            "+666666666666666673)/(x^4+666666666666666669*x^3+333333333333333338*x^2"
+            "+333333333333333335*x+666666666666666672)",
+            "((x^2+3)/(x+2)) o ((x^2+x+1)/(x^2+2))",
+        ),
+    ],
+)
+def test_ratdec_over_large_prime_field_answers_quickly(capsys, shape, target, want):
+    # the middle maps come from the roots of the outer part, not from a
+    # scan over the field
+    start = time.monotonic()
+    code, out, _ = run(
+        capsys, "ratdec", "--field", "GF(1000000000000000003)", "--shape", shape, target
+    )
+    assert time.monotonic() - start < 5
+    assert code == 0 and out.strip() == want
+
+
 def test_ratdec_json(capsys):
     code, out, _ = run(
         capsys, "ratdec", "--json", "--field", "GF(5)", "--shape", "2,0,2,1",
@@ -357,11 +385,15 @@ def _argv(draw):
 
 
 @given(_argv())
-@settings(max_examples=200, deadline=5000, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 def test_argv_grammar_never_raises(argv):
+    # each draw takes well under a second; 5 s flags a grammar change that
+    # lets a dense factorisation of high degree in
     out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    assert time.monotonic() - start < 5
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:"))
