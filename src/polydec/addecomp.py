@@ -3,6 +3,9 @@
 Covers indecomposable right factors, one/all complete decompositions,
 ordered-factorisation targeting, the completely-reducible and
 similarity-free fast paths, and absolute decomposition over field towers.
+Indecomposable right factors come from one route over every field, by
+linear algebra over GF(p) on coefficient vectors: the bound (least central
+multiple) of the input, its isotypic parts, and their eigenrings.
 Everywhere a factor has to be chosen, the smallest by (degree,
 coefficient order) wins, so identical inputs give identical outputs.
 """
@@ -10,18 +13,24 @@ coefficient order) wins, so identical inputs give identical outputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import random
 from dataclasses import dataclass, field as dc_field
 
 from . import upoly
 from ._expr import parse_int_list
 from .additive import (
     AdditivePoly,
+    _eliminate,
+    _hom_basis,
+    _last_cofactor,
+    _vector,
     add_compose,
+    add_rdivrem,
     is_similar,
     join,
     meet,
-    min_add_mult,
     peel_frobenius,
     right_quotient,
     transform_composition,
@@ -38,7 +47,7 @@ from .errors import (
     ProductMismatch,
     ZeroInput,
 )
-from .field import Felt, build_extension, lift
+from .field import Felt, build_extension, build_prime_field, lift
 from .upoly import Poly
 
 
@@ -130,56 +139,137 @@ def _require_monic_additive(f, min_expn=1):
 def indec_right_factors(f):
     """All monic indecomposable right composition factors of f, sorted by key.
 
-    Over a prime field GF(p) composition is ``c[i+j] += a_i * b_j**(p**i)``
-    with ``b_j**p = b_j``, so the ring is commutative and the linearized
-    associate ``sum a_i x**(p**i) -> sum a_i y**i`` is a ring isomorphism
-    onto GF(p)[y].  Right factors of f are then the divisors of its
-    associate and the indecomposable ones are its monic irreducible
-    divisors: one factorisation of degree expn, read back coefficient for
-    coefficient.  The factor y is x**p, present exactly when f is not
-    simple.
+    Under composition, additive polynomials over F_q, q = p**e, form a
+    skew polynomial ring in x**p whose centre is F_p[x**q]: x**q commutes
+    with every additive polynomial.  One route serves every field, by
+    linear algebra over GF(p) on vectors of length e*expn.  The factor x**p
+    is listed exactly when f is not simple; the others are the
+    indecomposable right factors of the simple part g of f = x**(p**l) o g.
+    The kernel V of g is an F_p-space of dimension expn g on which
+    F: v -> v**q acts.  The right factors of g are the polynomials whose
+    kernels are F-stable subspaces of V, and the indecomposable ones have
+    minimal nonzero kernels.
 
-    Over an extension field the ring is not commutative and the dense route
-    of :func:`_dense_indec_right_factors` is used instead.
+    1. Bound: the minimal polynomial g* of F on V, of degree at most
+       expn g, is the first GF(p)-dependence among r_0 = x mod g and
+       r_(i+1) = (x**q o r_i) mod g; g*(x**q) is the least central
+       multiple of g.
+    2. Isotypic parts: for each irreducible factor phi of g*, of degree
+       d, s = meet(g, sum phi_j r_j) has the kernel of phi(F) on V: a
+       space of dimension k over E = F_p[F]/(phi) = GF(p**d), so
+       expn s = d*k, holding every minimal subspace of type phi.  At
+       k = 1 s is the only factor for phi.
+    3. Eigenring: at k >= 2 the factors for phi are the E-lines of that
+       space, the points of P^(k-1)(E).  See :func:`_isotypic_factors`.
+
+    Over GF(p) the ring is commutative, every k is 1 and the bound is the
+    linearized associate sum a_i y**i of f itself, so the factors are read
+    straight off its monic irreducible factors, coefficient for coefficient
+    (the factor y is x**p).
     """
     _require_monic_additive(f, min_expn=1)
     K = f.field
-    if K.degree_over_prime != 1:
-        return _dense_indec_right_factors(f)
-    parts, _ = upoly.factor(Poly._raw(K, f.coeffs))
-    factors = [AdditivePoly._raw(K, irr.coeffs) for irr, _mult in parts]
+    if K.degree_over_prime == 1:
+        parts, _ = upoly.factor(Poly._raw(K, f.coeffs))
+        factors = [AdditivePoly._raw(K, irr.coeffs) for irr, _mult in parts]
+    else:
+        ell, g = peel_frobenius(f)
+        factors = []
+        bound, powers = _min_poly(AdditivePoly.monomial(K, K.degree_over_prime), g)
+        for phi, _mult in upoly.factor(bound)[0]:
+            s = meet(g, _evaluate(phi, powers))
+            factors += _isotypic_factors(s, phi.degree)
+        if ell:
+            factors.append(AdditivePoly.monomial(K, 1))
     return sorted(factors, key=lambda g: g.key())
 
 
-def _dense_indec_right_factors(f):
-    """Indecomposable right factors through the dense degree-p**expn form.
+def _min_poly(u, g):
+    """The least monic m over GF(p) with m(u) = 0 in the eigenring of g.
 
-    Factors the simple part of f as an ordinary polynomial; the candidates
-    are minimal additive multiples of its non-x irreducible factors, and a
-    candidate right-divisible by a smaller one is struck out.  x**p joins
-    the list exactly when f is not simple.  Valid over every field; over a
-    prime field it is the test oracle for the associate route.
+    Powers act by composition modulo g: r_0 = x mod g and
+    r_(i+1) = (u o r_i) mod g; m is the first GF(p)-dependence among them.
+    Returns m and r_0, ..., r_(deg m).
     """
-    K = f.field
-    ell, simple_part = peel_frobenius(f)
-    parts, _ = upoly.factor(simple_part.to_poly())
-    xpoly = Poly.x(K)
-    candidates = {}
-    for irr, _mult in parts:
-        if irr == xpoly:
+    K = g.field
+    Fp = build_prime_field(K.p)
+    n = K.degree_over_prime * g.expn
+    rows, powers = [], []
+    r = add_rdivrem(AdditivePoly.x(K), g)[1]
+    while True:
+        powers.append(r)
+        dep = _eliminate(Fp, rows, _vector(r, n), [0] * (len(powers) - 1) + [1])
+        if dep is not None:
+            return Poly._raw(Fp, dep), powers
+        r = add_rdivrem(add_compose(u, r), g)[1]
+
+
+def _evaluate(m, powers):
+    """sum m_j r_j for m over GF(p) and the powers r_j from :func:`_min_poly`."""
+    return sum((r.scale(c) for c, r in zip(m.coeffs, powers)), AdditivePoly.zero(powers[0].field))
+
+
+def _isotypic_factors(s, d):
+    """The indecomposable right factors of an isotypic s.
+
+    They all have exponent d, and ker s is a space of dimension
+    k = expn s / d over their common endomorphism field E = GF(p**d).
+
+    At k >= 2 a zero divisor m(u) of the eigenring gives the proper right
+    factor meet(s, m(u)): u is a seeded draw from Hom(s, s), the algebra of
+    k x k matrices over E, and m is a proper factor of its minimal
+    polynomial.  About half of all draws have one whatever the field size,
+    and splitting again down to exponent d gives one simple factor g0.
+    Hom(s, g0) is then E**k, with E acting by u -> (x**q o u) mod g0.  A
+    nonzero u in it maps ker g0 onto an E-line of ker s, the kernel of its
+    last Euclidean cofactor against g0.  Lines of Hom(s, g0) and of ker s
+    correspond one to one, so one u per line, normalised on an E-basis,
+    gives every factor once.  A scalar c*u in K is not an E-multiple and
+    has another image, so u is not scaled.
+    """
+    k = s.expn // d
+    if k == 1:
+        return [s]
+    K = s.field
+    rng = random.Random(f"eigenring:{K.order}:{s.expn}")
+    g0 = s
+    while g0.expn > d:
+        g0 = _split(g0, rng)
+    Fp = build_prime_field(K.p)
+    xq = AdditivePoly.monomial(K, K.degree_over_prime)
+    n = K.degree_over_prime * d
+    rows, orbits = [], []
+    for h in _hom_basis(s, g0):
+        if len(orbits) == k:
+            break
+        if _eliminate(Fp, rows, _vector(h, n), []) is not None:
             continue
-        cand = min_add_mult(irr)
-        candidates[cand] = True
-    ordered = sorted(candidates, key=lambda g: (g.expn, g.key()))
-    kept = []
-    for g in ordered:
-        if any(right_quotient(g, smaller) is not None for smaller in kept):
-            continue
-        kept.append(g)
-    if ell >= 1:
-        kept.append(AdditivePoly.monomial(K, 1))
-    kept.sort(key=lambda g: g.key())
-    return kept
+        orbit = [h]
+        for _ in range(d - 1):
+            orbit.append(add_rdivrem(add_compose(xq, orbit[-1]), g0)[1])
+            _eliminate(Fp, rows, _vector(orbit[-1], n), [])
+        orbits.append(orbit)
+    out = []
+    for lead in range(k):
+        tail = [w for orbit in orbits[lead + 1 :] for w in orbit]
+        for coords in itertools.product(range(K.p), repeat=len(tail)):
+            u = sum((w.scale(c) for c, w in zip(coords, tail)), orbits[lead][0])
+            out.append(_last_cofactor(u, g0).monic())
+    return out
+
+
+def _split(s, rng):
+    """A proper right factor of an isotypic s that is not simple: meet(s,
+    m(u)) for the first drawn u of Hom(s, s) whose minimal polynomial has a
+    proper factor m."""
+    K = s.field
+    ends = _hom_basis(s, s)
+    while True:
+        u = sum((h.scale(rng.randrange(K.p)) for h in ends), AdditivePoly.zero(K))
+        mu, powers = _min_poly(u, s)
+        m = upoly.factor(mu)[0][0][0]
+        if m != mu:
+            return meet(s, _evaluate(m, powers))
 
 
 def is_indecomposable(f):
@@ -447,46 +537,37 @@ def factors_to_right(dec, indices):
     ``indices`` refers to positions in ``dec`` counted from the innermost
     factor (position 1).  Returns a decomposition of the same target whose
     rightmost len(indices) factors are similar in pairs to the selected
-    ones, or None when some required transmutation does not exist.  The
-    target must be similarity free.
+    ones.  The target must be similarity free.
+
+    The selected factors move in increasing original position, each past
+    the block g between it and its slot by a transmutation of f o g, which
+    always exists.  Over the composition ring R, R/Rf is simple and lies
+    over one irreducible central element; a factor not similar to f lies
+    over another, so the bound of g is coprime to that of f.  The extension
+    0 -> R/Rf -> R/R(f o g) -> R/Rg -> 0 then splits, and the summand
+    isomorphic to R/Rg is R fbar / R(f o g) for a right factor fbar similar
+    to f, with f o g = transform(fbar, g) o fbar.
     """
     if not dec.complete:
         raise ValueError("decomposition must be complete")
     _assert_similarity_free(dec.factors)
     m = len(dec.factors)
-    indices = set(indices)
-    if not indices:
-        return dec
     if not all(1 <= i <= m for i in indices):
         raise BadLength("factor index out of range")
     pos = list(reversed(dec.factors))  # pos[k] = factor at position k+1
     origin = list(range(1, m + 1))  # origin[k] = original position of pos[k]
-    remaining = set(indices)
-    for stage in range(1, len(indices) + 1):
-        placed = False
-        for i in sorted(remaining):
-            k = origin.index(i)  # current slot of original factor i (0-based)
-            ell = stage - 1  # target slot (0-based)
-            if k == ell:
-                remaining.discard(i)
-                placed = True
-                break
-            comp = _compose_chain(list(reversed(pos[ell:k])))
-            trans = transmutable(pos[k], comp)
-            if not trans:
-                continue
-            _gbar, fbar = trans[0]
-            block = Decomposition(comp, tuple(reversed(pos[ell:k])), complete=True)
-            moved = transform_composition(fbar, block)
-            pos[ell + 1 : k + 1] = list(reversed(moved.factors))
-            pos[ell] = fbar
-            origin[ell + 1 : k + 1] = origin[ell:k]
-            origin[ell] = i
-            remaining.discard(i)
-            placed = True
-            break
-        if not placed:
-            return None
+    for ell, i in enumerate(sorted(set(indices))):
+        k = origin.index(i)  # current slot of original factor i (0-based)
+        if k == ell:
+            continue
+        comp = _compose_chain(list(reversed(pos[ell:k])))
+        _gbar, fbar = transmutable(pos[k], comp)[0]
+        block = Decomposition(comp, tuple(reversed(pos[ell:k])), complete=True)
+        moved = transform_composition(fbar, block)
+        pos[ell + 1 : k + 1] = list(reversed(moved.factors))
+        pos[ell] = fbar
+        origin[ell + 1 : k + 1] = origin[ell:k]
+        origin[ell] = i
     return Decomposition(dec.target, tuple(reversed(pos)), complete=True)
 
 
@@ -519,8 +600,6 @@ def simfree_bidecomp(f, shape):
         if sum(inner_first[k - 1].expn for k in chosen) != sigma:
             continue
         res = factors_to_right(dec, set(chosen))
-        if res is None:
-            continue
         t = len(chosen)
         res_inner = list(reversed(res.factors))
         inner = _compose_chain(list(reversed(res_inner[:t])))

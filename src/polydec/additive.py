@@ -259,6 +259,12 @@ def _prime_basis(K):
     return [z * i + (b,) + z * (K.deg - 1 - i) for i in range(K.deg) for b in _prime_basis(K.base)]
 
 
+def _vector(f, n):
+    """The GF(p) coordinates of the coefficients of f, padded with 0 to length n."""
+    col = [c for a in f.coeffs for c in _prime_coords(f.field, a)]
+    return col + [0] * (n - len(col))
+
+
 def _hom_basis(f, g):
     """An F_p-basis of Hom(f, g) = {u : expn u < expn g, g right-divides f o u}.
 
@@ -273,8 +279,7 @@ def _hom_basis(f, g):
     rows, kernel = [], []
     for k, u in enumerate(domain):
         r = add_rdivrem(add_compose(f, u), g)[1]
-        col = [c for a in r.coeffs for c in _prime_coords(K, a)]
-        dep = _eliminate(Fp, rows, col + [0] * (n - len(col)), [int(j == k) for j in range(n)])
+        dep = _eliminate(Fp, rows, _vector(r, n), [int(j == k) for j in range(n)])
         if dep is not None:
             kernel.append(sum((v.scale(c) for v, c in zip(domain, dep)), AdditivePoly.zero(K)))
     return kernel

@@ -15,13 +15,15 @@ from polydec import (
     build_prime_field,
     flt_apply,
     meet,
+    min_add_mult,
     norm_rat_dec,
     normalize,
     parse_field_spec,
     rat_compose,
     transform,
+    upoly,
 )
-from polydec.additive import euclid_scheme, right_quotient
+from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
 from polydec.ratfun import _outer_pair
 
 
@@ -131,6 +133,28 @@ def general_rat_dec_one_conjugation(f, quad):
         if out:
             break
     return out
+
+
+def dense_indec_right_factors(f):
+    """Indecomposable right factors through the dense degree-p**expn form:
+    the oracle for indec_right_factors over every field.
+
+    Factors the simple part of f as an ordinary polynomial; the candidates
+    are minimal additive multiples of its non-x irreducible factors, and a
+    candidate right-divisible by a smaller one is struck out.  x**p joins
+    the list exactly when f is not simple.
+    """
+    K = f.field
+    ell, simple_part = peel_frobenius(f)
+    parts, _ = upoly.factor(simple_part.to_poly())
+    candidates = {min_add_mult(irr): True for irr, _mult in parts if irr != Poly.x(K)}
+    kept = []
+    for g in sorted(candidates, key=lambda g: (g.expn, g.key())):
+        if all(right_quotient(g, smaller) is None for smaller in kept):
+            kept.append(g)
+    if ell >= 1:
+        kept.append(AdditivePoly.monomial(K, 1))
+    return sorted(kept, key=lambda g: g.key())
 
 
 def monic_additive_polys(field, expn):

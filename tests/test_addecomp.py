@@ -1,5 +1,6 @@
 import functools
 import itertools
+import time
 
 import pytest
 
@@ -28,8 +29,8 @@ from polydec import (
     simfree_bidecomp,
     unordered_refinements,
 )
-from polydec import upoly
-from polydec.addecomp import _dense_indec_right_factors, is_indecomposable
+from polydec import addecomp, upoly
+from polydec.addecomp import is_indecomposable
 from polydec.additive import right_quotient
 from polydec.errors import (
     BadLength,
@@ -42,7 +43,14 @@ from polydec.errors import (
     ProductMismatch,
 )
 
-from conftest import field_of, monic_additive_polys, seeded_rng
+from conftest import (
+    TOWER,
+    dense_indec_right_factors,
+    field_of,
+    monic_additive_polys,
+    seeded_rng,
+    similarity_class_by_enumeration,
+)
 
 
 def brute_right_factors_expn1(f):
@@ -427,8 +435,6 @@ def test_factors_to_right_subset_moves_preserve_similarity(F8):
     for size in (1, 2, 3):
         for S in itertools.combinations(range(1, m + 1), size):
             res = factors_to_right(dec, set(S))
-            if res is None:
-                continue
             assert res.target == f
             res_inner = list(reversed(res.factors))
             remaining = [inner_first[i - 1] for i in S]
@@ -462,14 +468,16 @@ def test_indec_right_factors_associate_matches_dense(p, max_expn):
         for trial in range(6):
             f = rand_monic_additive(K, expn, rng, simple=trial % 2 == 0)
             got = indec_right_factors(f)
-            assert got == _dense_indec_right_factors(f), str(f)
+            assert got == dense_indec_right_factors(f), str(f)
             assert all(right_quotient(f, g) is not None for g in got)
 
 
-@pytest.mark.parametrize("p,expn", [(2, 11), (3, 7)])
-def test_prime_field_decomposition_stays_in_exponent_space(monkeypatch, p, expn):
+def assert_stays_in_exponent_space(monkeypatch, spec, expn):
+    """Decompose seeded inputs with the dense expansion disabled, checking
+    that every factored polynomial has degree at most expn."""
+
     def no_dense(self):
-        raise AssertionError("dense expansion over a prime field")
+        raise AssertionError("dense expansion of an additive polynomial")
 
     factored = []
     real_factor = upoly.factor
@@ -480,8 +488,8 @@ def test_prime_field_decomposition_stays_in_exponent_space(monkeypatch, p, expn)
 
     monkeypatch.setattr(AdditivePoly, "to_poly", no_dense)
     monkeypatch.setattr(upoly, "factor", recording_factor)
-    K = field_of(p)
-    rng = seeded_rng(f"exponent-space:{p}")
+    K = field_of(spec)
+    rng = seeded_rng(f"exponent-space:{spec}")
     for simple in (True, False):
         f = rand_monic_additive(K, expn, rng, simple)
         for g in indec_right_factors(f):
@@ -497,3 +505,149 @@ def test_prime_field_decomposition_stays_in_exponent_space(monkeypatch, p, expn)
         for d in decs + ordered:
             assert functools.reduce(add_compose, d.factors) == f
     assert factored and max(factored) <= expn
+
+
+@pytest.mark.parametrize("p,expn", [(2, 11), (3, 7)])
+def test_prime_field_decomposition_stays_in_exponent_space(monkeypatch, p, expn):
+    assert_stays_in_exponent_space(monkeypatch, p, expn)
+
+
+@pytest.mark.parametrize("spec,expn", [("GF(2^2)", 6), ("GF(3^2)", 4), ("GF(5^2)", 3), (TOWER, 4)])
+def test_extension_field_decomposition_stays_in_exponent_space(monkeypatch, spec, expn):
+    assert_stays_in_exponent_space(monkeypatch, spec, expn)
+
+
+def rand_indec_factor(K, expn, rng):
+    """Random simple monic indecomposable additive polynomial."""
+    while True:
+        g = rand_monic_additive(K, expn, rng, simple=True)
+        if is_indecomposable(g):
+            return g
+
+
+def planted_inputs(K, max_expn, rng):
+    """Seeded inputs whose answers the dense oracle checks: random simple
+    and non-simple ones, chains of indecomposable factors, joins of two
+    similar exponent-1 factors (an isotypic part with k = 2) composed with
+    a further factor, the central x**(q**j) - x and x**(q**2) + x**q + x
+    (over GF(2**2) its factors have d = 2 and k = 2), and x**(p**max_expn),
+    whose simple part x has the bound 1."""
+    out = [AdditivePoly.monomial(K, max_expn)]
+    for expn in range(1, max_expn + 1):
+        out += [rand_monic_additive(K, expn, rng, simple) for simple in (True, False, True)]
+        pattern = [1] * expn if expn < 3 else [2] + [1] * (expn - 2)
+        out.append(functools.reduce(add_compose, [rand_indec_factor(K, e, rng) for e in pattern]))
+    for _ in range(2):
+        a = rand_indec_factor(K, 1, rng)
+        similar = sorted(similarity_class_by_enumeration(a) - {a}, key=lambda g: g.key())
+        iso = join(a, rng.choice(similar))
+        out.append(iso)
+        if max_expn >= 3:
+            out.append(add_compose(rand_indec_factor(K, 1, rng), iso))
+    e = K.degree_over_prime
+    for j in range(1, max(1, max_expn // e) + 1):
+        out.append(AdditivePoly.monomial(K, j * e) - AdditivePoly.x(K))
+    if 2 * e <= max_expn:
+        out.append(AdditivePoly(K, [1] + [0] * (e - 1) + [1] + [0] * (e - 1) + [1]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec,max_expn",
+    [("GF(2^2)", 4), ("GF(3^2)", 3), ("GF(2^3)", 3), ("GF(5^2)", 2), (TOWER, 3)],
+)
+def test_indec_right_factors_matches_dense_over_extensions(spec, max_expn):
+    K = field_of(spec)
+    rng = seeded_rng(f"exponent-space-vs-dense:{spec}")
+    for f in planted_inputs(K, max_expn, rng):
+        got = indec_right_factors(f)
+        assert got == dense_indec_right_factors(f), str(f)
+        assert all(right_quotient(f, g) is not None for g in got)
+
+
+def test_indec_right_factors_isotypic_of_degree_two(F4):
+    # x^16+x^4+x = phi(x^4) with phi = y^2+y+1 irreducible over GF(2):
+    # v -> v^4 satisfies phi on the kernel, which is a space of dimension
+    # k = 2 over E = GF(2)[y]/(phi) = GF(4), so the factors are the 5 points
+    # of P^1(GF(4)), each of exponent d = 2
+    f = AdditivePoly.parse(F4, "x^16+x^4+x")
+    got = indec_right_factors(f)
+    assert got == dense_indec_right_factors(f)
+    assert len(got) == 5 and all(g.expn == 2 for g in got)
+
+
+def test_indec_right_factors_repeat_calls_agree(F4, F9):
+    inputs = [
+        AdditivePoly.parse(F4, "x^16+x^4+x"),
+        AdditivePoly.parse(F4, "x^16+x"),
+        AdditivePoly.parse(F9, "x^81-x"),
+    ]
+    first = [indec_right_factors(f) for f in inputs]
+    again = [indec_right_factors(f) for f in reversed(inputs)][::-1]
+    assert [[str(g) for g in r] for r in first] == [[str(g) for g in r] for r in again]
+
+
+def test_indec_right_factors_central_over_gf101_squared(monkeypatch):
+    # x^(q) - x with q = 101^2 has kernel GF(q) = GF(101)**2, and v -> v**q
+    # is the identity on it, so its factors are the 102 points of P^1(GF(101))
+    K = field_of("GF(101^2)")
+    f = AdditivePoly.parse(K, "x^10201-x")
+    calls = []
+    real_min_poly = addecomp._min_poly
+
+    def counting_min_poly(u, g):
+        calls.append(g.expn)
+        return real_min_poly(u, g)
+
+    monkeypatch.setattr(addecomp, "_min_poly", counting_min_poly)
+    got = indec_right_factors(f)
+    assert len(got) == 102
+    for g in got:
+        assert g.expn == 1 and is_indecomposable(g)
+        assert add_compose(right_quotient(f, g), g) == f
+    # one call for the bound, then one per draw from the eigenring: about
+    # half of all draws give a zero divisor whatever the field size
+    assert 1 <= len(calls) - 1 <= 6
+
+
+def test_indec_right_factors_gf25_expn3_answers():
+    K = field_of("GF(5^2)")
+    rng = seeded_rng("gf25-expn3")
+    planted = [rand_indec_factor(K, 1, rng) for _ in range(3)]
+    for f in (functools.reduce(add_compose, planted), rand_monic_additive(K, 3, rng, True)):
+        start = time.monotonic()
+        got = indec_right_factors(f)
+        # the dense degree-125 factorisation took about a minute
+        assert time.monotonic() - start < 5
+        assert got and all(right_quotient(f, g) is not None for g in got)
+        assert all(is_indecomposable(g) for g in got)
+    assert planted[-1] in indec_right_factors(functools.reduce(add_compose, planted))
+
+
+@pytest.mark.parametrize("spec", ["GF(2^2)", "GF(3^2)", "GF(2^3)"])
+def test_factors_to_right_moves_every_subset(spec):
+    K = field_of(spec)
+    rng = seeded_rng(f"subset-moves:{spec}")
+    moves = 0
+    for _ in range(20):
+        pattern = rng.choice([(1, 2), (2, 1), (1, 1, 2), (2, 2, 1), (1, 2, 3), (3, 2, 1)])
+        f = functools.reduce(add_compose, [rand_indec_factor(K, e, rng) for e in pattern])
+        dec = complete_decomposition(f)
+        if any(is_similar(a, b)[0] for a, b in itertools.combinations(dec.factors, 2)):
+            continue
+        inner_first = list(reversed(dec.factors))
+        m = len(inner_first)
+        for size in range(1, m + 1):
+            for S in itertools.combinations(range(1, m + 1), size):
+                res = factors_to_right(dec, set(S))
+                assert res.target == f and res.complete
+                remaining = [inner_first[i - 1] for i in S]
+                for g in list(reversed(res.factors))[:size]:
+                    match = next(c for c in remaining if is_similar(g, c)[0])
+                    remaining.remove(match)
+                moves += 1
+        shape = (f.degree // dec.factors[-1].degree, dec.factors[-1].degree)
+        if shape[0] > 1:
+            res = simfree_bidecomp(f, shape)
+            assert tuple(int(g.degree) for g in res.factors) == shape
+    assert moves >= 40
