@@ -9,8 +9,9 @@ Grammar (whitespace ignored)::
 
 ``name`` is the polynomial variable or one of the field tower's generator
 names (g1, g2, ...).  Evaluation happens directly in the polynomial ring
-over the field, so printed canonical forms round-trip exactly even when
-extension-field coefficients carry their own '+' and '*'.
+over the field, on sparse ``{exponent: rep}`` maps, so printed canonical
+forms round-trip exactly even when extension-field coefficients carry their
+own '+' and '*', and a large exponent costs its bit length, not its size.
 """
 
 from __future__ import annotations
@@ -45,8 +46,33 @@ def parse_int_list(text):
         raise ParseError(f"expected comma-separated integers: {text!r}") from None
 
 
+def _add_into(K, a, b, op):
+    """Replace a by a op b, for op K.add or K.sub; a is the parser's own."""
+    z = K.zero()
+    for e, c in b.items():
+        s = op(a.get(e, z), c)
+        if s == z:
+            a.pop(e, None)
+        else:
+            a[e] = s
+
+
+def _mul(K, a, b):
+    z = K.zero()
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = K.add(out.get(e + f, z), K.mul(c, d))
+    return {e: c for e, c in out.items() if c != z}
+
+
+def _constant(K, rep):
+    return {} if rep == K.zero() else {0: rep}
+
+
 class _Parser:
-    """Evaluates token streams to little-endian coefficient lists."""
+    """Evaluates token streams to sparse ``{exponent: rep}`` maps with no
+    zero terms, so ``x^N`` costs one term whatever ``N`` is."""
 
     def __init__(self, field, tokens, var):
         self.K = field
@@ -71,35 +97,36 @@ class _Parser:
         return value
 
     def expr(self):
+        K = self.K
         value = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = po.add(self.K, value, rhs) if op == "+" else po.sub(self.K, value, rhs)
+            op = K.add if self.take() == "+" else K.sub
+            _add_into(K, value, self.term(), op)
         return value
 
     def term(self):
         value = self.unary()
         while self.peek() == "*":
             self.take()
-            value = po.mul(self.K, value, self.unary())
+            value = _mul(self.K, value, self.unary())
         return value
 
     def unary(self):
+        K = self.K
         if self.peek() == "-":
             self.take()
-            return po.neg(self.K, self.unary())
+            return {e: K.neg(c) for e, c in self.unary().items()}
         value = self.atom()
         if self.peek() == "^":
             self.take()
             e = self.take()
             if not e.isdigit():
                 raise ParseError(f"exponent must be a natural number, got {e!r}")
-            K = self.K
-            value = po._power(lambda a, b: po.mul(K, a, b), [K.one()], value, int(e))
+            value = po._power(lambda a, b: _mul(K, a, b), {0: K.one()}, value, int(e))
         return value
 
     def atom(self):
+        K = self.K
         t = self.take()
         if t == "(":
             value = self.expr()
@@ -107,16 +134,22 @@ class _Parser:
                 raise ParseError("expected ')'")
             return value
         if t.isdigit():
-            c = self.K.from_int(int(t))
-            return po.trim(self.K, [c])
+            return _constant(K, K.from_int(int(t)))
         if t == self.var:
-            return [self.K.zero(), self.K.one()]
-        rep = self.K.generator_by_name(t)
-        return po.trim(self.K, [rep])
+            return {1: K.one()}
+        return _constant(K, K.generator_by_name(t))
+
+
+def dense(field, terms):
+    """The little-endian coefficient list of a sparse ``{exponent: rep}`` map."""
+    out = [field.zero()] * (max(terms) + 1 if terms else 0)
+    for e, c in terms.items():
+        out[e] = c
+    return out
 
 
 def eval_poly_text(field, text, var):
-    """Parse ``text`` as a polynomial in ``var`` over ``field`` (rep list)."""
+    """Parse ``text`` as a polynomial in ``var`` over ``field`` (sparse map)."""
     toks = tokenize(text)
     if not toks:
         raise ParseError("empty polynomial expression")
@@ -145,11 +178,11 @@ def split_rational_text(text):
 
 
 def eval_rational_text(field, text, var):
-    """Parse ``num/den`` (or plain ``num``) into two rep lists."""
+    """Parse ``num/den`` (or plain ``num``) into two sparse maps."""
     num_toks, den_toks = split_rational_text(text)
     num = _Parser(field, num_toks, var).parse()
     if den_toks is None:
-        return num, [field.one()]
+        return num, {0: field.one()}
     if not den_toks:
         raise ParseError("empty denominator")
     den = _Parser(field, den_toks, var).parse()

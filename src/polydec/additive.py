@@ -14,6 +14,7 @@ import random
 
 from . import _polyops as po
 from . import upoly
+from ._expr import eval_poly_text
 from .errors import (
     BothZero,
     DegreeError,
@@ -41,7 +42,7 @@ class AdditivePoly(CoeffVector):
     @classmethod
     def monomial(cls, field, i, c=1):
         """c * x**(p**i)."""
-        return cls(field, [0] * i + [c])
+        return cls._raw(field, [field.zero()] * i + [field.rep(c)])
 
     @classmethod
     def p_linear(cls, a):
@@ -51,12 +52,21 @@ class AdditivePoly(CoeffVector):
     @classmethod
     def from_poly(cls, f):
         """Convert a Poly; rejects nonzero coefficients off p-power exponents."""
-        K = f.field
+        return cls._from_terms(f.field, enumerate(f.coeffs))
+
+    @classmethod
+    def parse(cls, field, text, var="x"):
+        return cls._from_terms(field, sorted(eval_poly_text(field, text, var).items()))
+
+    @classmethod
+    def _from_terms(cls, K, terms):
+        """From (exponent, rep) pairs in rising exponent order; NotAdditive
+        names the lowest nonzero term off a p-power exponent."""
         p = K.p
         z = K.zero()
         out = []
         power, idx = 1, 0
-        for e, c in enumerate(f.coeffs):
+        for e, c in terms:
             if c == z:
                 continue
             while power < e:
@@ -68,10 +78,6 @@ class AdditivePoly(CoeffVector):
                 out.append(z)
             out[idx] = c
         return cls._raw(K, out)
-
-    @classmethod
-    def parse(cls, field, text, var="x"):
-        return cls.from_poly(Poly.parse(field, text, var))
 
     def to_poly(self):
         K = self.field

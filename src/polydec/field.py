@@ -95,7 +95,8 @@ class Field:
     def rep(self, x):
         """Coerce an int, Felt, or raw representation into a representation.
 
-        A Felt of another field raises FieldMismatch.
+        A Felt of another field, or anything that is not an element,
+        raises FieldMismatch.
         """
         if isinstance(x, Felt):
             if x.field != self:
@@ -103,7 +104,7 @@ class Field:
             return x.rep
         if isinstance(x, int):
             return self.from_int(x)
-        return x
+        raise FieldMismatch(f"{x!r} is not an element of {self}")
 
     def felt(self, x):
         """Coerce an int, Felt, or raw representation into a Felt."""
@@ -191,6 +192,12 @@ class PrimeField(Field):
         return hash(("prime", self.p))
 
 
+# Fields of at most this order get log, antilog and Zech-log tables
+# (Huber 1990, "Some comments on Zech's logarithms"); larger fields multiply
+# by schoolbook products.  At the bound the tables take about 0.25 MB.
+_TABLE_MAX_ORDER = 1 << 10
+
+
 class ExtensionField(Field):
     kind = "ext"
 
@@ -215,19 +222,33 @@ class ExtensionField(Field):
         self.height = base.height + 1
         self.degree_over_prime = base.degree_over_prime * d
         self.gen_name = gen_name or f"g{self.height}"
+        self._zero = (base.zero(),) * d
+        self._one = (base.one(),) + self._zero[1:]
+        self._log = None  # built by _tabulate on first use
 
     def zero(self):
-        return (self.base.zero(),) * self.deg
+        return self._zero
 
     def one(self):
-        return (self.base.one(),) + (self.base.zero(),) * (self.deg - 1)
+        return self._one
 
     def from_int(self, n):
-        return (self.base.from_int(n),) + (self.base.zero(),) * (self.deg - 1)
+        return (self.base.from_int(n),) + self._zero[1:]
+
+    def rep(self, x):
+        """A list or tuple of ``deg`` base elements becomes a tuple of base
+        representations; ints and Felts coerce as in :meth:`Field.rep`."""
+        if isinstance(x, (list, tuple)):
+            if len(x) != self.deg:
+                raise FieldMismatch(
+                    f"{x!r} does not have {self.deg} coordinates over {self.base}")
+            base = self.base
+            return tuple(base.rep(c) for c in x)
+        return super().rep(x)
 
     def embed(self, a):
         """Lift a base-field representation into this level."""
-        return (a,) + (self.base.zero(),) * (self.deg - 1)
+        return (a,) + self._zero[1:]
 
     def gen(self):
         """The residue of the adjoined indeterminate, as a Felt."""
@@ -237,19 +258,94 @@ class ExtensionField(Field):
         )
         return Felt(self, rep)
 
+    # Element ops read the tables when the field has them.  ``log`` maps
+    # zero to 2n (n = q - 1), and ``exp`` holds g^0 .. g^(n-1) twice, then
+    # zeros, so a sum of two logs indexes the product directly.  ``zech``
+    # is also two periods long: a difference of two logs indexes it
+    # directly, negative ones from the end.
+
     def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
+        if self._log is None and not self._tabulate():
+            base = self.base
+            return tuple(base.add(x, y) for x, y in zip(a, b))
+        log, exp = self._log, self._exp
+        la, lb = log[a], log[b]
+        n = self._n
+        if la >= n:
+            return exp[lb]
+        if lb >= n:
+            return exp[la]
+        return exp[la + self._zech[lb - la]]
 
     def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
+        if self._log is None and not self._tabulate():
+            base = self.base
+            return tuple(base.sub(x, y) for x, y in zip(a, b))
+        log, exp = self._log, self._exp
+        la, lb = log[a], log[b]
+        n = self._n
+        if lb >= n:
+            return exp[la]
+        lb += self._log_minus_one
+        if la >= n:
+            return exp[lb]
+        return exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
+        if self._log is None and not self._tabulate():
+            base = self.base
+            return tuple(base.neg(x) for x in a)
+        return self._exp[self._log[a] + self._log_minus_one]
 
     def mul(self, a, b):
+        if self._log is None and not self._tabulate():
+            return self._mul_schoolbook(a, b)
+        log = self._log
+        return self._exp[log[a] + log[b]]
+
+    def inv(self, a):
+        if self._log is None and not self._tabulate():
+            return self._inv_euclid(a)
+        la = self._log[a]
+        if la >= self._n:
+            raise DivideByZero("inverse of zero")
+        return self._exp[self._n - la]
+
+    def _tabulate(self):
+        """Build the tables of a field of order at most _TABLE_MAX_ORDER;
+        False for a larger field.
+
+        A primitive element ``g`` is the first nonzero element, in element
+        order, with ``g^(n/r) != 1`` for every prime ``r | n``; one walk of
+        ``n`` schoolbook products gives its powers.
+        """
+        if self.order > _TABLE_MAX_ORDER:
+            return False
+        n = self.order - 1
+        zero, one = self._zero, self._one
+        mul = self._mul_schoolbook
+        tests = [n // r for r in po._prime_divisors(n)]
+        g = next(
+            c for c in self.elements()
+            if c != zero and all(po._power(mul, one, c, t) != one for t in tests)
+        )
+        powers = [one]
+        for _ in range(n - 1):
+            powers.append(mul(powers[-1], g))
+        log = {x: k for k, x in enumerate(powers)}
+        log[zero] = 2 * n
+        base = self.base
+        zech = [log[(base.add(x[0], base.one()),) + x[1:]] for x in powers]
+        self._n = n
+        self._log_minus_one = 0 if self.p == 2 else n // 2
+        self._exp = powers * 2 + [zero] * (2 * n + 1)
+        self._zech = zech * 2
+        self._log = log
+        return True
+
+    def _mul_schoolbook(self, a, b):
+        """Product and reduction on coordinates: builds the tables and
+        serves fields above _TABLE_MAX_ORDER."""
         base = self.base
         d = self.deg
         z = base.zero()
@@ -272,8 +368,9 @@ class ExtensionField(Field):
                     prod[off + j] = base.sub(prod[off + j], base.mul(c, mj))
         return tuple(prod[:d])
 
-    def inv(self, a):
-        if a == self.one():
+    def _inv_euclid(self, a):
+        """Inverse by the extended Euclidean algorithm against the modulus."""
+        if a == self._one:
             return a
         base = self.base
         coeffs = po.trim(base, list(a))
@@ -516,8 +613,8 @@ def parse_field_spec(text, seed=0):
             raise ParseError("unbalanced parenthesis in modulus")
         mod_txt = rest[2:end]
         rest = rest[end + 1 :]
-        from ._expr import eval_poly_text
+        from ._expr import dense, eval_poly_text
 
-        coeffs = eval_poly_text(field, mod_txt, gen_name)
+        coeffs = dense(field, eval_poly_text(field, mod_txt, gen_name))
         field = ExtensionField(field, coeffs, gen_name=gen_name)
     return field

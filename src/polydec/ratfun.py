@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import upoly
-from ._expr import eval_rational_text
+from ._expr import dense, eval_rational_text
 from .errors import (
     ConstantInput,
     Degenerate,
@@ -108,7 +108,7 @@ def from_poly(f):
 
 def parse_rational(field, text, var="x"):
     num, den = eval_rational_text(field, text, var)
-    return rat_reduce(Poly(field, num), Poly(field, den))
+    return rat_reduce(Poly._raw(field, dense(field, num)), Poly._raw(field, dense(field, den)))
 
 
 @dataclass(frozen=True)

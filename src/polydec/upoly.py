@@ -14,7 +14,7 @@ import operator
 import random
 
 from . import _polyops as po
-from ._expr import eval_poly_text
+from ._expr import dense, eval_poly_text
 from .errors import (
     BothZero,
     DegreeError,
@@ -121,7 +121,7 @@ class Poly(CoeffVector):
 
     @classmethod
     def parse(cls, field, text, var="x"):
-        return cls._raw(field, eval_poly_text(field, text, var))
+        return cls._raw(field, dense(field, eval_poly_text(field, text, var)))
 
     @property
     def degree(self):

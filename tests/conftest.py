@@ -23,6 +23,7 @@ from polydec import (
     transform,
     upoly,
 )
+from polydec import _expr, _polyops as po
 from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
 from polydec.ratfun import _outer_pair
 
@@ -261,6 +262,55 @@ def count_maximal_flags(p, nu):
         return total
 
     return chains(span(p, [], nu), 0)
+
+
+class DenseParser(_expr._Parser):
+    """Evaluates expression text on dense little-endian coefficient lists,
+    so ``x^N`` costs a list of length N + 1.  The oracle for the sparse
+    evaluator in polydec._expr."""
+
+    def expr(self):
+        K = self.K
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = po.add if self.take() == "+" else po.sub
+            value = op(K, value, self.term())
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek() == "*":
+            self.take()
+            value = po.mul(self.K, value, self.unary())
+        return value
+
+    def unary(self):
+        K = self.K
+        if self.peek() == "-":
+            self.take()
+            return po.neg(K, self.unary())
+        value = self.atom()
+        if self.peek() == "^":
+            self.take()
+            value = po._power(lambda a, b: po.mul(K, a, b), [K.one()], value, int(self.take()))
+        return value
+
+    def atom(self):
+        K = self.K
+        t = self.take()
+        if t == "(":
+            value = self.expr()
+            assert self.take() == ")"
+            return value
+        if t.isdigit():
+            return po.trim(K, [K.from_int(int(t))])
+        if t == self.var:
+            return [K.zero(), K.one()]
+        return po.trim(K, [K.generator_by_name(t)])
+
+
+def eval_poly_text_dense(field, text, var="x"):
+    return DenseParser(field, _expr.tokenize(text), var).parse()
 
 
 def seeded_rng(label):

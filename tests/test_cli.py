@@ -256,6 +256,13 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_meet_with_a_huge_p_power_stays_in_exponent_space(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "meet", "--field", "GF(2)", "x^1099511627776", "x")
+    assert (code, out, err) == (0, "x\n", "")
+    assert time.monotonic() - start < 1
+
+
 def test_large_prime_field_answers_quickly(capsys):
     start = time.monotonic()
     code, out, _ = run(capsys, "meet", "--field", "GF(1000000000000000003)", "x", "x")

@@ -11,10 +11,17 @@ from polydec import (
     parse_field_spec,
     pth_root,
 )
-from polydec.errors import DegreeError, FieldMismatch, NotPrime, ParseError, Reducible
-from polydec.field import _is_prime
+from polydec.errors import (
+    DegreeError,
+    DivideByZero,
+    FieldMismatch,
+    NotPrime,
+    ParseError,
+    Reducible,
+)
+from polydec.field import _TABLE_MAX_ORDER, _is_prime
 
-from conftest import seeded_rng
+from conftest import TOWER, seeded_rng
 
 
 def test_prime_field_inverse(F5):
@@ -196,3 +203,60 @@ def test_prime_power_exponent_zero_rejected(F2):
         parse_field_spec("GF(2^0)")
     with pytest.raises(DegreeError):
         find_irreducible(F2, 0)
+
+
+def _check_tables_against_schoolbook(K, pairs):
+    """Table lookups give the schoolbook product, the Euclidean inverse and
+    coordinatewise sums, differences and negations."""
+    base, zero = K.base, K.zero()
+    for a, b in pairs:
+        assert K.mul(a, b) == K._mul_schoolbook(a, b)
+        assert K.add(a, b) == tuple(base.add(x, y) for x, y in zip(a, b))
+        assert K.sub(a, b) == tuple(base.sub(x, y) for x, y in zip(a, b))
+        assert K.neg(a) == tuple(base.neg(x) for x in a)
+        if a != zero:
+            assert K.inv(a) == K._inv_euclid(a)
+    with pytest.raises(DivideByZero, match="^inverse of zero$"):
+        K.inv(zero)
+
+
+@pytest.mark.parametrize("spec", ["GF(2^2)", "GF(2^3)", "GF(3^2)", "GF(2^4)", "GF(5^2)", TOWER])
+def test_tables_match_schoolbook_on_every_pair(spec):
+    K = parse_field_spec(spec)
+    elems = list(K.elements())
+    _check_tables_against_schoolbook(K, itertools.product(elems, repeat=2))
+    # g is primitive: its powers are every nonzero element once; zero logs to 2n
+    assert sorted(K._log.values()) == [*range(K.order - 1), 2 * K.order - 2]
+
+
+@pytest.mark.parametrize(
+    "spec, tabulated",
+    [("GF(2^10)", True), ("GF(31^2)", True), ("GF(11^3)", False), ("GF(37^2)", False)],
+)
+def test_tables_at_the_order_bound(spec, tabulated):
+    K = parse_field_spec(spec)
+    assert (K.order <= _TABLE_MAX_ORDER) == tabulated
+    rng = seeded_rng(f"tables:{spec}")
+    pairs = [(K.rand_rep(rng), K.rand_rep(rng)) for _ in range(500)]
+    pairs += [(K.zero(), b) for _, b in pairs[:5]] + [(a, K.zero()) for a, _ in pairs[:5]]
+    _check_tables_against_schoolbook(K, pairs)
+    assert (K._log is not None) == tabulated
+    for a, b in pairs:
+        ab = K.mul(a, b)
+        assert K.mul(ab, K.add(a, b)) == K.add(K.mul(ab, a), K.mul(ab, b))
+        if b != K.zero():
+            assert K.mul(K.mul(a, K.inv(b)), b) == a
+
+
+def test_raw_reps_are_coerced_to_canonical_tuples(F4):
+    from_lists = Poly(F4, [[0, 1], [1, 0], [0, 0]])
+    assert from_lists.degree == 1
+    assert from_lists == Poly(F4, [(0, 1), (1, 0)])
+    assert F4.rep([3, 2]) == (1, 0)
+    for bad in [(0, 1, 1), (0,), [], (0, (1, 0)), "ab", 1.5, None]:
+        with pytest.raises(FieldMismatch):
+            F4.rep(bad)
+    T = parse_field_spec(TOWER)
+    assert T.rep([[0, 1], 1]) == ((0, 1), (1, 0))
+    with pytest.raises(FieldMismatch):
+        T.rep(((0, 1), (1, 0, 0)))
