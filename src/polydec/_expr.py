@@ -19,7 +19,11 @@ from __future__ import annotations
 import re
 
 from . import _polyops as po
-from .errors import ParseError
+from .errors import DegreeError, ParseError
+
+# Dense coefficient lists (Poly, rational and modulus text) hold at most this
+# degree; additive text stays sparse and has no such limit.
+_DENSE_MAX_DEGREE = 1 << 24
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|\-|\(|\)|/)")
 
@@ -141,8 +145,12 @@ class _Parser:
 
 
 def dense(field, terms):
-    """The little-endian coefficient list of a sparse ``{exponent: rep}`` map."""
-    out = [field.zero()] * (max(terms) + 1 if terms else 0)
+    """The little-endian coefficient list of a sparse ``{exponent: rep}`` map;
+    DegreeError above _DENSE_MAX_DEGREE, before anything is allocated."""
+    n = max(terms, default=-1)
+    if n > _DENSE_MAX_DEGREE:
+        raise DegreeError(f"degree {n} is above the dense limit {_DENSE_MAX_DEGREE}")
+    out = [field.zero()] * (n + 1)
     for e, c in terms.items():
         out[e] = c
     return out

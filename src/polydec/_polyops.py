@@ -3,8 +3,8 @@
 Coefficients are little-endian lists (index = exponent) of raw element
 representations over a field object ``K`` exposing ``zero/one/add/sub/neg/
 mul/inv`` on representations.  The empty list is the zero polynomial.  The
-field tower uses these helpers for moduli, inverses and irreducibility
-testing; the public ``Poly`` class wraps them.
+field tower uses these helpers for products, moduli, inverses and
+irreducibility testing; the public ``Poly`` class wraps them.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def divmod_(K, a, b):
         raise DivideByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
-    inv_lead = K.inv(b[-1])
+    monic = b[-1] == K.one()
+    inv_lead = None if monic else K.inv(b[-1])
     rem = list(a)
     db = len(b) - 1
     quot = [K.zero()] * (len(a) - db)
@@ -89,7 +90,7 @@ def divmod_(K, a, b):
         c = rem[k]
         if c == z:
             continue
-        q = K.mul(c, inv_lead)
+        q = c if monic else K.mul(c, inv_lead)
         quot[k - db] = q
         off = k - db
         for j in range(db):
@@ -176,31 +177,36 @@ def derivative(K, a):
     return trim(K, out)
 
 
-def is_irreducible(K, f):
-    """Irreducibility over K via the q-power fixed-point criterion.
+def distinct_degree(K, f):
+    """Yield (product of the degree-d irreducible factors of f, d), lowest
+    d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981).
 
-    f of degree d is irreducible iff x**(q**d) = x mod f and, for every
-    prime divisor r of d, gcd(x**(q**(d/r)) - x, f) = 1.
+    The product for d is gcd(x**(q**d) - x, v), where v is f with the
+    lower-degree products divided out.  The scan stops once deg v < 2(d+1)
+    and yields what is left as one irreducible.  On any f the first yield
+    has d = deg f exactly when f is irreducible: a reducible f has a factor
+    of degree at most deg f / 2, which the scan reaches before it stops.
     """
-    d = deg(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
     q = K.order
     x = [K.zero(), K.one()]
-    powers = {}
-    t = list(x)
-    for k in range(1, d + 1):
-        t = powmod(K, t, q, f)
-        powers[k] = t
-    if trim(K, sub(K, powers[d], x)) != []:
-        return False
-    for r in _prime_divisors(d):
-        g = gcd(K, sub(K, powers[d // r], x), f)
-        if deg(g) != 0:
-            return False
-    return True
+    v = list(f)
+    h = x
+    d = 0
+    while deg(v) >= 2 * (d + 1):
+        d += 1
+        h = powmod(K, h, q, v)
+        g = gcd(K, sub(K, h, x), v)
+        if deg(g) > 0:
+            yield g, d
+            v = divmod_(K, v, g)[0]
+            h = mod(K, h, v)
+    if deg(v) > 0:
+        yield v, deg(v)
+
+
+def is_irreducible(K, f):
+    """Irreducibility over K: the first distinct-degree product is all of f."""
+    return deg(f) > 0 and next(distinct_degree(K, f))[1] == deg(f)
 
 
 def _prime_divisors(n):

@@ -10,6 +10,7 @@ composition multiple) comes out of the extended Euclidean scheme.
 
 from __future__ import annotations
 
+import math
 import random
 
 from . import _polyops as po
@@ -490,7 +491,7 @@ def min_add_mult(f):
             # h_k + sum(dep[j] h_j, j<k) == 0 with dep[k] = 1, so
             # x**(p**k) + sum dep[j] x**(p**j) is the additive multiple.
             return AdditivePoly._raw(K, dep)
-        h = po.mod(K, po.powmod(K, h, K.p, fc), fc)
+        h = po.powmod(K, h, K.p, fc)
         k += 1
 
 
@@ -504,24 +505,17 @@ def counts(p, nu, sigma):
     """
     if p < 2 or not (0 <= sigma <= nu):
         raise DegreeError("need p >= 2 and 0 <= sigma <= nu")
+
+    def extensions(i):
+        # Gaussian binomial [nu - i + 1, 1]_p: exact for every 1 <= i <= nu
+        return (p**nu - p ** (i - 1)) // (p**i - p ** (i - 1))
+
     num = 1
     den = 1
     for i in range(sigma):
         num *= p**nu - p**i
         den *= p**sigma - p**i
-    s, rem = divmod(num, den)
-    if rem:
-        raise AssertionError("subspace count must be an integer")
-    if sigma == 0:
-        t = 1
-    else:
-        t, rem = divmod(p**nu - p ** (sigma - 1), p**sigma - p ** (sigma - 1))
-        if rem:
-            raise AssertionError("extension count must be an integer")
-    flags = 1
-    for i in range(1, nu + 1):
-        ti, rem = divmod(p**nu - p ** (i - 1), p**i - p ** (i - 1))
-        if rem:
-            raise AssertionError("flag count must be an integer")
-        flags *= ti
+    s = num // den
+    t = extensions(sigma) if sigma else 1
+    flags = math.prod(extensions(i) for i in range(1, nu + 1))
     return s, t, flags

@@ -24,28 +24,28 @@ from .upoly import Poly
 
 
 def _field_of(args):
-    if not getattr(args, "field", None):
+    if not args.field:
         raise ParseError("--field is required for this subcommand")
-    return parse_field_spec(args.field, seed=getattr(args, "seed", 0))
+    return parse_field_spec(args.field, seed=args.seed)
 
 
 def _poly(args, field, text):
     f = Poly.parse(field, text)
-    if getattr(args, "assert_additive", False):
+    if args.assert_additive:
         AdditivePoly.from_poly(f)
     return f
 
 
 def _shape(args):
     """The --shape entries as a list of ints."""
-    if not getattr(args, "shape", None):
+    if not args.shape:
         raise ParseError("--shape is required for this subcommand")
     return parse_int_list(args.shape)
 
 
 def _emit(args, records, lines):
     """Print JSON records under --json, else text lines; 1 when empty."""
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(records[0] if len(records) == 1 else records, sort_keys=True))
     else:
         for line in lines or ["no decomposition"]:
@@ -204,7 +204,7 @@ def _cmd_ratdec(args):
 def _cmd_selftest(args):
     from .selftest import run_selftest
 
-    return run_selftest(verbose=True)
+    return run_selftest()
 
 
 class _ArgumentParser(argparse.ArgumentParser):

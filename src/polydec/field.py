@@ -194,7 +194,7 @@ class PrimeField(Field):
 
 # Fields of at most this order get log, antilog and Zech-log tables
 # (Huber 1990, "Some comments on Zech's logarithms"); larger fields multiply
-# by schoolbook products.  At the bound the tables take about 0.25 MB.
+# on the polynomial kernel.  At the bound the tables take about 0.25 MB.
 _TABLE_MAX_ORDER = 1 << 10
 
 
@@ -299,7 +299,7 @@ class ExtensionField(Field):
 
     def mul(self, a, b):
         if self._log is None and not self._tabulate():
-            return self._mul_schoolbook(a, b)
+            return self._mul_mod(a, b)
         log = self._log
         return self._exp[log[a] + log[b]]
 
@@ -317,13 +317,13 @@ class ExtensionField(Field):
 
         A primitive element ``g`` is the first nonzero element, in element
         order, with ``g^(n/r) != 1`` for every prime ``r | n``; one walk of
-        ``n`` schoolbook products gives its powers.
+        ``n`` products gives its powers.
         """
         if self.order > _TABLE_MAX_ORDER:
             return False
         n = self.order - 1
         zero, one = self._zero, self._one
-        mul = self._mul_schoolbook
+        mul = self._mul_mod
         tests = [n // r for r in po._prime_divisors(n)]
         g = next(
             c for c in self.elements()
@@ -343,45 +343,22 @@ class ExtensionField(Field):
         self._log = log
         return True
 
-    def _mul_schoolbook(self, a, b):
-        """Product and reduction on coordinates: builds the tables and
-        serves fields above _TABLE_MAX_ORDER."""
-        base = self.base
-        d = self.deg
-        z = base.zero()
-        prod = [z] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai != z:
-                for j, bj in enumerate(b):
-                    if bj != z:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        m = self.modulus
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == z:
-                continue
-            prod[k] = z
-            off = k - d
-            for j in range(d):
-                mj = m[j]
-                if mj != z:
-                    prod[off + j] = base.sub(prod[off + j], base.mul(c, mj))
-        return tuple(prod[:d])
+    def _mul_mod(self, a, b):
+        """Product reduced by the modulus, on the polynomial kernel: builds
+        the tables and serves fields above _TABLE_MAX_ORDER."""
+        r = po.mod(self.base, po.mul(self.base, a, b), self.modulus)
+        return tuple(r) + self._zero[len(r):]
 
     def _inv_euclid(self, a):
-        """Inverse by the extended Euclidean algorithm against the modulus."""
+        """Inverse by the extended Euclidean algorithm against the modulus,
+        which is irreducible, so the monic gcd is 1."""
         if a == self._one:
             return a
-        base = self.base
-        coeffs = po.trim(base, list(a))
+        coeffs = po.trim(self.base, list(a))
         if not coeffs:
             raise DivideByZero("inverse of zero")
-        g, u, _ = po.extgcd(base, coeffs, list(self.modulus))
-        if po.deg(g) != 0:
-            raise DivideByZero("element not invertible (modulus reducible?)")
-        u = po.scale(base, u, base.inv(g[0]))
-        u = u + [base.zero()] * (self.deg - len(u))
-        return tuple(u[: self.deg])
+        _, u, _ = po.extgcd(self.base, coeffs, list(self.modulus))
+        return tuple(u) + self._zero[len(u):]
 
     def rand_rep(self, rng):
         base = self.base

@@ -216,35 +216,33 @@ def rat_compose(g, h):
 def poly_in_h(u, h, r):
     """The monic v of degree r with u = v(h) * hD**r, or None.
 
-    The coefficients satisfy a triangular recurrence along the x-adic
-    valuation d of hN; the candidate is verified by full expansion since
-    the system is overconstrained.
+    Reads v off the hN-adic digits of u, like upoly.right_divide: u is
+    sum_i v_i hN**i hD**(r-i), so modulo hN only v_0 hD**r survives, and
+    (u - v_0 hD**r) / hN has the same form with r - 1 and the digits v_1...
+    Each remainder must be a constant multiple of hD**k mod hN, which is
+    nonzero because h is reduced.  As deg hD < deg hN, each step leaves a
+    monic u of degree k deg hN, so the last digit is 1.
     """
-    K = u.field
     if not u.is_monic():
         raise NotMonic("target polynomial must be monic")
     hN, hD = h.num, h.den
-    sN = int(hN.degree)
     if not (h.is_monic() and h.vanishes_at_zero() and h.delta > 0):
         raise DegreeInfeasible("inner function must be monic, vanish at 0, delta > 0")
-    if u.degree != r * sN:
+    if u.degree != r * hN.degree:
         return None
-    d = 0
-    while u.field.zero() == hN.coeffs[d]:
-        d += 1
-    c_hn = hN.coeff(d)
-    c_hd = hD.coeff(0)
-    coeffs = []
-    acc = Poly.zero(K)
-    for ell in range(r + 1):
-        denom = c_hn**ell * c_hd ** (r - ell)
-        b = (u.coeff(ell * d) - acc.coeff(ell * d)) / denom
-        coeffs.append(b)
-        if not b.is_zero():
-            acc = acc + (hN**ell * hD ** (r - ell)).scale(b)
-    if acc == u:
-        return Poly(K, coeffs)
-    return None
+    powers = [Poly.one(u.field)]
+    for _ in range(r):
+        powers.append(powers[-1] * hD)
+    digits = []
+    for k in range(r, 0, -1):
+        q, rem = divmod(u, hN)
+        qk, w = divmod(powers[k], hN)
+        c = rem.coeff(w.degree) / w.lc()
+        if rem != w.scale(c):
+            return None
+        digits.append(c)
+        u = q - qk.scale(c)
+    return Poly(u.field, digits + [u.coeff(0)])
 
 
 def rat_right_divide(f, h):
@@ -252,8 +250,11 @@ def rat_right_divide(f, h):
 
     The outer degree pair is forced by the degree law rN = nN/sN,
     rD = (nD sN - nN sD)/(sN(sN - sD)); both parts then come from
-    single-variable recurrences.  DegreeInfeasible when the law has no
+    hN-adic digits (poly_in_h).  DegreeInfeasible when the law has no
     nonnegative integral solution.
+
+    No check by composition is needed: fD = q hD**(rN-rD), fN = gN(h)
+    hD**rN and q = gD(h) hD**rD give fN/fD = gN(h)/gD(h) = g(h).
     """
     if not (f.is_monic() and h.is_monic()):
         raise NotMonic("right division requires monic inputs")
@@ -272,10 +273,7 @@ def rat_right_divide(f, h):
     gD = poly_in_h(q, h, rD)  # q is monic: quotient of monic by monic
     if gD is None:
         return None
-    g = rat_reduce(gN, gD)
-    if rat_compose(g, h) != f:
-        return None
-    return g
+    return rat_reduce(gN, gD)
 
 
 def _outer_pair(nN, nD, sN, sD):

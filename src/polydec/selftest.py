@@ -212,8 +212,9 @@ _CHECKS = {
 }
 
 
-def run_selftest(verbose=True):
-    """Run every corpus record; returns 0 when all pass, 1 otherwise."""
+def run_selftest():
+    """Run every corpus record, printing one line each; returns 0 when all
+    pass, 1 otherwise."""
     failures = 0
     for rec in load_corpus():
         field = parse_field_spec(rec["field"]) if "field" in rec else None
@@ -221,15 +222,12 @@ def run_selftest(verbose=True):
             ok = _CHECKS[rec["op"]](rec, field)
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
-            if verbose:
-                print(f"FAIL {rec['id']}: {exc!r}")
+            print(f"FAIL {rec['id']}: {exc!r}")
         if ok:
-            if verbose:
-                print(f"ok   {rec['id']}: {rec['note']}")
+            print(f"ok   {rec['id']}: {rec['note']}")
         else:
             failures += 1
-            if verbose:
-                print(f"FAIL {rec['id']}: {rec['note']}")
-    if verbose and failures:
+            print(f"FAIL {rec['id']}: {rec['note']}")
+    if failures:
         print(f"{failures} corpus record(s) failed")
     return 0 if failures == 0 else 1

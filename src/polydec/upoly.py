@@ -268,32 +268,6 @@ def _squarefree_parts(f):
     return sorted(out.items(), key=lambda pm: pm[0].key())
 
 
-def _pow_q_mod(h, q, m):
-    return Poly._raw(m.field, po.powmod(m.field, list(h.coeffs), q, list(m.coeffs)))
-
-
-def _distinct_degree(v):
-    """Squarefree monic v as a list of (product of degree-d irreducibles, d)."""
-    K = v.field
-    q = K.order
-    x = Poly.x(K)
-    out = []
-    h = x
-    d = 0
-    while v.degree > 0 and v.degree >= 2 * (d + 1):
-        d += 1
-        h = _pow_q_mod(h, q, v)
-        g = gcd(h - x, v)
-        if g.degree > 0:
-            out.append((g, d))
-            v = v // g
-            if v.degree > 0:
-                h = h % v
-    if v.degree > 0:
-        out.append((v, v.degree))
-    return out
-
-
 def _equal_degree_split(u, d, rng):
     """All monic irreducible factors of u (a product of degree-d primes)."""
     K = u.field
@@ -313,7 +287,7 @@ def _equal_degree_split(u, d, rng):
                 tr = tr + t
             g_candidate = tr % u
         else:
-            b = _pow_q_mod(a, (q**d - 1) // 2, u)
+            b = Poly._raw(K, po.powmod(K, list(a.coeffs), (q**d - 1) // 2, list(u.coeffs)))
             g_candidate = b - Poly.one(K)
         if g_candidate.is_zero():
             continue
@@ -337,8 +311,8 @@ def factor(f):
     rng = random.Random(f"factor:{K.order}:{f.degree}:0")
     parts = {}
     for sq, mult in _squarefree_parts(fm):
-        for prod, d in _distinct_degree(sq):
-            for irr in _equal_degree_split(prod, d, rng):
+        for prod, d in po.distinct_degree(K, list(sq.coeffs)):
+            for irr in _equal_degree_split(Poly._raw(K, prod), d, rng):
                 parts[irr] = parts.get(irr, 0) + mult
     ordered = sorted(parts.items(), key=lambda pm: pm[0].key())
     return ordered, lc

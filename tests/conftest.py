@@ -25,6 +25,7 @@ from polydec import (
 )
 from polydec import _expr, _polyops as po
 from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
+from polydec.errors import DegreeInfeasible, NotMonic
 from polydec.ratfun import _outer_pair
 
 
@@ -311,6 +312,95 @@ class DenseParser(_expr._Parser):
 
 def eval_poly_text_dense(field, text, var="x"):
     return DenseParser(field, _expr.tokenize(text), var).parse()
+
+
+def is_irreducible_rabin(K, f):
+    """Irreducibility over K via the q-power fixed-point criterion (Rabin
+    1980): the oracle for _polyops.is_irreducible.
+
+    f of degree d is irreducible iff x**(q**d) = x mod f and, for every
+    prime divisor r of d, gcd(x**(q**(d/r)) - x, f) = 1.
+    """
+    d = po.deg(f)
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    q = K.order
+    x = [K.zero(), K.one()]
+    powers = {}
+    t = list(x)
+    for k in range(1, d + 1):
+        t = po.powmod(K, t, q, f)
+        powers[k] = t
+    if po.trim(K, po.sub(K, powers[d], x)) != []:
+        return False
+    for r in po._prime_divisors(d):
+        g = po.gcd(K, po.sub(K, powers[d // r], x), f)
+        if po.deg(g) != 0:
+            return False
+    return True
+
+
+def mul_schoolbook(K, a, b):
+    """Product and reduction of two elements of the extension field K on
+    coordinates: the oracle for ExtensionField.mul."""
+    base = K.base
+    d = K.deg
+    z = base.zero()
+    prod = [z] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai != z:
+            for j, bj in enumerate(b):
+                if bj != z:
+                    prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
+    m = K.modulus
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k]
+        if c == z:
+            continue
+        prod[k] = z
+        off = k - d
+        for j in range(d):
+            mj = m[j]
+            if mj != z:
+                prod[off + j] = base.sub(prod[off + j], base.mul(c, mj))
+    return tuple(prod[:d])
+
+
+def poly_in_h_by_valuation(u, h, r):
+    """The monic v of degree r with u = v(h) * hD**r, or None: the oracle
+    for ratfun.poly_in_h.
+
+    The coefficients satisfy a triangular recurrence along the x-adic
+    valuation d of hN; the candidate is verified by full expansion since
+    the system is overconstrained.
+    """
+    K = u.field
+    if not u.is_monic():
+        raise NotMonic("target polynomial must be monic")
+    hN, hD = h.num, h.den
+    sN = int(hN.degree)
+    if not (h.is_monic() and h.vanishes_at_zero() and h.delta > 0):
+        raise DegreeInfeasible("inner function must be monic, vanish at 0, delta > 0")
+    if u.degree != r * sN:
+        return None
+    d = 0
+    while u.field.zero() == hN.coeffs[d]:
+        d += 1
+    c_hn = hN.coeff(d)
+    c_hd = hD.coeff(0)
+    coeffs = []
+    acc = Poly.zero(K)
+    for ell in range(r + 1):
+        denom = c_hn**ell * c_hd ** (r - ell)
+        b = (u.coeff(ell * d) - acc.coeff(ell * d)) / denom
+        coeffs.append(b)
+        if not b.is_zero():
+            acc = acc + (hN**ell * hD ** (r - ell)).scale(b)
+    if acc == u:
+        return Poly(K, coeffs)
+    return None
 
 
 def seeded_rng(label):

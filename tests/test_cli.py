@@ -263,6 +263,15 @@ def test_meet_with_a_huge_p_power_stays_in_exponent_space(capsys):
     assert time.monotonic() - start < 1
 
 
+def test_dense_text_too_large_to_hold_exits_2(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "complete", "--field", "GF(2)", "x^1099511627776+x")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: degree 1099511627776 is above")
+
+
 def test_large_prime_field_answers_quickly(capsys):
     start = time.monotonic()
     code, out, _ = run(capsys, "meet", "--field", "GF(1000000000000000003)", "x", "x")

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from polydec import AdditivePoly, Poly, build_prime_field
-from polydec._expr import dense, eval_poly_text
-from polydec.errors import NotAdditive
+from polydec import AdditivePoly, Poly, build_prime_field, parse_field_spec, parse_rational
+from polydec._expr import _DENSE_MAX_DEGREE, dense, eval_poly_text
+from polydec.errors import DegreeError, NotAdditive
 
 from conftest import TOWER, eval_poly_text_dense, field_of, seeded_rng
 
@@ -78,3 +78,21 @@ def test_non_additive_text_names_the_lowest_offending_exponent():
     with pytest.raises(NotAdditive, match="^term of exponent 0 is not a p-power$"):
         AdditivePoly.parse(F2, "x^2+x+1")
     assert AdditivePoly.parse(F2, "x^3+x^3+x") == AdditivePoly.x(F2)
+
+
+def test_dense_text_above_the_limit_is_a_degree_error():
+    F2 = build_prime_field(2)
+    assert _DENSE_MAX_DEGREE == 1 << 24
+    too_big = f"degree {_DENSE_MAX_DEGREE + 1} is above the dense limit {_DENSE_MAX_DEGREE}"
+    with pytest.raises(DegreeError, match=f"^{too_big}$"):
+        dense(F2, {_DENSE_MAX_DEGREE + 1: 1, 0: 1})
+    with pytest.raises(DegreeError, match="^degree 1099511627776 is above"):
+        Poly.parse(F2, "x^1099511627776+x")
+    with pytest.raises(DegreeError):
+        parse_rational(F2, "x/(x^1099511627776+1)")
+    with pytest.raises(DegreeError):
+        parse_field_spec("GF(2)[g]/(g^1099511627776+g+1)")
+    start = time.monotonic()
+    f = AdditivePoly.parse(F2, "x^1099511627776+x")
+    assert time.monotonic() - start < 0.1
+    assert f == AdditivePoly(F2, [1] + [0] * 39 + [1])

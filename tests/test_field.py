@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from polydec import (
     parse_field_spec,
     pth_root,
 )
+from polydec import _polyops as po
 from polydec.errors import (
     DegreeError,
     DivideByZero,
@@ -21,7 +23,7 @@ from polydec.errors import (
 )
 from polydec.field import _TABLE_MAX_ORDER, _is_prime
 
-from conftest import TOWER, seeded_rng
+from conftest import TOWER, field_of, is_irreducible_rabin, mul_schoolbook, seeded_rng
 
 
 def test_prime_field_inverse(F5):
@@ -210,7 +212,7 @@ def _check_tables_against_schoolbook(K, pairs):
     coordinatewise sums, differences and negations."""
     base, zero = K.base, K.zero()
     for a, b in pairs:
-        assert K.mul(a, b) == K._mul_schoolbook(a, b)
+        assert K.mul(a, b) == mul_schoolbook(K, a, b)
         assert K.add(a, b) == tuple(base.add(x, y) for x, y in zip(a, b))
         assert K.sub(a, b) == tuple(base.sub(x, y) for x, y in zip(a, b))
         assert K.neg(a) == tuple(base.neg(x) for x in a)
@@ -246,6 +248,33 @@ def test_tables_at_the_order_bound(spec, tabulated):
         assert K.mul(ab, K.add(a, b)) == K.add(K.mul(ab, a), K.mul(ab, b))
         if b != K.zero():
             assert K.mul(K.mul(a, K.inv(b)), b) == a
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, 13, "GF(2^2)", "GF(3^2)", TOWER])
+def test_find_irreducible_matches_a_search_with_the_rabin_oracle(spec):
+    K = field_of(spec)
+    for n in range(1, 7):
+        for seed in range(3):
+            rng = random.Random(f"irreducible:{K.order}:{n}:{seed}")
+            want = po.random_monic(K, n, rng)
+            while not is_irreducible_rabin(K, want):
+                want = po.random_monic(K, n, rng)
+            assert find_irreducible(K, n, seed) == want
+
+
+def test_untabulated_tower_matches_the_schoolbook_oracle(F4):
+    """Order 4096 over GF(2^2): products run the generic po.mul path."""
+    K = build_extension(F4, find_irreducible(F4, 6))
+    assert K.order == 4096 > _TABLE_MAX_ORDER
+    rng = seeded_rng("untabulated tower")
+    for _ in range(200):
+        a, b = K.rand_rep(rng), K.rand_rep(rng)
+        assert K.mul(a, b) == mul_schoolbook(K, a, b)
+        if a != K.zero():
+            assert mul_schoolbook(K, a, K.inv(a)) == K.one()
+    assert K._log is None
+    with pytest.raises(DivideByZero, match="^inverse of zero$"):
+        K.inv(K.zero())
 
 
 def test_raw_reps_are_coerced_to_canonical_tuples(F4):

@@ -25,7 +25,13 @@ from polydec.errors import (
 )
 from polydec.ratfun import from_poly
 
-from conftest import field_of, general_rat_dec_one_conjugation, rand_poly, seeded_rng
+from conftest import (
+    field_of,
+    general_rat_dec_one_conjugation,
+    poly_in_h_by_valuation,
+    rand_poly,
+    seeded_rng,
+)
 
 
 def test_rat_reduce_examples(F2, F5):
@@ -178,6 +184,33 @@ def test_poly_in_h(F5):
     assert poly_in_h(hN, h, 1) == Poly.x(F5)
     # wrong leading structure: degree obstruction
     assert poly_in_h(Poly.parse(F5, "x^3"), h, 2) is None
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, 7, "GF(2^2)", "GF(3^2)"])
+def test_poly_in_h_matches_the_valuation_oracle(spec):
+    """Planted v(h) hD**r, the same with one low coefficient changed, and
+    random monic u of the right degree."""
+    K = field_of(spec)
+    rng = seeded_rng(("poly_in_h", str(spec)))
+    planted = 0
+    while planted < 25:
+        h = _random_normal(K, rng, 3, 2, vanish=True)
+        if h is None:
+            continue
+        planted += 1
+        hN, hD = h.num, h.den
+        r = rng.randrange(0, 4)
+        v = rand_poly(K, rng, r, monic=True)
+        u = Poly.zero(K)
+        for i in range(r + 1):
+            u = u + (hN**i * hD ** (r - i)).scale(v.coeff(i))
+        assert poly_in_h(u, h, r) == v == poly_in_h_by_valuation(u, h, r)
+        n = r * int(hN.degree)
+        others = [rand_poly(K, rng, n, monic=True)]
+        if n:
+            others.append(u + Poly.monomial(K, rng.randrange(n), 1))
+        for w in others:
+            assert poly_in_h(w, h, r) == poly_in_h_by_valuation(w, h, r)
 
 
 def test_rat_right_divide(F3, F5):

@@ -4,11 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydec import NEG_INF, Poly, chebyshev, compose, factor, gcd, right_divide
-from polydec import is_irreducible
+from polydec import find_irreducible, is_irreducible
 from polydec.errors import BothZero, DegreeError, DegreeMismatch, DivideByZero, ZeroInput
 from polydec.upoly import monic_divisors
 
-from conftest import TOWER, field_of, rand_poly, right_divide_by_h_powers, seeded_rng
+from conftest import (
+    TOWER,
+    field_of,
+    is_irreducible_rabin,
+    rand_poly,
+    right_divide_by_h_powers,
+    seeded_rng,
+)
 
 
 def test_divmod_examples(F2, F3):
@@ -132,6 +139,27 @@ def test_is_irreducible_matches_exhaustive_small_cases(F2, F3):
             # brute force: a monic quadratic/cubic is irreducible iff it has no root
             brute = all(not f.evaluate(a).is_zero() for a in K.felts())
             assert is_irreducible(f) == brute
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, 13, "GF(2^2)", "GF(3^2)", TOWER])
+def test_is_irreducible_matches_rabin_oracle(spec):
+    """Random monics, non-monics and constants, squares and cubes of
+    irreducibles, and products of random monics."""
+    K = field_of(spec)
+    rng = seeded_rng(("irreducible", str(spec)))
+    cases = [Poly.zero(K), Poly.one(K), Poly.constant(K, K.rand_rep(rng))]
+    cases += [rand_poly(K, rng, rng.randrange(1, 9), monic=True) for _ in range(40)]
+    cases += [rand_poly(K, rng, rng.randrange(1, 7)) for _ in range(10)]
+    for n in (1, 2, 3):
+        irr = Poly(K, find_irreducible(K, n))
+        cases += [irr * irr, irr**3, irr * Poly.parse(K, "x+1")]
+    for _ in range(15):
+        g = rand_poly(K, rng, rng.randrange(1, 5), monic=True)
+        h = rand_poly(K, rng, rng.randrange(1, 5), monic=True)
+        cases += [g * g, g * h, g * g * h]
+    verdicts = [is_irreducible_rabin(K, list(f.coeffs)) for f in cases]
+    assert [is_irreducible(f) for f in cases] == verdicts
+    assert 0 < sum(verdicts) < len(cases)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
