@@ -4,10 +4,16 @@ Coefficients are little-endian lists (index = exponent) of raw element
 representations over a field object ``K`` exposing ``zero/one/add/sub/neg/
 mul/inv`` on representations.  The empty list is the zero polynomial.  The
 field tower uses these helpers for products, moduli, inverses and
-irreducibility testing; the public ``Poly`` class wraps them.
+irreducibility testing; the public ``Poly`` class wraps them.  Over a prime
+field (elements are the ints 0..p-1) ``mul`` and ``divmod_`` pack long
+operands into integers, a slot per coefficient: a product is one integer
+product (Kronecker substitution), and division one shifted integer add per
+quotient term on a window of the dividend a few divisor lengths long.
 """
 
 from __future__ import annotations
+
+import struct
 
 from .errors import DivideByZero
 
@@ -51,18 +57,56 @@ def scale(K, a, c):
     return trim(K, [K.mul(x, c) for x in a])
 
 
+# Over a prime field, a product with a factor of fewer than _PACK_MIN
+# coefficients, and a division by a divisor of degree under _PACK_MIN or
+# with fewer than 2 * _PACK_MIN quotient terms, uses a plain integer loop:
+# below these measured lengths packing costs more than it saves.
+_PACK_MIN = 8
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _slot_bytes(bound):
+    """Bytes per packed slot for integers up to ``bound``."""
+    w = (bound.bit_length() + 7) // 8
+    return next((s for s in _STRUCT_CODES if w <= s), w)
+
+
+def _pack(c, w):
+    """The integer sum(c[i] << 8*w*i), in linear time."""
+    code = _STRUCT_CODES.get(w)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(c)}{code}", *c), "little")
+    return int.from_bytes(b"".join([x.to_bytes(w, "little") for x in c]), "little")
+
+
+def _unpack(n, w, count):
+    """The ``count`` slots of ``w`` bytes of the integer 0 <= n < 2**(8*w*count)."""
+    data = n.to_bytes(w * count, "little")
+    code = _STRUCT_CODES.get(w)
+    if code:
+        return struct.unpack(f"<{count}{code}", data)
+    return [int.from_bytes(data[i : i + w], "little") for i in range(0, w * count, w)]
+
+
 def mul(K, a, b):
     if not a or not b:
         return []
     if K.kind == "prime":
         p = K.p
+        if len(a) >= _PACK_MIN <= len(b):
+            # Kronecker substitution: one integer per factor, with a slot per
+            # coefficient wide enough for a coefficient of the product
+            w = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+            out = _unpack(_pack(a, w) * _pack(b, w), w, len(a) + len(b) - 1)
+            return trim(K, [c % p for c in out])
+        # most short factors are monomials, a term per output coefficient,
+        # so reducing term by term costs less than deferring the reduction
         out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = (out[k] + ai * bj) % p
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    if y:
+                        out[k] = (out[k] + x * y) % p
         return trim(K, out)
     z = K.zero()
     out = [z] * (len(a) + len(b) - 1)
@@ -82,8 +126,43 @@ def divmod_(K, a, b):
         return [], list(a)
     monic = b[-1] == K.one()
     inv_lead = None if monic else K.inv(b[-1])
-    rem = list(a)
     db = len(b) - 1
+    if not db:
+        return trim(K, list(a)) if monic else scale(K, a, inv_lead), []
+    if K.kind == "prime":
+        p = K.p
+        q_inv = 1 if monic else inv_lead
+        quot = [0] * (len(a) - db)
+        if db < _PACK_MIN or len(quot) < 2 * _PACK_MIN:
+            rem = list(a)  # reduced only where read
+            for k in range(len(a) - 1, db - 1, -1):
+                c = rem[k] % p
+                if c:
+                    quot[k - db] = q = c * q_inv % p
+                    for j, x in enumerate(b, k - db):
+                        rem[j] -= q * x
+            return trim(K, quot), trim(K, [r % p for r in rem[:db]])
+        # The dividend is taken from the top, up to 4 * db coefficients at a
+        # time, below the db carried from the last window.  A window is packed
+        # once with slots wide enough for db products q * (p - b_j) without a
+        # carry; a quotient term is one slot read and one shifted integer add
+        # on the window, and its low db slots, reduced, are carried.
+        w = _slot_bytes(p * p * (db + 1))
+        bits, mask = 8 * w, (1 << 8 * w) - 1
+        neg_b = _pack([(p - x) % p for x in b[:db]], w)
+        rem, hi = a[-db:], len(a) - db
+        while hi:
+            lo = max(0, hi - 4 * db)
+            packed = _pack(a[lo:hi] + rem, w)
+            for i in range(hi - lo + db - 1, db - 1, -1):
+                c = (packed >> bits * i & mask) % p
+                if c:
+                    quot[lo + i - db] = q = c * q_inv % p
+                    packed += q * neg_b << bits * (i - db)
+            rem = [r % p for r in _unpack(packed & ((1 << bits * db) - 1), w, db)]
+            hi = lo
+        return trim(K, quot), trim(K, rem)
+    rem = list(a)
     quot = [K.zero()] * (len(a) - db)
     z = K.zero()
     for k in range(len(a) - 1, db - 1, -1):

@@ -345,7 +345,8 @@ class ExtensionField(Field):
 
     def _mul_mod(self, a, b):
         """Product reduced by the modulus, on the polynomial kernel: builds
-        the tables and serves fields above _TABLE_MAX_ORDER."""
+        the tables and serves fields above _TABLE_MAX_ORDER.  Over a prime
+        base that kernel packs long operands into integers."""
         r = po.mod(self.base, po.mul(self.base, a, b), self.modulus)
         return tuple(r) + self._zero[len(r):]
 

@@ -1,5 +1,6 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
+import contextlib
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from polydec import (
 )
 from polydec import _expr, _polyops as po
 from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
-from polydec.errors import DegreeInfeasible, NotMonic
+from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic
 from polydec.ratfun import _outer_pair
 
 
@@ -340,6 +341,72 @@ def is_irreducible_rabin(K, f):
         if po.deg(g) != 0:
             return False
     return True
+
+
+def mul_prime_loop(K, a, b):
+    """The product over a prime field reduced term by term: the oracle for
+    the packed product of _polyops.mul."""
+    if not a or not b:
+        return []
+    p = K.p
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    k = i + j
+                    out[k] = (out[k] + ai * bj) % p
+    return po.trim(K, out)
+
+
+def divmod_by_element_ops(K, a, b):
+    """Long division by the field's element methods, one term at a time:
+    the oracle for the prime-field kernels of _polyops.divmod_."""
+    if not b:
+        raise DivideByZero("polynomial division by zero")
+    if len(a) < len(b):
+        return [], list(a)
+    monic = b[-1] == K.one()
+    inv_lead = None if monic else K.inv(b[-1])
+    rem = list(a)
+    db = len(b) - 1
+    quot = [K.zero()] * (len(a) - db)
+    z = K.zero()
+    for k in range(len(a) - 1, db - 1, -1):
+        c = rem[k]
+        if c == z:
+            continue
+        q = c if monic else K.mul(c, inv_lead)
+        quot[k - db] = q
+        off = k - db
+        for j in range(db):
+            bj = b[j]
+            if bj != z:
+                rem[off + j] = K.sub(rem[off + j], K.mul(q, bj))
+        rem[k] = z
+    return po.trim(K, quot), po.trim(K, rem)
+
+
+@contextlib.contextmanager
+def per_term_kernels():
+    """Run _polyops, and everything above it, on the two loops above in
+    place of its packed kernels: for prime fields only."""
+    saved = po.mul, po.divmod_
+    po.mul, po.divmod_ = mul_prime_loop, divmod_by_element_ops
+    try:
+        yield
+    finally:
+        po.mul, po.divmod_ = saved
+
+
+def chebyshev_by_recurrence(n, field):
+    """[T_0, ..., T_n] by T_i+1 = 2x T_i - T_i-1: the oracle for
+    upoly.chebyshev."""
+    out = [Poly.one(field), Poly.x(field)]
+    two_x = Poly._raw(field, [field.zero(), field.from_int(2)])
+    while len(out) <= n:
+        out.append(two_x * out[-1] - out[-2])
+    return out[: n + 1]
 
 
 def mul_schoolbook(K, a, b):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polydec.cli import main
+from polydec.upoly import _CHEBYSHEV_MAX_INDEX
 
 from conftest import TOWER
 
@@ -254,6 +255,16 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+def test_chebyshev_index_above_the_limit_exits_2(capsys):
+    start = time.monotonic()
+    index = str(_CHEBYSHEV_MAX_INDEX + 1)
+    code, out, err = run(capsys, "chebyshev", "--field", "GF(7)", index)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: Chebyshev index {index} is above")
 
 
 def test_meet_with_a_huge_p_power_stays_in_exponent_space(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from polydec import NEG_INF, Poly, chebyshev, compose, factor, gcd, right_divide
 from polydec import find_irreducible, is_irreducible
 from polydec.errors import BothZero, DegreeError, DegreeMismatch, DivideByZero, ZeroInput
+from polydec import upoly
 from polydec.upoly import monic_divisors
 
 from conftest import (
     TOWER,
+    chebyshev_by_recurrence,
     field_of,
     is_irreducible_rabin,
     rand_poly,
@@ -237,6 +240,30 @@ def test_chebyshev_char2_degeneration(F2):
     for i in range(0, 9):
         expected = Poly.one(F2) if i % 2 == 0 else Poly.x(F2)
         assert chebyshev(i, F2) == expected
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(7)", "GF(3^2)", TOWER, "GF(1000000000000000003)"])
+def test_chebyshev_by_doubling_matches_recurrence(spec):
+    K = field_of(spec)
+    want = chebyshev_by_recurrence(300, K)
+    assert [str(chebyshev(i, K)) for i in range(301)] == [str(t) for t in want]
+
+
+@pytest.mark.parametrize("spec", ["GF(7)", "GF(7^2)"])
+def test_chebyshev_at_the_index_limit(spec):
+    # the doubling takes under a second; the loose gate only catches a
+    # return to the quadratic recurrence, which would take minutes
+    K = field_of(spec)
+    n = upoly._CHEBYSHEV_MAX_INDEX
+    start = time.perf_counter()
+    t = chebyshev(n, K)
+    assert time.perf_counter() - start < 60
+    assert t.degree == n and t.coeffs[-1] == K.from_int(pow(2, n - 1, 7))
+
+
+def test_chebyshev_index_above_the_limit_is_a_degree_error(F7):
+    with pytest.raises(DegreeError):
+        chebyshev(upoly._CHEBYSHEV_MAX_INDEX + 1, F7)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
