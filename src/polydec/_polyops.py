@@ -224,16 +224,17 @@ def _power(mul, one, a, n):
 
     The one loop behind field, polynomial, modular and parser powers.  The
     leading underscore keeps it out of the per-layer tracer, which gives
-    field element operations no spans.
+    field element operations no spans.  Starting from the first factor,
+    n >= 1 costs n.bit_length() + n.bit_count() - 2 products.
     """
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = mul(result, a)
+            result = a if result is None else mul(result, a)
         n >>= 1
         if n:
             a = mul(a, a)
-    return result
+    return one if result is None else result
 
 
 def powmod(K, a, n, m):

@@ -22,7 +22,9 @@ from . import upoly
 from ._expr import parse_int_list
 from .additive import (
     AdditivePoly,
+    _combine,
     _eliminate,
+    _first_dependence,
     _hom_basis,
     _last_cofactor,
     _vector,
@@ -65,6 +67,17 @@ class OrderedFactorisation(tuple):
     @classmethod
     def parse(cls, text):
         return cls(parse_int_list(text))
+
+
+def _checked_shape(shape, degree, pair_error=None):
+    """The OrderedFactorisation of shape, which must multiply to degree;
+    with pair_error, a shape of other than two entries raises it."""
+    shape = OrderedFactorisation(shape)
+    if pair_error and len(shape) != 2:
+        raise pair_error("bidecomposition shape must have two entries")
+    if math.prod(shape) != degree:
+        raise ProductMismatch("shape does not multiply to deg f")
+    return shape
 
 
 class UnorderedFactorisation(tuple):
@@ -126,14 +139,13 @@ class Decomposition:
         return " o ".join(f"({f})" for f in self.factors)
 
 
-def _require_monic_additive(f, min_expn=1):
+def _require_monic_additive(f):
     if not isinstance(f, AdditivePoly):
         raise TypeError("expected an AdditivePoly")
     if not f.is_monic():
         raise NotMonic("input must be monic")
-    if f.expn < min_expn:
-        raise ZeroInput(f"input must have exponent >= {min_expn}")
-    return f
+    if f.expn < 1:
+        raise ZeroInput("input must have exponent >= 1")
 
 
 def indec_right_factors(f):
@@ -167,7 +179,7 @@ def indec_right_factors(f):
     straight off its monic irreducible factors, coefficient for coefficient
     (the factor y is x**p).
     """
-    _require_monic_additive(f, min_expn=1)
+    _require_monic_additive(f)
     K = f.field
     if K.degree_over_prime == 1:
         parts, _ = upoly.factor(Poly._raw(K, f.coeffs))
@@ -177,7 +189,7 @@ def indec_right_factors(f):
         factors = []
         bound, powers = _min_poly(AdditivePoly.monomial(K, K.degree_over_prime), g)
         for phi, _mult in upoly.factor(bound)[0]:
-            s = meet(g, _evaluate(phi, powers))
+            s = meet(g, _combine(phi.coeffs, powers))
             factors += _isotypic_factors(s, phi.degree)
         if ell:
             factors.append(AdditivePoly.monomial(K, 1))
@@ -194,19 +206,10 @@ def _min_poly(u, g):
     K = g.field
     Fp = build_prime_field(K.p)
     n = K.degree_over_prime * g.expn
-    rows, powers = [], []
-    r = add_rdivrem(AdditivePoly.x(K), g)[1]
-    while True:
-        powers.append(r)
-        dep = _eliminate(Fp, rows, _vector(r, n), [0] * (len(powers) - 1) + [1])
-        if dep is not None:
-            return Poly._raw(Fp, dep), powers
-        r = add_rdivrem(add_compose(u, r), g)[1]
-
-
-def _evaluate(m, powers):
-    """sum m_j r_j for m over GF(p) and the powers r_j from :func:`_min_poly`."""
-    return sum((r.scale(c) for c, r in zip(m.coeffs, powers)), AdditivePoly.zero(powers[0].field))
+    dep, powers = _first_dependence(Fp, add_rdivrem(AdditivePoly.x(K), g)[1],
+                                    lambda r: add_rdivrem(add_compose(u, r), g)[1],
+                                    lambda r: _vector(r, n))
+    return Poly._raw(Fp, dep), powers
 
 
 def _isotypic_factors(s, d):
@@ -253,7 +256,7 @@ def _isotypic_factors(s, d):
     for lead in range(k):
         tail = [w for orbit in orbits[lead + 1 :] for w in orbit]
         for coords in itertools.product(range(K.p), repeat=len(tail)):
-            u = sum((w.scale(c) for c, w in zip(coords, tail)), orbits[lead][0])
+            u = _combine((1,) + coords, [orbits[lead][0]] + tail)
             out.append(_last_cofactor(u, g0).monic())
     return out
 
@@ -265,11 +268,11 @@ def _split(s, rng):
     K = s.field
     ends = _hom_basis(s, s)
     while True:
-        u = sum((h.scale(rng.randrange(K.p)) for h in ends), AdditivePoly.zero(K))
+        u = _combine([rng.randrange(K.p) for _ in ends], ends)
         mu, powers = _min_poly(u, s)
         m = upoly.factor(mu)[0][0][0]
         if m != mu:
-            return meet(s, _evaluate(m, powers))
+            return meet(s, _combine(m.coeffs, powers))
 
 
 def is_indecomposable(f):
@@ -284,17 +287,14 @@ def is_indecomposable(f):
 def complete_decomposition(f):
     """One complete decomposition, peeling the first indecomposable right
     factor at every stage."""
-    _require_monic_additive(f, min_expn=1)
+    _require_monic_additive(f)
     factors_inner_first = []
     cur = f
-    while True:
-        rf = indec_right_factors(cur)
-        if rf == [cur]:
-            factors_inner_first.append(cur)
-            break
-        h1 = rf[0]
+    while cur is not None:
+        h1 = indec_right_factors(cur)[0]
         factors_inner_first.append(h1)
-        cur = right_quotient(cur, h1)
+        # cur is indecomposable exactly when it is its own first factor
+        cur = None if h1 == cur else right_quotient(cur, h1)
     return Decomposition(f, tuple(reversed(factors_inner_first)), complete=True)
 
 
@@ -304,7 +304,7 @@ def all_complete_decompositions(f, limit=None):
     Branches over every indecomposable right factor; quotient results are
     memoized so shared subproblems are solved once.
     """
-    _require_monic_additive(f, min_expn=1)
+    _require_monic_additive(f)
     if limit is not None and limit < 0:
         raise BadLength("limit must be >= 0")
     memo = {}
@@ -336,55 +336,47 @@ def all_complete_decompositions(f, limit=None):
 
 
 def is_refinement(kappa, rho):
-    """True when kappa splits into contiguous blocks with products rho.
-
-    Both tuples are outermost-first.  Greedy matching is exact because all
-    entries are >= 2, so partial products grow strictly.
-    """
+    """True when kappa splits into contiguous blocks with products rho;
+    both tuples are outermost-first."""
     kappa = OrderedFactorisation(kappa)
     rho = OrderedFactorisation(rho)
     if math.prod(kappa) != math.prod(rho):
         raise ProductMismatch("factorisations have different products")
-    i = 0
+    return _blocks(kappa, rho) is not None
+
+
+def _blocks(kappa, rho):
+    """The ends of the contiguous blocks of kappa whose products are the
+    entries of rho, or None when kappa does not refine rho; both multiply
+    to the same product.
+
+    Greedy matching is exact because all entries are >= 2, so partial
+    products grow strictly; the equal products keep it inside kappa and
+    end the last block at its end.
+    """
+    ends, i = [], 0
     for target in rho:
         acc = 1
         while acc < target:
-            if i >= len(kappa):
-                return False
             acc *= kappa[i]
             i += 1
         if acc != target:
-            return False
-    return i == len(kappa)
-
-
-def _regroup(factors, shape):
-    """Compose contiguous blocks of factors to match the shape exactly."""
-    out = []
-    i = 0
-    for target in shape:
-        block = []
-        acc = 1
-        while acc < target:
-            block.append(factors[i])
-            acc *= int(factors[i].degree)
-            i += 1
-        out.append(_compose_chain(block))
-    return tuple(out)
+            return None
+        ends.append(i)
+    return ends
 
 
 def decompose_ordered(f, shape):
     """All decompositions of f matching the ordered factorisation, found by
     filtering complete decompositions whose shape refines it."""
-    _require_monic_additive(f, min_expn=1)
-    shape = OrderedFactorisation(shape)
-    if math.prod(shape) != f.degree:
-        raise ProductMismatch("shape does not multiply to deg f")
+    _require_monic_additive(f)
+    shape = _checked_shape(shape, f.degree)
     seen = {}
     for dec in all_complete_decompositions(f):
-        if not is_refinement(dec.shape, shape):
+        ends = _blocks(dec.shape, shape)
+        if ends is None:
             continue
-        grouped = _regroup(dec.factors, shape)
+        grouped = tuple(_compose_chain(dec.factors[a:b]) for a, b in zip([0] + ends, ends))
         cand = Decomposition(f, grouped, complete=(grouped == dec.factors))
         seen.setdefault(cand.key(), cand)
     return [seen[k] for k in sorted(seen)]
@@ -396,7 +388,7 @@ def indec_basis(f):
     Folds the indecomposable right factors into a running join; f is
     completely reducible exactly when the final join reaches f.
     """
-    _require_monic_additive(f, min_expn=1)
+    _require_monic_additive(f)
     xp = AdditivePoly.x(f.field)
     basis = []
     g = xp
@@ -461,10 +453,8 @@ def basis_to_dec(parts):
         raise ZeroInput("need at least one part")
     K = parts[0].field
     xp = AdditivePoly.x(K)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if meet(parts[i], parts[j]) != xp:
-                raise NotCoprime("parts must be pairwise composition-coprime")
+    if any(meet(a, b) != xp for a, b in itertools.combinations(parts, 2)):
+        raise NotCoprime("parts must be pairwise composition-coprime")
     factors_inner_first = []
     g_prev = xp
     for h in parts:
@@ -480,10 +470,8 @@ def cr_decompose(f, shape):
     Builds an indecomposable basis, groups it by a matching unordered
     refinement, and recovers the factors through successive joins.
     """
-    _require_monic_additive(f, min_expn=1)
-    shape = OrderedFactorisation(shape)
-    if math.prod(shape) != f.degree:
-        raise ProductMismatch("shape does not multiply to deg f")
+    _require_monic_additive(f)
+    shape = _checked_shape(shape, f.degree)
     basis = indec_basis(f)
     if basis is None:
         raise NotCompletelyReducible("input is not a join of indecomposables")
@@ -499,13 +487,7 @@ def cr_decompose(f, shape):
     groups = {}
     for i, gi in enumerate(assign):
         groups.setdefault(gi, []).append(basis[i])
-    joined = []
-    for gi in sorted(groups):
-        parts = groups[gi]
-        acc = parts[0]
-        for extra in parts[1:]:
-            acc = join(acc, extra)
-        joined.append(acc)
+    joined = [functools.reduce(join, groups[gi]) for gi in sorted(groups)]
     # place one group of the right degree into each shape slot, innermost first
     slots = list(reversed(shape))
     remaining = sorted(joined, key=lambda g: g.key())
@@ -520,15 +502,11 @@ def cr_decompose(f, shape):
 
 
 def _assert_similarity_free(factors):
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            fi, fj = factors[i], factors[j]
-            if fi.expn != fj.expn:
-                continue
-            if is_similar(fi, fj)[0]:
-                raise NotSimilarityFree(
-                    f"factors {fi} and {fj} of the complete decomposition are similar"
-                )
+    for fi, fj in itertools.combinations(factors, 2):
+        if fi.expn == fj.expn and is_similar(fi, fj)[0]:
+            raise NotSimilarityFree(
+                f"factors {fi} and {fj} of the complete decomposition are similar"
+            )
 
 
 def factors_to_right(dec, indices):
@@ -578,26 +556,17 @@ def simfree_bidecomp(f, shape):
     Scans subsets of a complete decomposition whose exponents sum to
     sigma, pushes them to the right, and regroups.
     """
-    _require_monic_additive(f, min_expn=1)
-    shape = OrderedFactorisation(shape)
-    if len(shape) != 2:
-        raise BadLength("bidecomposition shape must have two entries")
-    if math.prod(shape) != f.degree:
-        raise ProductMismatch("shape does not multiply to deg f")
+    _require_monic_additive(f)
+    shape = _checked_shape(shape, f.degree, BadLength)
     dec = complete_decomposition(f)
     m = len(dec.factors)
     if m == 1:
         return None
     _assert_similarity_free(dec.factors)
     inner_first = list(reversed(dec.factors))
-    p = f.field.p
-    sigma = 0
-    inner_target = shape[1]
-    while p**sigma < inner_target:
-        sigma += 1
     for mask in range(1, 1 << m):
         chosen = [k + 1 for k in range(m) if mask >> k & 1]
-        if sum(inner_first[k - 1].expn for k in chosen) != sigma:
+        if math.prod(inner_first[k - 1].degree for k in chosen) != shape[1]:
             continue
         res = factors_to_right(dec, set(chosen))
         t = len(chosen)
@@ -626,7 +595,7 @@ def abs_decompose(f):
     coefficient vector: coefficient i sits at exponent (p**i - 1)/(p - 1).
     Returns (tower, decomposition over it).
     """
-    _require_monic_additive(f, min_expn=1)
+    _require_monic_additive(f)
     if not f.is_simple():
         raise NotSimple("absolute decomposition requires a simple input")
     if f.expn > _ABS_EXPN_BOUND:

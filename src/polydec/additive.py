@@ -162,38 +162,34 @@ def add_compose(f, g):
 
 
 def add_rdivrem(f, g):
-    """Q, R with f = Q(g) + R and expn R < expn g (right division)."""
+    """Q, R with f = Q(g) + R and expn R < expn g (right division).
+
+    The quotient term c at x**(p**t) is lc(rem) * (1/lc g)**(p**t), and
+    c * b_j**(p**t) comes off the remainder at x**(p**(t+j)).
+    """
     f._check(g)
     if g.is_zero():
         raise DivideByZero("right division by the zero additive polynomial")
-    K = f.field
-    z = K.zero()
-    rem = f
-    q = [z] * max(0, len(f.coeffs) - len(g.coeffs) + 1)
-    b = g.coeffs[-1]
-    rho = g.expn
-    while not rem.is_zero() and rem.expn >= rho:
-        nu = rem.expn
-        c = K.mul(rem.coeffs[-1], K.inv(K.frobenius_rep(b, nu - rho)))
-        q[nu - rho] = c
-        rem = rem - add_compose(AdditivePoly.monomial(K, nu - rho, Felt(K, c)), g)
-    return AdditivePoly._raw(K, q), rem
+    K, z = f.field, f.field.zero()
+    b, rho, rem = g.coeffs, g.expn, list(f.coeffs)
+    quot = [z] * max(0, len(rem) - rho)
+    inv_lead = None if g.is_monic() else K.inv(b[-1])
+    for t in reversed(range(len(quot))):
+        c = rem[t + rho]
+        if c != z:
+            if inv_lead is not None:
+                c = K.mul(c, K.frobenius_rep(inv_lead, t))
+            quot[t] = c
+            for j, bj in enumerate(b[:rho]):
+                if bj != z:
+                    rem[t + j] = K.sub(rem[t + j], K.mul(c, K.frobenius_rep(bj, t)))
+    return AdditivePoly._raw(K, quot), AdditivePoly._raw(K, rem[:rho])
 
 
 def right_quotient(f, g):
     """f with g divided off on the right, or None if g does not divide."""
     q, r = add_rdivrem(f, g)
     return q if r.is_zero() else None
-
-
-def euclid_scheme(f, g):
-    """Remainder sequence f1, f2, ..., fn with fn | f(n-1), fn != 0."""
-    seq = [f, g] if f.expn >= g.expn else [g, f]
-    while True:
-        r = add_rdivrem(seq[-2], seq[-1])[1]
-        if r.is_zero():
-            return seq
-        seq.append(r)
 
 
 def meet(f, g):
@@ -207,11 +203,11 @@ def meet(f, g):
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise BothZero("meet(0, 0) is undefined")
-    if f.is_zero():
-        return g.monic()
-    if g.is_zero():
-        return f.monic()
-    return euclid_scheme(f, g)[-1].monic()
+    if f.expn < g.expn:
+        f, g = g, f
+    while not g.is_zero():
+        f, g = g, add_rdivrem(f, g)[1]
+    return f.monic()
 
 
 def _last_cofactor(f, g):
@@ -288,8 +284,18 @@ def _hom_basis(f, g):
         r = add_rdivrem(add_compose(f, u), g)[1]
         dep = _eliminate(Fp, rows, _vector(r, n), [int(j == k) for j in range(n)])
         if dep is not None:
-            kernel.append(sum((v.scale(c) for v, c in zip(domain, dep)), AdditivePoly.zero(K)))
+            kernel.append(_combine(dep, domain))
     return kernel
+
+
+def _combine(coeffs, polys):
+    """sum c_i u_i for c_i in GF(p) and at least one u_i, all over one field."""
+    K = polys[0].field
+    out = []
+    for c, u in zip(coeffs, polys):
+        if c:
+            out = po.add(K, out, po.scale(K, u.coeffs, K.from_int(c)))
+    return AdditivePoly._raw(K, out)
 
 
 def is_similar(f, g):
@@ -319,7 +325,7 @@ def is_similar(f, g):
         return False, None
     rng = random.Random(f"similar:{K.order}:{f.expn}")
     while True:
-        u = sum((h.scale(rng.randrange(K.p)) for h in homs), AdditivePoly.zero(K))
+        u = _combine([rng.randrange(K.p) for _ in homs], homs)
         w = u if u.is_monic() else g + u
         if meet(w, g) == xpoly:
             return True, w
@@ -432,13 +438,9 @@ def peel_frobenius(f):
         ell += 1
     if ell == 0:
         return 0, f
-    out = []
-    for a in f.coeffs[ell:]:
-        r = a
-        for _ in range(ell):
-            r = K.pth_root_rep(r)
-        out.append(r)
-    return ell, AdditivePoly._raw(K, out)
+    # the p**ell-th root is the Frobenius power p**(ell*(e-1)) on GF(p**e)
+    times = ell * (K.degree_over_prime - 1)
+    return ell, AdditivePoly._raw(K, [K.frobenius_rep(a, times) for a in f.coeffs[ell:]])
 
 
 def _eliminate(K, rows, vec, combo):
@@ -476,23 +478,26 @@ def min_add_mult(f):
         raise ZeroInput("zero polynomial has no minimal additive multiple")
     if not f.is_monic():
         raise NotMonic("minimal additive multiple requires a monic input")
-    K = f.field
-    n = f.degree
-    z = K.zero()
+    K, z = f.field, f.field.zero()
     fc = list(f.coeffs)
-    rows = []
-    h = po.mod(K, [z, K.one()], fc)
-    k = 0
+    # h_k + sum(dep[j] h_j, j<k) == 0 with dep[k] = 1, so
+    # x**(p**k) + sum dep[j] x**(p**j) is the additive multiple.
+    dep, _ = _first_dependence(K, po.mod(K, [z, K.one()], fc), lambda h: po.powmod(K, h, K.p, fc),
+                               lambda h: list(h) + [z] * (f.degree - len(h)))
+    return AdditivePoly._raw(K, dep)
+
+
+def _first_dependence(K, start, step, coords):
+    """The first linear dependence over K among the coordinates coords(r_i)
+    of r_0 = start, r_(i+1) = step(r_i): returns it, with coefficient 1 at
+    its last r_k, and r_0, ..., r_k."""
+    rows, powers, r = [], [], start
     while True:
-        combo = [z] * (k + 1)
-        combo[k] = K.one()
-        dep = _eliminate(K, rows, list(h) + [z] * (n - len(h)), combo)
+        powers.append(r)
+        dep = _eliminate(K, rows, coords(r), [K.zero()] * (len(powers) - 1) + [K.one()])
         if dep is not None:
-            # h_k + sum(dep[j] h_j, j<k) == 0 with dep[k] = 1, so
-            # x**(p**k) + sum dep[j] x**(p**j) is the additive multiple.
-            return AdditivePoly._raw(K, dep)
-        h = po.powmod(K, h, K.p, fc)
-        k += 1
+            return dep, powers
+        r = step(r)
 
 
 def counts(p, nu, sigma):

@@ -10,14 +10,16 @@ negative verdict), 2 for usage or input errors.  Output is line-oriented;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import addecomp, additive, gendecomp, ratfun, upoly
 from .additive import AdditivePoly
 from ._expr import parse_int_list
 from .addecomp import OrderedFactorisation
-from .errors import ParseError, PolydecError
+from .errors import DegreeError, ParseError, PolydecError
 from .field import parse_field_spec
 from .gendecomp import Strategy
 from .upoly import Poly
@@ -159,7 +161,11 @@ def _cmd_basis(args):
 
 
 def _cmd_counts(args):
-    s, t, flags = additive.counts(args.p, args.nu, args.sigma)
+    p, nu, limit = args.p, args.nu, sys.get_int_max_str_digits()
+    # S, T <= F <= p**(nu(nu+1)/2): F has nu factors (p**k - 1)/(p - 1) <= p**k
+    if limit and p >= 2 and 0 <= args.sigma <= nu and nu * (nu + 1) // 2 >= limit / math.log10(p):
+        raise DegreeError(f"counts for p={p}, nu={nu} may have more than {limit} digits")
+    s, t, flags = additive.counts(p, nu, args.sigma)
     print(f"S={s} T={t} F={flags}")
     return 0
 
@@ -305,9 +311,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), once per process: building it takes milliseconds."""
+    return build_parser()
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else 2

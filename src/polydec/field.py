@@ -10,7 +10,8 @@ their construction description.
 
 Field spec grammar: ``GF(p)`` | ``GF(p^e)`` (auto-chosen seeded modulus) |
 ``GF(p)[g1]/(m1)[g2]/(m2)...`` (explicit tower, level-k modulus written in
-the generator ``gk``).
+the generator ``gk``).  A generator name is a name other than ``x`` and the
+names below it; a level built without one takes the first ``g<k>`` unused.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class Field:
     p = 0
     order = 0
     height = 0          # number of extension levels above the prime field
+    _names = ()         # generator names of the tower levels, lowest first
     degree_over_prime = 1
 
     def zero(self):
@@ -221,7 +223,9 @@ class ExtensionField(Field):
         self.order = base.order**d
         self.height = base.height + 1
         self.degree_over_prime = base.degree_over_prime * d
-        self.gen_name = gen_name or f"g{self.height}"
+        self.gen_name = gen_name or next(
+            f"g{k}" for k in range(1, self.height + 1) if f"g{k}" not in base._names)
+        self._names = base._names + (self.gen_name,)
         self._zero = (base.zero(),) * d
         self._one = (base.one(),) + self._zero[1:]
         self._log = None  # built by _tabulate on first use
@@ -572,8 +576,13 @@ def parse_field_spec(text, seed=0):
     while rest:
         if not rest.startswith("["):
             raise ParseError(f"trailing junk in field spec: {rest!r}")
+        if "]" not in rest:
+            raise ParseError(f"missing ']' after generator name in field spec {text!r}")
         gb = rest.index("]")
         gen_name = rest[1:gb]
+        names = field._names + ("x",)
+        if gen_name in names or not (gen_name.isascii() and gen_name.isidentifier()):
+            raise ParseError(f"generator {gen_name!r} must be a name not in {', '.join(names)}")
         rest = rest[gb + 1 :]
         if not rest.startswith("/("):
             raise ParseError("expected /(modulus) after generator name")

@@ -14,8 +14,8 @@ import enum
 import math
 
 from . import addecomp, additive, upoly
-from .addecomp import Decomposition, OrderedFactorisation
-from .errors import DegreeError, NotIrreducible, NotTame, ProductMismatch, Reducible
+from .addecomp import Decomposition, _checked_shape
+from .errors import DegreeError, NotIrreducible, NotTame, Reducible
 from .field import Felt, build_extension
 from .upoly import Poly, require_monic
 
@@ -38,7 +38,7 @@ def tame_bidecomp(f, shape):
     mu_k of its top k terms; the outer factor is then a right division.
     """
     require_monic(f, _INPUTS)
-    r, s = _shape2(f, shape)
+    r, s = _checked_shape(shape, f.degree, DegreeError)
     K = f.field
     if r % K.p == 0:
         raise NotTame("outer degree divisible by the characteristic")
@@ -55,15 +55,6 @@ def tame_bidecomp(f, shape):
     return g, mu
 
 
-def _shape2(f, shape):
-    shape = OrderedFactorisation(shape)
-    if len(shape) != 2:
-        raise DegreeError("bidecomposition shape must have two entries")
-    if math.prod(shape) != f.degree:
-        raise ProductMismatch("shape does not multiply to deg f")
-    return shape[0], shape[1]
-
-
 def sep_bidecomp(f, shape):
     """All normal (g, h) with f = g(h) for the given (r, s) shape.
 
@@ -72,7 +63,7 @@ def sep_bidecomp(f, shape):
     tame and wild cases alike.
     """
     require_monic(f, _INPUTS)
-    r, s = _shape2(f, shape)
+    r, s = _checked_shape(shape, f.degree, DegreeError)
     x = Poly.x(f.field)
     found = []
     for u in upoly.monic_divisors(f.shift_constant(-f.coeff(0)) // x, s - 1):
@@ -95,7 +86,7 @@ def irred_ff_bidecomp(f, shape):
     entries = tuple(shape)
     if len(entries) == 2 and min(entries) < 2:
         raise DegreeError("normal bidecomposition factors need degree >= 2")
-    r, s = _shape2(f, shape)
+    r, s = _checked_shape(shape, f.degree, DegreeError)
     K = f.field
     try:
         ext = build_extension(K, f)
@@ -131,7 +122,7 @@ def _bidecompositions(f, shape, strategy):
     the outer degree: the normal decomposition is then unique (von zur
     Gathen 1990), so the subset search could find no other pair.
     """
-    r, s = _shape2(f, shape)
+    r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
     if strategy is Strategy.TAME and not tame:
         raise NotTame("tame strategy with p | outer degree")
@@ -148,9 +139,7 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED):
     """All decompositions of f matching the ordered factorisation that are
     reachable by recursive bidecomposition under the chosen strategy."""
     require_monic(f, _INPUTS)
-    shape = OrderedFactorisation(shape)
-    if math.prod(shape) != f.degree:
-        raise ProductMismatch("shape does not multiply to deg f")
+    shape = _checked_shape(shape, f.degree)
     if strategy is Strategy.ADDITIVE:
         decs = addecomp.decompose_ordered(
             additive.AdditivePoly.from_poly(f), shape

@@ -14,7 +14,7 @@ import operator
 import random
 
 from . import _polyops as po
-from ._expr import dense, eval_poly_text
+from ._expr import _DENSE_MAX_DEGREE, dense, eval_poly_text
 from .errors import (
     BothZero,
     DegreeError,
@@ -193,13 +193,20 @@ def gcd(f, g):
 
 
 def compose(g, h):
-    """g(h), by Horner's rule on the coefficients of g."""
+    """g(h), by Horner's rule on the nonzero coefficients of g: a run of
+    zero coefficients costs one product by a power of h.  DegreeError when
+    deg g * deg h is above the dense limit, before any work."""
     g._check(h)
-    acc = Poly.zero(g.field)
-    for c in reversed(g.coeffs):
-        acc = acc * h
-        acc = acc.shift_constant(Felt(g.field, c))
-    return acc
+    K = g.field
+    n = 0 if g.is_zero() or h.is_zero() else g.degree * h.degree
+    if n > _DENSE_MAX_DEGREE:
+        raise DegreeError(f"degree {n} of g(h) is above the dense limit {_DENSE_MAX_DEGREE}")
+    acc, prev = Poly.zero(K), len(g.coeffs)
+    for i in reversed(range(len(g.coeffs))):
+        if g.coeffs[i] != K.zero():
+            acc = (acc * h ** (prev - i)).shift_constant(Felt(K, g.coeffs[i]))
+            prev = i
+    return acc * h**prev if prev else acc
 
 
 def right_divide(f, h):

@@ -9,9 +9,11 @@ import pytest
 from polydec import (
     NEG_INF,
     AdditivePoly,
+    Felt,
     FracLinear,
     Poly,
     add_compose,
+    add_rdivrem,
     build_extension,
     build_prime_field,
     flt_apply,
@@ -25,7 +27,7 @@ from polydec import (
     upoly,
 )
 from polydec import _expr, _polyops as po
-from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
+from polydec.additive import peel_frobenius, right_quotient
 from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic
 from polydec.ratfun import _outer_pair
 
@@ -85,6 +87,17 @@ def rand_poly(field, rng, deg, monic=False, zero_const=False):
             if lead != field.zero():
                 break
     return Poly(field, coeffs + [lead])
+
+
+def compose_by_horner(g, h):
+    """g(h) by Horner's rule on every coefficient of g, zeros included: the
+    oracle for upoly.compose."""
+    g._check(h)
+    acc = Poly.zero(g.field)
+    for c in reversed(g.coeffs):
+        acc = acc * h
+        acc = acc.shift_constant(Felt(g.field, c))
+    return acc
 
 
 def right_divide_by_h_powers(f, h):
@@ -165,6 +178,38 @@ def monic_additive_polys(field, expn):
     elts = list(field.elements())
     for combo in itertools.product(elts, repeat=expn):
         yield AdditivePoly(field, list(combo) + [field.one()])
+
+
+def add_rdivrem_by_composition(f, g):
+    """Q, R with f = Q(g) + R and expn R < expn g, one quotient term at a
+    time: each term inverts the p**t-th power of lc(g) and subtracts the
+    composition of a monomial with g.  The oracle for additive.add_rdivrem."""
+    f._check(g)
+    if g.is_zero():
+        raise DivideByZero("right division by the zero additive polynomial")
+    K = f.field
+    z = K.zero()
+    rem = f
+    q = [z] * max(0, len(f.coeffs) - len(g.coeffs) + 1)
+    b = g.coeffs[-1]
+    rho = g.expn
+    while not rem.is_zero() and rem.expn >= rho:
+        nu = rem.expn
+        c = K.mul(rem.coeffs[-1], K.inv(K.frobenius_rep(b, nu - rho)))
+        q[nu - rho] = c
+        rem = rem - add_compose(AdditivePoly.monomial(K, nu - rho, Felt(K, c)), g)
+    return AdditivePoly._raw(K, q), rem
+
+
+def euclid_scheme(f, g):
+    """Remainder sequence f1, f2, ..., fn with fn | f(n-1), fn != 0: the
+    oracle for the remainder loop of additive.meet."""
+    seq = [f, g] if f.expn >= g.expn else [g, f]
+    while True:
+        r = add_rdivrem(seq[-2], seq[-1])[1]
+        if r.is_zero():
+            return seq
+        seq.append(r)
 
 
 def join_by_alternation(f, g):

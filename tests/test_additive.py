@@ -20,7 +20,7 @@ from polydec import (
 )
 from polydec import gcd as poly_gcd
 from polydec.addecomp import Decomposition
-from polydec.additive import euclid_scheme, peel_frobenius, right_quotient
+from polydec.additive import peel_frobenius, right_quotient
 from polydec.errors import (
     BothZero,
     DegreeError,
@@ -32,11 +32,13 @@ from polydec.errors import (
     NotMonic,
     ZeroInput,
 )
-from polydec.field import frobenius
+from polydec.field import ExtensionField, build_extension, find_irreducible, frobenius
 
 from conftest import (
     TOWER,
+    add_rdivrem_by_composition,
     count_maximal_flags,
+    euclid_scheme,
     field_of,
     join_by_alternation,
     monic_additive_polys,
@@ -131,6 +133,36 @@ def test_meet_is_multiplicative_gcd_randomized(spec):
         f = rand_additive(K, rng, rng.randrange(1, 5), monic=False)
         g = rand_additive(K, rng, rng.randrange(1, 5), monic=False)
         assert meet(f, g).to_poly() == poly_gcd(f.to_poly(), g.to_poly())
+
+
+@pytest.mark.parametrize("spec", [2, 3, "GF(2^2)", "GF(3^2)", TOWER, "untabulated"])
+def test_add_rdivrem_matches_the_composition_oracle(spec, monkeypatch):
+    if spec == "untabulated":
+        # order 4096 > _TABLE_MAX_ORDER: every inverse runs an extended gcd
+        F4 = field_of("GF(2^2)")
+        K = build_extension(F4, find_irreducible(F4, 6))
+    else:
+        K = field_of(spec)
+    inverses = []
+    real_inv = ExtensionField.inv
+
+    def counting_inv(self, a):
+        if self is K:
+            inverses.append(a)
+        return real_inv(self, a)
+
+    monkeypatch.setattr(ExtensionField, "inv", counting_inv)
+    rng = seeded_rng(("rdivrem", spec))
+    zero = AdditivePoly.zero(K)
+    for k in range(40):
+        f = zero if k == 0 else rand_additive(K, rng, rng.randrange(0, 7), monic=False)
+        g = rand_additive(K, rng, rng.randrange(0, 5), monic=rng.random() < 0.3)
+        inverses.clear()
+        got = add_rdivrem(f, g)
+        assert len(inverses) <= 1
+        assert got == add_rdivrem_by_composition(f, g)
+        if not f.is_zero():
+            assert meet(f, g) == euclid_scheme(f, g)[-1].monic()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

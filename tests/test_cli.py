@@ -257,6 +257,101 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+_MEET = ["meet", "--field", "GF(2)"]
+_RATDEC = ["ratdec", "--field", "GF(5)", "--shape", "2,0,2,1"]
+
+
+def _spec(field):
+    return ["meet", "--field", field, "x", "x"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_MEET + ["x#", "x"], "bad character at '#'"),
+        (_MEET + ["x^", "x"], "unexpected end of expression"),
+        (_MEET + ["x)", "x"], "trailing tokens at [')']"),
+        (_MEET + ["x^x", "x"], "exponent must be a natural number, got 'x'"),
+        (_MEET + ["(x+1 x", "x"], "expected ')'"),
+        (_MEET + ["", "x"], "empty polynomial expression"),
+        (_MEET + ["x/x", "x"], "'/' is not valid inside a polynomial"),
+        (_RATDEC + ["x/x/x"], "more than one top-level '/'"),
+        (_RATDEC + ["x^2/"], "empty denominator"),
+        (_spec("F(2)"), "field spec must start with GF("),
+        (_spec("GF(2"), "unbalanced parenthesis in field spec"),
+        (_spec("GF(2^a)"), "bad prime power '2^a'"),
+        (_spec("GF(a)"), "bad characteristic 'a'"),
+        (_spec("GF(2)x"), "trailing junk in field spec: 'x'"),
+        (_spec("GF(2)[a]"), "expected /(modulus)"),
+        (_spec("GF(2)[a]/(a^2+a+1"), "unbalanced parenthesis in modulus"),
+        (_spec("GF(2)["), "missing ']'"),
+        (_spec("GF(2)[g1/(g1^2+g1+1)"), "missing ']'"),
+        (_spec("GF(2)[x]/(x^2+x+1)"), "generator 'x' must be a name not in x"),
+        (_spec("GF(2)[+]/(+^2+++1)"), "generator '+' must be a name not in x"),
+        (_spec(f"{TOWER}[g1]/(g1^2+g1+1)"), "generator 'g1' must be a name not in g1, g2, x"),
+        # GF(p^1) is the prime field itself
+        (["meet", "--field", "GF(5^1)", "x^", "x"], "unexpected end of expression"),
+    ],
+)
+def test_parse_errors_exit_2_with_their_own_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("nu", ["169", "3000", "30000"])
+def test_counts_too_large_to_print_exits_2(capsys, nu):
+    start = time.monotonic()
+    code, out, err = run(capsys, "counts", "2", nu, "1")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: counts for p=2, nu={nu} may have more than 4300 digits\n"
+
+
+def test_counts_just_below_the_print_limit_answers(capsys):
+    # 2**(168*169/2) has 4274 digits, 2**(169*170/2) has 4325
+    code, out, _ = run(capsys, "counts", "2", "168", "1")
+    assert code == 0 and len(out.split("F=")[1]) > 4200
+
+
+def test_compose_above_the_dense_limit_exits_2(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "compose", "--field", "GF(2)", "x^4097", "x^4097")
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: degree 16785409 of g(h) is above the dense limit 16777216\n"
+
+
+def test_absdec_names_a_new_level_by_the_first_unused_generator(capsys):
+    code, out, _ = run(capsys, "absdec", "--field", "GF(5)[g2]/(g2^2+2)", "x^25+x^5+x")
+    assert code == 0
+    tower = out.splitlines()[0]
+    assert tower == "field: GF(5)[g2]/(g2^2+2)[g1]/(g1^3+3*g1^2+4)"
+    code, out, _ = run(capsys, "meet", "--field", tower[len("field: "):], "x^5+g1*x", "x")
+    assert (code, out) == (0, "x\n")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    import polydec.cli as cli
+
+    builds = []
+    real = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "counts", "2", "3", "1")[:2] == (0, "S=7 T=7 F=21\n")
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_chebyshev_index_above_the_limit_exits_2(capsys):
     start = time.monotonic()
     index = str(_CHEBYSHEV_MAX_INDEX + 1)

@@ -120,3 +120,19 @@ def test_factor_and_irreducibles_unchanged_on_packed_kernels(p):
     with per_term_kernels():
         assert run() == got
     assert all(is_irreducible(Poly(K, f)) for f in got[2 * len(polys):])
+
+
+def test_power_starts_from_its_first_factor():
+    # on the monoid (int, +) with one = 0, a**n is n * a
+    products = []
+
+    def add(a, b):
+        products.append((a, b))
+        return a + b
+
+    assert po._power(add, 0, 5, 0) == 0 and not products
+    for n in range(1, 300):
+        products.clear()
+        assert po._power(add, 0, 5, n) == 5 * n
+        assert len(products) == n.bit_length() + n.bit_count() - 2
+        assert all(a and b for a, b in products)

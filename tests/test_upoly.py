@@ -13,6 +13,7 @@ from polydec.upoly import monic_divisors
 from conftest import (
     TOWER,
     chebyshev_by_recurrence,
+    compose_by_horner,
     field_of,
     is_irreducible_rabin,
     rand_poly,
@@ -50,6 +51,22 @@ def test_gcd_examples(F3, F5):
     assert gcd(Poly.parse(F5, "x+1"), Poly.parse(F5, "x+2")) == Poly.one(F5)
     with pytest.raises(BothZero):
         gcd(Poly.zero(F5), Poly.zero(F5))
+
+
+@pytest.mark.parametrize("spec", [2, 7, "GF(3^2)", TOWER])
+def test_compose_matches_horner_on_every_coefficient(spec):
+    K = field_of(spec)
+    rng = seeded_rng(("compose", spec))
+    zero = Poly.zero(K)
+    for k in range(40):
+        # sparse g puts runs of zero coefficients between its terms
+        density = rng.choice([0.1, 0.5, 1.0])
+        n = rng.randrange(0, 40)
+        g = Poly(K, [K.rand_rep(rng) if rng.random() < density else K.zero() for _ in range(n)]
+                 + [K.one()])
+        h = zero if k % 10 == 0 else rand_poly(K, rng, rng.randrange(0, 4))
+        assert compose(g, h) == compose_by_horner(g, h)
+        assert compose(zero, h) == zero
 
 
 def test_compose_examples(F5, F7):
