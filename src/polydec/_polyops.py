@@ -13,6 +13,7 @@ quotient term on a window of the dividend a few divisor lengths long.
 
 from __future__ import annotations
 
+import operator
 import struct
 
 from .errors import DivideByZero
@@ -257,29 +258,108 @@ def derivative(K, a):
     return trim(K, out)
 
 
+# The q-power map h -> h**q mod v (q = K.order) is K-linear, since c**q = c
+# for c in K: h**q = sum(h_i * x**(i*q) mod v).  The distinct-degree scan
+# applies it as a matrix, the rows x**(i*q) mod v, from degree
+# _FROBENIUS_MIN_DEGREE and order _FROBENIUS_MIN_ORDER on, and builds the
+# matrix at its second step, so a scan that stops at the first (most
+# irreducibility tests of a reducible input) builds none.  Measured on
+# scans of random inputs (one core of a 2-core Xeon VM, Python 3.11): a
+# whole scan at degree 8 took 0.74-1.04 of the time of binary powering
+# over GF(3), GF(7), GF(13), GF(2^2) and GF(3^2), and 0.37-0.87 at degrees
+# 12-48; at degrees 3-7 it took up to 1.8 times it.  Over GF(2), where a
+# step is one squaring, it took 0.73-1.43 of it at degrees 8-128.  Built
+# before the first step, the matrix made a first-yield scan up to 1.7
+# times slower at degrees 8-16.
+_FROBENIUS_MIN_DEGREE = 8
+_FROBENIUS_MIN_ORDER = 3
+
+
+def _frobenius_matrix(K, v):
+    """The q-power matrix mod the monic v of degree n >= 1, q = K.order:
+    the rows x**(i*q) mod v, i < n (von zur Gathen-Shoup 1992).
+
+    For q < n a row is the one before it shifted by q and reduced, else its
+    product by x**q mod v.  Over GF(p) the rows are packed into integers
+    with slots wide enough for a sum of n coefficient products, and a
+    shifted row is reduced on its packed form, as in ``divmod_``: a slot
+    takes at most q < n products on top of a coefficient below p.
+    """
+    n, q = deg(v), K.order
+    if K.kind == "prime" and q < n:
+        p = K.p
+        w = _slot_bytes(n * (p - 1) ** 2)
+        bits, mask, low = 8 * w, (1 << 8 * w) - 1, (1 << 8 * w * n) - 1
+        neg_v = _pack([(p - c) % p for c in v[:n]], w)
+        rows = [1]
+        while len(rows) < n:
+            r = rows[-1] << bits * q
+            for k in range(n + q - 1, n - 1, -1):
+                c = (r >> bits * k & mask) % p
+                if c:
+                    r += c * neg_v << bits * (k - n)
+            rows.append(_pack([c % p for c in _unpack(r & low, w, n)], w))
+        return n, w, rows
+    rows = [[K.one()]]
+    if q < n:
+        shift = [K.zero()] * q
+        while len(rows) < n:
+            rows.append(mod(K, shift + rows[-1], v))
+    else:
+        xq = powmod(K, [K.zero(), K.one()], q, v)
+        while len(rows) < n:
+            rows.append(mod(K, mul(K, rows[-1], xq), v))
+    if K.kind == "prime":
+        w = _slot_bytes(n * (K.p - 1) ** 2)
+        return n, w, [_pack(r, w) for r in rows]
+    return n, None, rows
+
+
+def _frobenius_apply(K, M, h):
+    """h**q mod v, for h of degree below n, by the matrix M of v:
+    sum(h_i * row_i)."""
+    n, w, rows = M
+    if w:
+        p = K.p
+        return trim(K, [c % p for c in _unpack(sum(map(operator.mul, h, rows)), w, n)])
+    z = K.zero()
+    out = [z] * n
+    for c, row in zip(h, rows):
+        if c != z:
+            for j, r in enumerate(row):
+                if r != z:
+                    out[j] = K.add(out[j], K.mul(c, r))
+    return trim(K, out)
+
+
 def distinct_degree(K, f):
     """Yield (product of the degree-d irreducible factors of f, d), lowest
     d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981).
 
     The product for d is gcd(x**(q**d) - x, v), where v is f with the
-    lower-degree products divided out.  The scan stops once deg v < 2(d+1)
-    and yields what is left as one irreducible.  On any f the first yield
-    has d = deg f exactly when f is irreducible: a reducible f has a factor
-    of degree at most deg f / 2, which the scan reaches before it stops.
+    lower-degree products divided out.  The first step is the binary power
+    x**q mod f.  If at the second step q >= _FROBENIUS_MIN_ORDER and
+    deg v >= _FROBENIUS_MIN_DEGREE, the q-power matrix of that v steps
+    x**(q**d) modulo it from then on, since every later v divides it;
+    otherwise binary powering steps x**(q**d) mod v.  The scan stops once
+    deg v < 2(d+1) and yields what is left as one irreducible.  On any f
+    the first yield has d = deg f exactly when f is irreducible: a
+    reducible f has a factor of degree at most deg f / 2, which the scan
+    reaches before it stops.
     """
     q = K.order
     x = [K.zero(), K.one()]
-    v = list(f)
-    h = x
-    d = 0
+    v, h, d, M = list(f), x, 0, None
     while deg(v) >= 2 * (d + 1):
         d += 1
-        h = powmod(K, h, q, v)
+        if d == 2 and q >= _FROBENIUS_MIN_ORDER and deg(v) >= _FROBENIUS_MIN_DEGREE:
+            M = _frobenius_matrix(K, v)
+            h = mod(K, h, v)
+        h = powmod(K, h, q, v) if M is None else _frobenius_apply(K, M, h)
         g = gcd(K, sub(K, h, x), v)
         if deg(g) > 0:
             yield g, d
             v = divmod_(K, v, g)[0]
-            h = mod(K, h, v)
     if deg(v) > 0:
         yield v, deg(v)
 

@@ -143,6 +143,22 @@ class AdditivePoly(CoeffVector):
         return po.poly_str(self.field, ((p**i, c) for i, c in enumerate(self.coeffs)), "x")
 
 
+def _frobenius_rows(K, coeffs):
+    """The function t -> the p**t-th powers of ``coeffs``.  A power p**t
+    reads row t mod e, e the degree of K over GF(p), built on first read:
+    over GF(p) the one row is ``coeffs`` itself."""
+    e, z = K.degree_over_prime, K.zero()
+    rows = {0: coeffs}
+
+    def row(t):
+        k = t % e
+        if k not in rows:
+            rows[k] = [c if c == z else K.frobenius_rep(c, k) for c in coeffs]
+        return rows[k]
+
+    return row
+
+
 def add_compose(f, g):
     """f(g); exponents add.  Coefficients: c[i+j] += a[i] * b[j]**(p**i)."""
     f._check(g)
@@ -151,13 +167,13 @@ def add_compose(f, g):
         return AdditivePoly.zero(K)
     z = K.zero()
     out = [z] * (len(f.coeffs) + len(g.coeffs) - 1)
+    powers = _frobenius_rows(K, g.coeffs)
     for i, a in enumerate(f.coeffs):
         if a == z:
             continue
-        for j, b in enumerate(g.coeffs):
-            if b == z:
-                continue
-            out[i + j] = K.add(out[i + j], K.mul(a, K.frobenius_rep(b, i)))
+        for j, b in enumerate(powers(i)):
+            if b != z:
+                out[i + j] = K.add(out[i + j], K.mul(a, b))
     return AdditivePoly._raw(K, out)
 
 
@@ -173,16 +189,20 @@ def add_rdivrem(f, g):
     K, z = f.field, f.field.zero()
     b, rho, rem = g.coeffs, g.expn, list(f.coeffs)
     quot = [z] * max(0, len(rem) - rho)
-    inv_lead = None if g.is_monic() else K.inv(b[-1])
+    monic = g.is_monic()
+    # row t holds the p**t-th powers of b_0 .. b_rho-1, then of 1/lc(g)
+    # unless g is monic
+    powers = _frobenius_rows(K, b[:rho] + (() if monic else (K.inv(b[-1]),)))
     for t in reversed(range(len(quot))):
         c = rem[t + rho]
         if c != z:
-            if inv_lead is not None:
-                c = K.mul(c, K.frobenius_rep(inv_lead, t))
+            row = powers(t)
+            if not monic:
+                c = K.mul(c, row[rho])
             quot[t] = c
-            for j, bj in enumerate(b[:rho]):
-                if bj != z:
-                    rem[t + j] = K.sub(rem[t + j], K.mul(c, K.frobenius_rep(bj, t)))
+            for j in range(rho):
+                if row[j] != z:
+                    rem[t + j] = K.sub(rem[t + j], K.mul(c, row[j]))
     return AdditivePoly._raw(K, quot), AdditivePoly._raw(K, rem[:rho])
 
 

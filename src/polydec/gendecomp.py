@@ -64,9 +64,20 @@ def sep_bidecomp(f, shape):
     """
     require_monic(f, _INPUTS)
     r, s = _checked_shape(shape, f.degree, DegreeError)
+    return _sep_pairs(f, s, _tail_factors(f))
+
+
+def _tail_factors(f):
+    """The factor list of (f - f(0))/x."""
+    return upoly.factor(f.shift_constant(-f.coeff(0)) // Poly.x(f.field))[0]
+
+
+def _sep_pairs(f, s, tail_parts):
+    """The pairs of sep_bidecomp with inner degree s, from the factor list
+    ``tail_parts`` of (f - f(0))/x, sorted."""
     x = Poly.x(f.field)
     found = []
-    for u in upoly.monic_divisors(f.shift_constant(-f.coeff(0)) // x, s - 1):
+    for u in upoly._divisors_of_factors(f.field, tail_parts, s - 1):
         h = x * u
         g = upoly.right_divide(f, h)
         if g is not None:
@@ -115,12 +126,14 @@ def irred_ff_bidecomp(f, shape):
     return g, h
 
 
-def _bidecompositions(f, shape, strategy):
+def _bidecompositions(f, shape, strategy, tail_parts=None):
     """All normal pairs for one level of the recursion, sorted.
 
     Under SEPARATED the tame recurrence answers whenever p does not divide
     the outer degree: the normal decomposition is then unique (von zur
-    Gathen 1990), so the subset search could find no other pair.
+    Gathen 1990), so the subset search could find no other pair.  The
+    search reads ``tail_parts``, the factor list of (f - f(0))/x, when
+    given.
     """
     r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
@@ -131,7 +144,8 @@ def _bidecompositions(f, shape, strategy):
     elif tame:
         got = tame_bidecomp(f, shape)
     else:
-        return sep_bidecomp(f, shape)
+        parts = _tail_factors(f) if tail_parts is None else tail_parts
+        return _sep_pairs(f, s, parts)
     return [got] if got is not None else []
 
 
@@ -185,11 +199,15 @@ def first_complete(f, strategy=Strategy.SEPARATED):
     # so the block method degrades to the separated search on recursion
     if strategy is Strategy.IRREDUCIBLE_FF and not upoly.is_irreducible(f):
         strategy = Strategy.SEPARATED
+    tail_parts = None  # (f - f(0))/x, factored once for every wild shape
     for d in _divisors(n)[1:-1]:
         shape = (d, n // d)
-        if strategy is Strategy.TAME and d % f.field.p == 0:
+        wild = d % f.field.p == 0
+        if strategy is Strategy.TAME and wild:
             continue
-        pairs = _bidecompositions(f, shape, strategy)
+        if strategy is Strategy.SEPARATED and wild and tail_parts is None:
+            tail_parts = _tail_factors(f)
+        pairs = _bidecompositions(f, shape, strategy, tail_parts)
         if pairs:
             g, h = pairs[0]
             tail = first_complete(h, strategy)

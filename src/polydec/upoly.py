@@ -315,10 +315,12 @@ def factor(f):
     K = f.field
     lc = f.lc()
     fm = f.monic()
-    rng = random.Random(f"factor:{K.order}:{f.degree}:0")
+    rng = None  # seeded at the first split that draws from it
     parts = {}
     for sq, mult in _squarefree_parts(fm):
         for prod, d in po.distinct_degree(K, list(sq.coeffs)):
+            if rng is None and po.deg(prod) > d:
+                rng = random.Random(f"factor:{K.order}:{f.degree}:0")
             for irr in _equal_degree_split(Poly._raw(K, prod), d, rng):
                 parts[irr] = parts.get(irr, 0) + mult
     ordered = sorted(parts.items(), key=lambda pm: pm[0].key())
@@ -326,12 +328,13 @@ def factor(f):
 
 
 def monic_divisors(f, d):
-    """All monic divisors of degree d of a nonzero f, sorted by key.
+    """All monic divisors of degree d of a nonzero f, sorted by key."""
+    return _divisors_of_factors(f.field, factor(f)[0], d)
 
-    Each divisor is one product of the irreducible factors of f, taken
-    with multiplicities up to theirs.
-    """
-    parts, _ = factor(f)
+
+def _divisors_of_factors(K, parts, d):
+    """The monic products of degree d of the factor list ``parts`` of
+    ``factor``, each irreducible taken up to its multiplicity, sorted by key."""
     out = []
 
     def rec(idx, cur, deg):
@@ -348,7 +351,7 @@ def monic_divisors(f, d):
             if e < mult:
                 cur = cur * irr
 
-    rec(0, Poly.one(f.field), 0)
+    rec(0, Poly.one(K), 0)
     out.sort(key=lambda g: g.key())
     return out
 

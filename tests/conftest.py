@@ -388,6 +388,24 @@ def is_irreducible_rabin(K, f):
     return True
 
 
+def distinct_degree_by_powmod(K, f):
+    """The distinct-degree scan with one binary power x**(q**d) mod v per
+    degree: the oracle for the q-power matrix of _polyops.distinct_degree."""
+    q = K.order
+    x = [K.zero(), K.one()]
+    v, h, d = list(f), x, 0
+    while po.deg(v) >= 2 * (d + 1):
+        d += 1
+        h = po.powmod(K, h, q, v)
+        g = po.gcd(K, po.sub(K, h, x), v)
+        if po.deg(g) > 0:
+            yield g, d
+            v = po.divmod_(K, v, g)[0]
+            h = po.mod(K, h, v)
+    if po.deg(v) > 0:
+        yield v, po.deg(v)
+
+
 def mul_prime_loop(K, a, b):
     """The product over a prime field reduced term by term: the oracle for
     the packed product of _polyops.mul."""

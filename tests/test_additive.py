@@ -17,6 +17,7 @@ from polydec import (
     transform,
     transform_composition,
     transmutable,
+    upoly,
 )
 from polydec import gcd as poly_gcd
 from polydec.addecomp import Decomposition
@@ -32,7 +33,7 @@ from polydec.errors import (
     NotMonic,
     ZeroInput,
 )
-from polydec.field import ExtensionField, build_extension, find_irreducible, frobenius
+from polydec.field import ExtensionField, Field, build_extension, find_irreducible, frobenius
 
 from conftest import (
     TOWER,
@@ -163,6 +164,42 @@ def test_add_rdivrem_matches_the_composition_oracle(spec, monkeypatch):
         assert got == add_rdivrem_by_composition(f, g)
         if not f.is_zero():
             assert meet(f, g) == euclid_scheme(f, g)[-1].monic()
+
+
+@pytest.mark.parametrize("spec", [2, 3, "GF(2^2)", "GF(3^2)", TOWER, "untabulated"])
+def test_composition_ring_takes_frobenius_powers_from_one_table(spec, monkeypatch):
+    """add_compose matches the dense composition and add_rdivrem its
+    oracle, with no Frobenius power over GF(p) and otherwise one power of
+    each nonzero coefficient of g per residue mod e of the exponents read."""
+    if spec == "untabulated":
+        F4 = field_of("GF(2^2)")
+        K = build_extension(F4, find_irreducible(F4, 6))
+    else:
+        K = field_of(spec)
+    calls = []
+    real = Field.frobenius_rep
+    monkeypatch.setattr(Field, "frobenius_rep", lambda *args: calls.append(args) or real(*args))
+    e, z = K.degree_over_prime, K.zero()
+
+    def powers(exponents, row):
+        return len({t % e for t in exponents} - {0}) * sum(c != z for c in row)
+
+    rng = seeded_rng(("frobenius table", spec))
+    for _ in range(12):
+        f = rand_additive(K, rng, rng.randrange(0, 4), monic=False)
+        g = rand_additive(K, rng, rng.randrange(0, 4), monic=rng.random() < 0.5)
+        calls.clear()
+        got = add_compose(f, g)
+        if not g.is_zero():
+            assert len(calls) == powers([i for i, a in enumerate(f.coeffs) if a != z], g.coeffs)
+        assert got.to_poly() == upoly.compose(f.to_poly(), g.to_poly())
+        if g.is_zero():
+            continue
+        calls.clear()
+        q, r = add_rdivrem(f, g)
+        row = g.coeffs[:-1] + (() if g.is_monic() else g.coeffs[-1:])
+        assert len(calls) == powers([t for t, c in enumerate(q.coeffs) if c != z], row)
+        assert (q, r) == add_rdivrem_by_composition(f, g)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

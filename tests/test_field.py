@@ -21,7 +21,7 @@ from polydec.errors import (
     ParseError,
     Reducible,
 )
-from polydec.field import _TABLE_MAX_ORDER, _is_prime
+from polydec.field import _TABLE_MAX_ORDER, ExtensionField, _is_prime
 
 from conftest import TOWER, field_of, is_irreducible_rabin, mul_schoolbook, seeded_rng
 
@@ -275,6 +275,29 @@ def test_untabulated_tower_matches_the_schoolbook_oracle(F4):
     assert K._log is None
     with pytest.raises(DivideByZero, match="^inverse of zero$"):
         K.inv(K.zero())
+
+
+@pytest.mark.parametrize("base, n", [("GF(2^2)", 6), ("GF(2^2)", 8), (13, 18), (2, 11)])
+def test_untabulated_frobenius_matches_repeated_pth_powers(base, n, monkeypatch):
+    """Order 4096 (GF(2^2), degree 6) and up: frobenius_rep raises to the
+    base order by the field's q-power matrix and to p by binary powers."""
+    F = field_of(base)
+    K = build_extension(F, find_irreducible(F, n))
+    assert K.order > _TABLE_MAX_ORDER
+    e, step = K.degree_over_prime, F.degree_over_prime
+    rng = seeded_rng(("untabulated frobenius", base, n))
+    elements = [K.zero(), K.one(), K.gen().rep] + [K.rand_rep(rng) for _ in range(3)]
+    for a in elements:
+        want = a
+        for times in range(2 * e + 1):
+            assert K.frobenius_rep(a, times) == want, times
+            want = K.pow_(want, K.p)
+    powers = []
+    real_pow = ExtensionField.pow_
+    monkeypatch.setattr(ExtensionField, "pow_", lambda *args: powers.append(args) or real_pow(*args))
+    for times in range(2 * e + 1):
+        K.frobenius_rep(elements[-1], times)
+    assert len(powers) == sum(times % e % step for times in range(2 * e + 1))
 
 
 def test_raw_reps_are_coerced_to_canonical_tuples(F4):

@@ -5,6 +5,7 @@ import pytest
 from polydec import (
     Poly,
     Strategy,
+    upoly,
     compose,
     first_complete,
     irred_ff_bidecomp,
@@ -15,7 +16,7 @@ from polydec import (
 )
 from polydec.errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
 
-from conftest import rand_poly, seeded_rng
+from conftest import field_of, rand_poly, seeded_rng
 
 
 def test_tame_bidecomp_examples(F5, F7):
@@ -191,3 +192,19 @@ def test_sep_bidecomp_equals_tame_when_p_does_not_divide_r(spec):
         assert sep_bidecomp(f, (r, s)) == ([] if tame is None else [tame]), str(f)
         hits += tame is not None
     assert hits >= 12
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(2^2)", "GF(3)"])
+def test_first_complete_factors_each_level_once(spec, monkeypatch):
+    """Every wild shape of one level reads one factorisation of
+    (f - f(0))/x."""
+    K = field_of(spec)
+    factored = []
+    real = upoly.factor
+    monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real(f))
+    rng = seeded_rng(("first complete factors once", spec))
+    for n in (12, 18):  # two or more wild shapes each
+        f = rand_poly(K, rng, n, monic=True)
+        factored.clear()
+        first_complete(f)
+        assert factored and len(factored) == len(set(factored))

@@ -1,5 +1,6 @@
-"""The packed prime-field kernels of _polyops against the per-term loops they
-replaced, on lengths on both sides of every size cutoff and slot width."""
+"""The packed prime-field kernels and the q-power matrix of _polyops against
+the loops they replaced, on sizes on both sides of every cutoff and slot
+width."""
 
 import pytest
 
@@ -7,7 +8,10 @@ from polydec import Poly, build_prime_field, factor, find_irreducible, is_irredu
 from polydec import _polyops as po
 
 from conftest import (
+    TOWER,
+    distinct_degree_by_powmod,
     divmod_by_element_ops,
+    field_of,
     mul_prime_loop,
     per_term_kernels,
     rand_poly,
@@ -136,3 +140,59 @@ def test_power_starts_from_its_first_factor():
         assert po._power(add, 0, 5, n) == 5 * n
         assert len(products) == n.bit_length() + n.bit_count() - 2
         assert all(a and b for a, b in products)
+
+
+FROB = po._FROBENIUS_MIN_DEGREE
+# degrees 1-64, each side of the degree cutoff and of q = n, where the
+# matrix rows switch from shifts to products by x**q mod v
+SCAN_DEGREES = {
+    2: [1, 2, 3, FROB - 1, FROB, FROB + 1, 16, 33, 64],
+    3: [1, 2, 3, FROB - 1, FROB, FROB + 1, 16, 33, 64],
+    7: [1, 2, 6, FROB - 1, FROB, FROB + 1, 16, 33, 64],
+    13: [1, 2, FROB - 1, FROB, FROB + 1, 12, 13, 14, 40],
+    "GF(2^2)": [1, 3, 4, 5, FROB - 1, FROB, FROB + 1, 20],
+    "GF(3^2)": [1, 2, FROB - 1, FROB, FROB + 1, 10, 16],
+    TOWER: [1, 2, FROB - 1, FROB, FROB + 1, 16, 17],
+    10**18 + 3: [1, 2, FROB - 1, FROB, FROB + 1, 12],
+}
+
+
+def _squarefree_inputs(K, n, rng):
+    """A random squarefree monic of degree n and a product of distinct
+    irreducibles of degrees 1, 2 and n - 3 (or of degree n), so that the
+    scan divides v by some factors and goes on with the rest."""
+    while True:
+        f = po.random_monic(K, n, rng)
+        if po.deg(po.gcd(K, f, po.derivative(K, f))) == 0:
+            break
+    degrees = [1, 2, n - 3] if n > 5 else [n]
+    g = [K.one()]
+    for d in degrees:
+        g = po.mul(K, g, find_irreducible(K, d, rng.randrange(100)))
+    return [f, g]
+
+
+@pytest.mark.parametrize("spec", list(SCAN_DEGREES), ids=str)
+def test_distinct_degree_matches_the_powmod_scan(spec):
+    K = field_of(spec)
+    rng = seeded_rng(("distinct degree", spec))
+    for n in SCAN_DEGREES[spec]:
+        for f in _squarefree_inputs(K, n, rng):
+            assert list(po.distinct_degree(K, f)) == list(distinct_degree_by_powmod(K, f)), n
+
+
+@pytest.mark.parametrize("spec, n, powmods", [
+    (3, 20, 1),    # the first step; q < n, so every matrix row is a shifted row
+    (13, 10, 2),   # the first step and x**q mod v, from which q >= n builds the rows
+    (3, FROB - 1, None),  # below the degree cutoff: a power per degree
+    (2, 20, None),        # GF(2): a squaring per degree
+])
+def test_distinct_degree_steps_by_the_matrix(spec, n, powmods, monkeypatch):
+    """From the second step on, a q >= 3 scan makes no binary power."""
+    K = field_of(spec)
+    f = find_irreducible(K, n, 0)  # the scan runs to d = n // 2
+    calls = []
+    real = po.powmod
+    monkeypatch.setattr(po, "powmod", lambda *args: calls.append(args) or real(*args))
+    assert list(po.distinct_degree(K, f)) == [(f, n)]
+    assert len(calls) == (n // 2 if powmods is None else powmods)

@@ -229,6 +229,19 @@ def test_factor_is_seed_reproducible(F5):
     assert factor(f) == factor(f)
 
 
+def test_factor_seeds_its_generator_at_the_first_split(F4, F5, monkeypatch):
+    seeds = []
+    real = upoly.random.Random
+    monkeypatch.setattr(upoly.random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    # one irreducible factor of each degree: no split draws
+    assert factor(Poly.parse(F5, "(x+1)*(x^2+2)*(x^3+x+1)"))[0] == [
+        (Poly.parse(F5, "x+1"), 1), (Poly.parse(F5, "x^2+2"), 1), (Poly.parse(F5, "x^3+x+1"), 1)]
+    assert seeds == []
+    # four linear factors over GF(4), one generator seeded as before
+    assert len(factor(Poly.parse(F4, "x^4+x"))[0]) == 4
+    assert seeds == ["factor:4:4:0"]
+
+
 def test_factor_over_extension(F4):
     f = Poly.parse(F4, "x^4+x")
     parts, lc = factor(f)
