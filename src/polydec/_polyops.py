@@ -262,44 +262,33 @@ def derivative(K, a):
 # for c in K: h**q = sum(h_i * x**(i*q) mod v).  The distinct-degree scan
 # applies it as a matrix, the rows x**(i*q) mod v, from degree
 # _FROBENIUS_MIN_DEGREE and order _FROBENIUS_MIN_ORDER on, and builds the
-# matrix at its second step, so a scan that stops at the first (most
-# irreducibility tests of a reducible input) builds none.  Measured on
-# scans of random inputs (one core of a 2-core Xeon VM, Python 3.11): a
-# whole scan at degree 8 took 0.74-1.04 of the time of binary powering
-# over GF(3), GF(7), GF(13), GF(2^2) and GF(3^2), and 0.37-0.87 at degrees
-# 12-48; at degrees 3-7 it took up to 1.8 times it.  Over GF(2), where a
-# step is one squaring, it took 0.73-1.43 of it at degrees 8-128.  Built
-# before the first step, the matrix made a first-yield scan up to 1.7
-# times slower at degrees 8-16.
+# matrix at its second step at the earliest, so a scan that stops at the
+# first (most irreducibility tests of a reducible input) builds none.  Over
+# GF(p) a binary power costs about 1.5 * bits(q) packed products mod v, and
+# a row about min(q + 1, 16) / 16 of one (a shift by q reduced by q + 1
+# terms, or a product by x**q when q >= n), so there the scan builds the
+# matrix once its binary powers cost half as much as the build: a scan
+# that stops early builds none, one that runs long pays half a build more.
+# The GF(5) degree-124 scan of the README decomposition stops at d = 4; a
+# build at its second step took it 3.5 times as long.  Over an extension
+# field a row is a small part of one schoolbook product, and the matrix is
+# built at the second step.  Over GF(2), where a step is one squaring, a
+# whole scan by the matrix took 0.73-1.43 of the time of binary powering at
+# degrees 8-128, and at degrees 3-7 up to 1.8 times it over GF(3), GF(7),
+# GF(13), GF(2^2) and GF(3^2).
 _FROBENIUS_MIN_DEGREE = 8
 _FROBENIUS_MIN_ORDER = 3
 
 
 def _frobenius_matrix(K, v):
-    """The q-power matrix mod the monic v of degree n >= 1, q = K.order:
-    the rows x**(i*q) mod v, i < n (von zur Gathen-Shoup 1992).
+    """The q-power matrix mod v of degree n >= 1, q = K.order: the rows
+    x**(i*q) mod v, i < n (von zur Gathen-Shoup 1992).
 
     For q < n a row is the one before it shifted by q and reduced, else its
     product by x**q mod v.  Over GF(p) the rows are packed into integers
-    with slots wide enough for a sum of n coefficient products, and a
-    shifted row is reduced on its packed form, as in ``divmod_``: a slot
-    takes at most q < n products on top of a coefficient below p.
+    with slots wide enough for a sum of n coefficient products.
     """
     n, q = deg(v), K.order
-    if K.kind == "prime" and q < n:
-        p = K.p
-        w = _slot_bytes(n * (p - 1) ** 2)
-        bits, mask, low = 8 * w, (1 << 8 * w) - 1, (1 << 8 * w * n) - 1
-        neg_v = _pack([(p - c) % p for c in v[:n]], w)
-        rows = [1]
-        while len(rows) < n:
-            r = rows[-1] << bits * q
-            for k in range(n + q - 1, n - 1, -1):
-                c = (r >> bits * k & mask) % p
-                if c:
-                    r += c * neg_v << bits * (k - n)
-            rows.append(_pack([c % p for c in _unpack(r & low, w, n)], w))
-        return n, w, rows
     rows = [[K.one()]]
     if q < n:
         shift = [K.zero()] * q
@@ -338,21 +327,25 @@ def distinct_degree(K, f):
 
     The product for d is gcd(x**(q**d) - x, v), where v is f with the
     lower-degree products divided out.  The first step is the binary power
-    x**q mod f.  If at the second step q >= _FROBENIUS_MIN_ORDER and
-    deg v >= _FROBENIUS_MIN_DEGREE, the q-power matrix of that v steps
-    x**(q**d) modulo it from then on, since every later v divides it;
-    otherwise binary powering steps x**(q**d) mod v.  The scan stops once
-    deg v < 2(d+1) and yields what is left as one irreducible.  On any f
-    the first yield has d = deg f exactly when f is irreducible: a
-    reducible f has a factor of degree at most deg f / 2, which the scan
-    reaches before it stops.
+    x**q mod f.  If q >= _FROBENIUS_MIN_ORDER and deg v >=
+    _FROBENIUS_MIN_DEGREE, the q-power matrix of v steps x**(q**d) mod v
+    from the second step on (over GF(p), from the step at which the binary
+    powers taken cost half as much as the matrix; see the note above
+    _FROBENIUS_MIN_DEGREE), since every later v divides that v; otherwise
+    binary powering steps it.  The
+    scan stops once deg v < 2(d+1) and yields what is left as one
+    irreducible.  On any f the first yield has d = deg f exactly when f is
+    irreducible: a reducible f has a factor of degree at most deg f / 2,
+    which the scan reaches before it stops.
     """
     q = K.order
     x = [K.zero(), K.one()]
     v, h, d, M = list(f), x, 0, None
     while deg(v) >= 2 * (d + 1):
         d += 1
-        if d == 2 and q >= _FROBENIUS_MIN_ORDER and deg(v) >= _FROBENIUS_MIN_DEGREE:
+        n = deg(v)
+        if (M is None and d > 1 and q >= _FROBENIUS_MIN_ORDER and n >= _FROBENIUS_MIN_DEGREE
+                and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16))):
             M = _frobenius_matrix(K, v)
             h = mod(K, h, v)
         h = powmod(K, h, q, v) if M is None else _frobenius_apply(K, M, h)

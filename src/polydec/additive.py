@@ -148,6 +148,8 @@ def _frobenius_rows(K, coeffs):
     reads row t mod e, e the degree of K over GF(p), built on first read:
     over GF(p) the one row is ``coeffs`` itself."""
     e, z = K.degree_over_prime, K.zero()
+    if e == 1:
+        return lambda t: coeffs
     rows = {0: coeffs}
 
     def row(t):

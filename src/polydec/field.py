@@ -84,24 +84,9 @@ class Field:
         return po._power(self.mul, self.one(), a, n)
 
     def frobenius_rep(self, a, times):
-        """a raised to the p**times power.
-
-        An extension with a q-power matrix (see ``_q_power_matrix``) raises
-        to the base order q by one matrix product per whole base degree of
-        ``times mod e``; the other p-th powers are binary powers.
-        """
+        """a raised to the p**times power; over GF(p), a itself."""
         times %= self.degree_over_prime
-        if times:
-            whole, rest = divmod(times, self.base.degree_over_prime)
-            M = self._q_power_matrix() if whole else None
-            if M:
-                for _ in range(whole):
-                    r = po._frobenius_apply(self.base, M, a)
-                    a = tuple(r) + self._zero[len(r):]
-                times = rest
-        for _ in range(times):
-            a = self.pow_(a, self.p)
-        return a
+        return self._pth_powers(a, times) if times else a
 
     def pth_root_rep(self, a):
         """The unique representation b with b**p = a."""
@@ -242,7 +227,7 @@ class ExtensionField(Field):
         self._zero = (base.zero(),) * d
         self._one = (base.one(),) + self._zero[1:]
         self._log = None  # built by _tabulate on first use
-        self._frobenius = None  # built by _q_power_matrix on first use
+        self._frobenius = None  # the q-power matrix, built by _pth_powers
 
     def zero(self):
         return self._zero
@@ -361,18 +346,27 @@ class ExtensionField(Field):
         self._log = log
         return True
 
-    def _q_power_matrix(self):
-        """The q-power matrix mod the modulus, q the base order, built on
-        first use; False for a tabulated field, where a power is a few
-        table lookups.  On an untabulated field one matrix product cost a
-        fifth to a quarter of one binary p-th power, at every base order
-        and degree measured (GF(2) degrees 11-40, GF(13) degrees 3-18,
-        GF(2^2) and GF(3^2) degrees 4-8), so the matrix is built there
-        once and kept."""
-        if self._frobenius is None:
-            self._frobenius = self.order > _TABLE_MAX_ORDER and po._frobenius_matrix(
-                self.base, list(self.modulus))
-        return self._frobenius
+    def _pth_powers(self, a, times):
+        """a**(p**times), 0 < times < e."""
+        # A tabulated field multiplies the log of a by p**times.  Otherwise
+        # the q-power matrix of the modulus, q the base order, raises to q
+        # once per whole base degree of ``times`` and binary powers take the
+        # other p-th powers.  One matrix product cost a fifth to a quarter of
+        # one binary p-th power at every base order and degree measured
+        # (GF(2) degrees 11-40, GF(13) 3-18, GF(2^2) and GF(3^2) 4-8), so
+        # the matrix is built on first use and kept.
+        if self._log is not None or self._tabulate():
+            la = self._log[a]
+            return a if la >= self._n else self._exp[la * self.p**times % self._n]
+        whole, times = divmod(times, self.base.degree_over_prime)
+        if whole and self._frobenius is None:
+            self._frobenius = po._frobenius_matrix(self.base, list(self.modulus))
+        for _ in range(whole):
+            r = po._frobenius_apply(self.base, self._frobenius, a)
+            a = tuple(r) + self._zero[len(r):]
+        for _ in range(times):
+            a = self.pow_(a, self.p)
+        return a
 
     def _mul_mod(self, a, b):
         """Product reduced by the modulus, on the polynomial kernel: builds

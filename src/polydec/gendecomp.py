@@ -11,6 +11,7 @@ all factors monic, inner factors with zero constant term.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 from . import addecomp, additive, upoly
@@ -126,14 +127,13 @@ def irred_ff_bidecomp(f, shape):
     return g, h
 
 
-def _bidecompositions(f, shape, strategy, tail_parts=None):
+def _bidecompositions(f, shape, strategy, tail_parts):
     """All normal pairs for one level of the recursion, sorted.
 
     Under SEPARATED the tame recurrence answers whenever p does not divide
     the outer degree: the normal decomposition is then unique (von zur
     Gathen 1990), so the subset search could find no other pair.  The
-    search reads ``tail_parts``, the factor list of (f - f(0))/x, when
-    given.
+    search calls ``tail_parts`` for the factor list of (f - f(0))/x.
     """
     r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
@@ -144,8 +144,7 @@ def _bidecompositions(f, shape, strategy, tail_parts=None):
     elif tame:
         got = tame_bidecomp(f, shape)
     else:
-        parts = _tail_factors(f) if tail_parts is None else tail_parts
-        return _sep_pairs(f, s, parts)
+        return _sep_pairs(f, s, tail_parts())
     return [got] if got is not None else []
 
 
@@ -166,7 +165,8 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED):
     inner = shape[-1]
     outer_product = math.prod(shape) // inner
     out = []
-    for g, h in _bidecompositions(f, (outer_product, inner), strategy):
+    tail_parts = functools.cache(lambda: _tail_factors(f))
+    for g, h in _bidecompositions(f, (outer_product, inner), strategy, tail_parts):
         if len(shape) == 2:
             out.append(Decomposition(f, (g, h)))
             continue
@@ -199,14 +199,12 @@ def first_complete(f, strategy=Strategy.SEPARATED):
     # so the block method degrades to the separated search on recursion
     if strategy is Strategy.IRREDUCIBLE_FF and not upoly.is_irreducible(f):
         strategy = Strategy.SEPARATED
-    tail_parts = None  # (f - f(0))/x, factored once for every wild shape
+    # (f - f(0))/x, factored at most once for every shape tried
+    tail_parts = functools.cache(lambda: _tail_factors(f))
     for d in _divisors(n)[1:-1]:
         shape = (d, n // d)
-        wild = d % f.field.p == 0
-        if strategy is Strategy.TAME and wild:
+        if strategy is Strategy.TAME and d % f.field.p == 0:
             continue
-        if strategy is Strategy.SEPARATED and wild and tail_parts is None:
-            tail_parts = _tail_factors(f)
         pairs = _bidecompositions(f, shape, strategy, tail_parts)
         if pairs:
             g, h = pairs[0]

@@ -277,6 +277,18 @@ def test_untabulated_tower_matches_the_schoolbook_oracle(F4):
         K.inv(K.zero())
 
 
+@pytest.mark.parametrize("spec", ["GF(2^4)", "GF(3^2)", "GF(5^3)", TOWER])
+def test_tabulated_frobenius_matches_repeated_pth_powers(spec):
+    """A tabulated field raises to p**times by one multiple of a log."""
+    K = field_of(spec)
+    e = K.degree_over_prime
+    for a in K.elements():
+        want = a
+        for times in range(2 * e + 1):
+            assert K.frobenius_rep(a, times) == want, (a, times)
+            want = K.pow_(want, K.p)
+
+
 @pytest.mark.parametrize("base, n", [("GF(2^2)", 6), ("GF(2^2)", 8), (13, 18), (2, 11)])
 def test_untabulated_frobenius_matches_repeated_pth_powers(base, n, monkeypatch):
     """Order 4096 (GF(2^2), degree 6) and up: frobenius_rep raises to the

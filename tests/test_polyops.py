@@ -158,9 +158,10 @@ SCAN_DEGREES = {
 
 
 def _squarefree_inputs(K, n, rng):
-    """A random squarefree monic of degree n and a product of distinct
+    """A random squarefree monic of degree n, a product of distinct
     irreducibles of degrees 1, 2 and n - 3 (or of degree n), so that the
-    scan divides v by some factors and goes on with the rest."""
+    scan divides v by some factors and goes on with the rest, and that
+    product times a random nonzero constant, so that v is not monic."""
     while True:
         f = po.random_monic(K, n, rng)
         if po.deg(po.gcd(K, f, po.derivative(K, f))) == 0:
@@ -169,7 +170,10 @@ def _squarefree_inputs(K, n, rng):
     g = [K.one()]
     for d in degrees:
         g = po.mul(K, g, find_irreducible(K, d, rng.randrange(100)))
-    return [f, g]
+    c = K.zero()
+    while c == K.zero():
+        c = K.rand_rep(rng)
+    return [f, g, po.scale(K, g, c)]
 
 
 @pytest.mark.parametrize("spec", list(SCAN_DEGREES), ids=str)
@@ -184,11 +188,14 @@ def test_distinct_degree_matches_the_powmod_scan(spec):
 @pytest.mark.parametrize("spec, n, powmods", [
     (3, 20, 1),    # the first step; q < n, so every matrix row is a shifted row
     (13, 10, 2),   # the first step and x**q mod v, from which q >= n builds the rows
+    (7, 64, 4),    # over GF(p) until 4 * 48 * bits(7) >= 64 * (7 + 1)
+    ("GF(3^2)", 64, 1),   # over an extension field, the first step only
     (3, FROB - 1, None),  # below the degree cutoff: a power per degree
     (2, 20, None),        # GF(2): a squaring per degree
 ])
 def test_distinct_degree_steps_by_the_matrix(spec, n, powmods, monkeypatch):
-    """From the second step on, a q >= 3 scan makes no binary power."""
+    """A q >= 3 scan takes binary powers until the matrix pays, and none
+    after it."""
     K = field_of(spec)
     f = find_irreducible(K, n, 0)  # the scan runs to d = n // 2
     calls = []
@@ -196,3 +203,17 @@ def test_distinct_degree_steps_by_the_matrix(spec, n, powmods, monkeypatch):
     monkeypatch.setattr(po, "powmod", lambda *args: calls.append(args) or real(*args))
     assert list(po.distinct_degree(K, f)) == [(f, n)]
     assert len(calls) == (n // 2 if powmods is None else powmods)
+
+
+def test_distinct_degree_that_stops_early_builds_no_matrix(monkeypatch):
+    """The GF(5) scan of (x^125 + x^25 + x^5 + x)/x, the inner factor
+    search of the README decomposition, stops at d = 4, before its binary
+    powers cost half as much as a degree-124 matrix."""
+    K = build_prime_field(5)
+    f = [1, 0, 0, 0, 1] + [0] * 19 + [1] + [0] * 99 + [1]
+    built = []
+    real = po._frobenius_matrix
+    monkeypatch.setattr(po, "_frobenius_matrix", lambda *args: built.append(args) or real(*args))
+    got = list(po.distinct_degree(K, f))
+    assert [(po.deg(g), d) for g, d in got] == [(4, 2), (120, 4)]
+    assert got == list(distinct_degree_by_powmod(K, f)) and not built

@@ -161,10 +161,12 @@ def test_is_irreducible_matches_exhaustive_small_cases(F2, F3):
             assert is_irreducible(f) == brute
 
 
-@pytest.mark.parametrize("spec", [2, 3, 5, 13, "GF(2^2)", "GF(3^2)", TOWER])
+@pytest.mark.parametrize("spec", [2, 3, 5, 7, 13, "GF(2^2)", "GF(3^2)", TOWER])
 def test_is_irreducible_matches_rabin_oracle(spec):
     """Random monics, non-monics and constants, squares and cubes of
-    irreducibles, and products of random monics."""
+    irreducibles, products of random monics, and non-monics of degree 8-20,
+    irreducible and with an irreducible quadratic factor, which the
+    distinct-degree scan steps by its q-power matrix."""
     K = field_of(spec)
     rng = seeded_rng(("irreducible", str(spec)))
     cases = [Poly.zero(K), Poly.one(K), Poly.constant(K, K.rand_rep(rng))]
@@ -177,6 +179,11 @@ def test_is_irreducible_matches_rabin_oracle(spec):
         g = rand_poly(K, rng, rng.randrange(1, 5), monic=True)
         h = rand_poly(K, rng, rng.randrange(1, 5), monic=True)
         cases += [g * g, g * h, g * g * h]
+    for n in (8, 13, 20):
+        c = rand_poly(K, rng, 0)
+        quad = Poly(K, find_irreducible(K, 2, n))
+        cases += [c * Poly(K, find_irreducible(K, n, n)), rand_poly(K, rng, n),
+                  c * quad * Poly(K, find_irreducible(K, n - 2, n))]
     verdicts = [is_irreducible_rabin(K, list(f.coeffs)) for f in cases]
     assert [is_irreducible(f) for f in cases] == verdicts
     assert 0 < sum(verdicts) < len(cases)
