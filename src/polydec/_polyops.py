@@ -4,11 +4,13 @@ Coefficients are little-endian lists (index = exponent) of raw element
 representations over a field object ``K`` exposing ``zero/one/add/sub/neg/
 mul/inv`` on representations.  The empty list is the zero polynomial.  The
 field tower uses these helpers for products, moduli, inverses and
-irreducibility testing; the public ``Poly`` class wraps them.  Over a prime
-field (elements are the ints 0..p-1) ``mul`` and ``divmod_`` pack long
-operands into integers, a slot per coefficient: a product is one integer
-product (Kronecker substitution), and division one shifted integer add per
-quotient term on a window of the dividend a few divisor lengths long.
+irreducibility testing, ``upoly.factor`` for its squarefree,
+distinct-degree and equal-degree stages, and the public ``Poly`` class
+wraps them.  Over a prime field (elements are the ints 0..p-1) ``mul`` and
+``divmod_`` pack long operands into integers, a slot per coefficient: a
+product is one integer product (Kronecker substitution), and division one
+shifted integer add per quotient term on a window of the dividend a few
+divisor lengths long.
 """
 
 from __future__ import annotations
@@ -355,6 +357,67 @@ def distinct_degree(K, f):
             v = divmod_(K, v, g)[0]
     if deg(v) > 0:
         yield v, deg(v)
+
+
+def squarefree(K, f):
+    """Monic f as (squarefree monic part, multiplicity) pairs, sorted by key.
+
+    Characteristic-p Yun: a squarefree f costs the one gcd(f, f').
+    Factors whose multiplicity is divisible by p stay in gcd(f, f') with
+    zero derivative and are recovered through a p-th root of the
+    coefficient list (all of f when f' = 0, since gcd(f, 0) = f).
+    """
+    if len(f) < 2:
+        return []
+    t = gcd(K, f, derivative(K, f))
+    if len(t) == 1:
+        return [(f, 1)]
+    parts, i = [], 0
+    v = divmod_(K, f, t)[0]
+    while len(v) > 1:
+        i += 1
+        w = gcd(K, t, v)
+        z = divmod_(K, v, w)[0]
+        if len(z) > 1:
+            parts.append((z, i))
+        v, t = w, divmod_(K, t, w)[0]
+    if len(t) > 1:
+        p = K.p
+        root = [K.pth_root_rep(c) for c in t[::p]]
+        parts += [(g, m * p) for g, m in squarefree(K, root)]
+    return sorted(parts, key=lambda pm: _key(K, pm[0]))
+
+
+def equal_degree(K, u, d, rng):
+    """The monic irreducible factors of a monic u whose irreducible factors
+    all have degree d (Cantor-Zassenhaus 1981), splitting by random draws
+    from rng.  Over GF(2^k) a split is gcd of u and a trace map, else of u
+    and a**((q**d - 1) / 2) - 1."""
+    n = deg(u)
+    if n == d:
+        return [u]
+    while True:
+        a = trim(K, [K.rand_rep(rng) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        if K.p == 2:
+            t = tr = a
+            for _ in range(K.degree_over_prime * d - 1):
+                t = mod(K, mul(K, t, t), u)
+                tr = add(K, tr, t)
+            split = mod(K, tr, u)
+        else:
+            split = sub(K, powmod(K, a, (K.order**d - 1) // 2, u), [K.one()])
+        if not split:
+            continue
+        g = gcd(K, split, u)
+        if 0 < deg(g) < n:
+            return equal_degree(K, g, d, rng) + equal_degree(K, divmod_(K, u, g)[0], d, rng)
+
+
+def _key(K, c):
+    """Canonical sort key: (length, coefficient keys low-to-high)."""
+    return (len(c), tuple(K.elt_key(x) for x in c))
 
 
 def is_irreducible(K, f):

@@ -88,8 +88,7 @@ class CoeffVector:
 
     def key(self):
         """Canonical sort key: (length, coefficient keys low-to-high)."""
-        K = self.field
-        return (len(self.coeffs), tuple(K.elt_key(c) for c in self.coeffs))
+        return po._key(self.field, self.coeffs)
 
     def __repr__(self):
         return str(self)
@@ -235,96 +234,27 @@ def is_irreducible(f):
     return po.is_irreducible(f.field, list(f.coeffs))
 
 
-def _pth_root_poly(f):
-    """For f with zero derivative, the g with g**p = f."""
-    K = f.field
-    p = K.p
-    out = []
-    for e in range(0, len(f.coeffs), p):
-        out.append(K.pth_root_rep(f.coeffs[e]))
-    return Poly._raw(K, out)
-
-
-def _squarefree_parts(f):
-    """Monic f as a list of (squarefree monic part, multiplicity).
-
-    Characteristic-p variant: factors whose multiplicity is divisible by p
-    hide in gcd(f, f') with zero derivative and are recovered through a
-    p-th root of the coefficient vector (all of f when f' = 0, since
-    gcd(f, 0) = f).
-    """
-    K = f.field
-    p = K.p
-    out = {}
-    if f.degree == 0:
-        return []
-    t = gcd(f, f.derivative())
-    v = f // t
-    i = 0
-    while v.degree > 0:
-        i += 1
-        w = gcd(t, v)
-        z = v // w
-        if z.degree > 0:
-            out[z] = out.get(z, 0) + i
-        v = w
-        t = t // w
-    if t.degree > 0:
-        for part, mult in _squarefree_parts(_pth_root_poly(t)):
-            out[part] = out.get(part, 0) + mult * p
-    return sorted(out.items(), key=lambda pm: pm[0].key())
-
-
-def _equal_degree_split(u, d, rng):
-    """All monic irreducible factors of u (a product of degree-d primes)."""
-    K = u.field
-    if u.degree == d:
-        return [u]
-    q = K.order
-    n = u.degree
-    while True:
-        a = Poly._raw(K, [K.rand_rep(rng) for _ in range(n)])
-        if a.degree is NEG_INF or a.degree < 1:
-            continue
-        if K.p == 2:
-            t = a
-            tr = a
-            for _ in range(K.degree_over_prime * d - 1):
-                t = (t * t) % u
-                tr = tr + t
-            g_candidate = tr % u
-        else:
-            b = Poly._raw(K, po.powmod(K, list(a.coeffs), (q**d - 1) // 2, list(u.coeffs)))
-            g_candidate = b - Poly.one(K)
-        if g_candidate.is_zero():
-            continue
-        g = gcd(g_candidate, u)
-        if 0 < g.degree < n:
-            return _equal_degree_split(g, d, rng) + _equal_degree_split(u // g, d, rng)
-
-
 def factor(f):
     """Factor f into monic irreducibles.
 
     Returns ``(parts, lc)`` where parts is a list of (irreducible Poly,
     multiplicity) sorted by (degree, coefficient order) and lc is the
-    leading coefficient, so that lc * prod(g**m) == f.
+    leading coefficient, so that lc * prod(g**m) == f.  The squarefree,
+    distinct-degree and equal-degree stages run on raw coefficient lists
+    in ``_polyops``.
     """
     if f.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
     K = f.field
-    lc = f.lc()
-    fm = f.monic()
     rng = None  # seeded at the first split that draws from it
-    parts = {}
-    for sq, mult in _squarefree_parts(fm):
-        for prod, d in po.distinct_degree(K, list(sq.coeffs)):
+    parts = []
+    for sq, mult in po.squarefree(K, po.monic(K, list(f.coeffs))):
+        for prod, d in po.distinct_degree(K, sq):
             if rng is None and po.deg(prod) > d:
                 rng = random.Random(f"factor:{K.order}:{f.degree}:0")
-            for irr in _equal_degree_split(Poly._raw(K, prod), d, rng):
-                parts[irr] = parts.get(irr, 0) + mult
-    ordered = sorted(parts.items(), key=lambda pm: pm[0].key())
-    return ordered, lc
+            parts += [(Poly._raw(K, irr), mult) for irr in po.equal_degree(K, prod, d, rng)]
+    parts.sort(key=lambda pm: pm[0].key())
+    return parts, f.lc()
 
 
 def monic_divisors(f, d):
@@ -334,24 +264,28 @@ def monic_divisors(f, d):
 
 def _divisors_of_factors(K, parts, d):
     """The monic products of degree d of the factor list ``parts`` of
-    ``factor``, each irreducible taken up to its multiplicity, sorted by key."""
+    ``factor``, each irreducible taken up to its multiplicity, sorted by key.
+
+    A branch stops once the degrees left cannot reach d, and no product is
+    formed past the highest exponent that still fits in d.
+    """
     out = []
+    left = [0] * (len(parts) + 1)  # left[i]: the degree of parts[i:]
+    for i in reversed(range(len(parts))):
+        left[i] = left[i + 1] + parts[i][0].degree * parts[i][1]
 
     def rec(idx, cur, deg):
         if deg == d:
-            out.append(cur)
-            return
-        if idx >= len(parts):
-            return
-        irr, mult = parts[idx]
-        for e in range(mult + 1):
-            if deg + e * irr.degree > d:
-                break
-            rec(idx + 1, cur, deg + e * irr.degree)
-            if e < mult:
-                cur = cur * irr
+            out.append(Poly._raw(K, cur))
+        elif deg + left[idx] >= d:
+            irr, mult = parts[idx]
+            top = min(mult, (d - deg) // irr.degree)
+            for e in range(top + 1):
+                rec(idx + 1, cur, deg + e * irr.degree)
+                if e < top:
+                    cur = po.mul(K, cur, irr.coeffs)
 
-    rec(0, Poly.one(K), 0)
+    rec(0, [K.one()], 0)
     out.sort(key=lambda g: g.key())
     return out
 

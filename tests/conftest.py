@@ -406,6 +406,83 @@ def distinct_degree_by_powmod(K, f):
         yield v, po.deg(v)
 
 
+def pth_root_poly(f):
+    """For f with zero derivative, the g with g**p = f."""
+    K = f.field
+    return Poly._raw(K, [K.pth_root_rep(c) for c in f.coeffs[:: K.p]])
+
+
+def squarefree_parts_by_poly(f):
+    """Monic f as a list of (squarefree monic part, multiplicity), sorted by
+    key, by the characteristic-p Yun loop on Poly values: the oracle for
+    _polyops.squarefree."""
+    K = f.field
+    out = {}
+    if f.degree == 0:
+        return []
+    t = upoly.gcd(f, f.derivative())
+    v = f // t
+    i = 0
+    while v.degree > 0:
+        i += 1
+        w = upoly.gcd(t, v)
+        z = v // w
+        if z.degree > 0:
+            out[z] = out.get(z, 0) + i
+        v = w
+        t = t // w
+    if t.degree > 0:
+        for part, mult in squarefree_parts_by_poly(pth_root_poly(t)):
+            out[part] = out.get(part, 0) + mult * K.p
+    return sorted(out.items(), key=lambda pm: pm[0].key())
+
+
+def equal_degree_split_by_poly(u, d, rng):
+    """All monic irreducible factors of u (a product of degree-d primes), on
+    Poly values: the oracle for _polyops.equal_degree, drawing the same
+    stream from rng."""
+    K = u.field
+    if u.degree == d:
+        return [u]
+    q = K.order
+    n = u.degree
+    while True:
+        a = Poly._raw(K, [K.rand_rep(rng) for _ in range(n)])
+        if a.degree is NEG_INF or a.degree < 1:
+            continue
+        if K.p == 2:
+            t = a
+            tr = a
+            for _ in range(K.degree_over_prime * d - 1):
+                t = (t * t) % u
+                tr = tr + t
+            g_candidate = tr % u
+        else:
+            b = Poly._raw(K, po.powmod(K, list(a.coeffs), (q**d - 1) // 2, list(u.coeffs)))
+            g_candidate = b - Poly.one(K)
+        if g_candidate.is_zero():
+            continue
+        g = upoly.gcd(g_candidate, u)
+        if 0 < g.degree < n:
+            return equal_degree_split_by_poly(g, d, rng) + equal_degree_split_by_poly(u // g, d, rng)
+
+
+def factor_by_poly_stages(f):
+    """upoly.factor with its squarefree and equal-degree stages on Poly
+    values (the two oracles above), seeding the generator as factor does:
+    the oracle for the raw-list stages of _polyops."""
+    K = f.field
+    rng = None
+    parts = {}
+    for sq, mult in squarefree_parts_by_poly(f.monic()):
+        for prod, d in po.distinct_degree(K, list(sq.coeffs)):
+            if rng is None and po.deg(prod) > d:
+                rng = random.Random(f"factor:{K.order}:{f.degree}:0")
+            for irr in equal_degree_split_by_poly(Poly._raw(K, prod), d, rng):
+                parts[irr] = parts.get(irr, 0) + mult
+    return sorted(parts.items(), key=lambda pm: pm[0].key()), f.lc()
+
+
 def mul_prime_loop(K, a, b):
     """The product over a prime field reduced term by term: the oracle for
     the packed product of _polyops.mul."""

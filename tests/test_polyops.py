@@ -1,21 +1,28 @@
-"""The packed prime-field kernels and the q-power matrix of _polyops against
-the loops they replaced, on sizes on both sides of every cutoff and slot
-width."""
+"""The packed prime-field kernels, the q-power matrix and the raw-list
+factoring stages of _polyops against the code they replaced, on sizes on
+both sides of every cutoff and slot width."""
+
+import itertools
+import math
+import random
 
 import pytest
 
-from polydec import Poly, build_prime_field, factor, find_irreducible, is_irreducible
+from polydec import Poly, build_prime_field, compose, factor, find_irreducible, is_irreducible
 from polydec import _polyops as po
 
 from conftest import (
     TOWER,
     distinct_degree_by_powmod,
     divmod_by_element_ops,
+    equal_degree_split_by_poly,
+    factor_by_poly_stages,
     field_of,
     mul_prime_loop,
     per_term_kernels,
     rand_poly,
     seeded_rng,
+    squarefree_parts_by_poly,
 )
 
 # 3000000000000000000000007 needs product slots wider than 8 bytes
@@ -217,3 +224,75 @@ def test_distinct_degree_that_stops_early_builds_no_matrix(monkeypatch):
     got = list(po.distinct_degree(K, f))
     assert [(po.deg(g), d) for g, d in got] == [(4, 2), (120, 4)]
     assert got == list(distinct_degree_by_powmod(K, f)) and not built
+
+
+def _factor_inputs(K, rng):
+    """Random monics and non-monics, a constant, a product of distinct
+    linear factors, repeated factors, and for small p multiplicities p and
+    p**2 and an f with f' = 0, so that the squarefree stage takes its
+    p-th-root recursion."""
+    p = K.p
+    x = Poly.x(K)
+    linear = [x - Poly.constant(K, c) for c in itertools.islice(K.elements(), 5)]
+    cases = [rand_poly(K, rng, 0), math.prod(linear, start=Poly.one(K))]
+    cases += [rand_poly(K, rng, rng.randrange(1, 13), monic=i % 2 == 0) for i in range(8)]
+    for _ in range(3):
+        g = rand_poly(K, rng, rng.randrange(1, 4), monic=True)
+        cases.append(g * g * rand_poly(K, rng, rng.randrange(0, 6)))
+    if p < 5:
+        g, h = rand_poly(K, rng, 2, monic=True), rand_poly(K, rng, 1, monic=True)
+        cases += [g**p * h * h * rand_poly(K, rng, 3), h ** (p * p) * g,
+                  compose(rand_poly(K, rng, 3), Poly.monomial(K, p))]
+    elif p == 5:
+        g = rand_poly(K, rng, 1, monic=True)
+        cases += [g**p * rand_poly(K, rng, 4), (g * g) ** (p * p)]
+    return cases
+
+
+@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", "GF(3^2)", TOWER, 65521], ids=str)
+def test_factor_matches_the_poly_stages(spec):
+    """Each raw-list stage against its Poly oracle, the equal-degree stage
+    on one generator seed for both, and factor end to end."""
+    K = field_of(spec)
+    rng = seeded_rng(("raw stages", spec))
+    for f in _factor_inputs(K, rng):
+        fm = f.monic()
+        parts = po.squarefree(K, list(fm.coeffs))
+        assert [(Poly._raw(K, g), m) for g, m in parts] == squarefree_parts_by_poly(fm), f
+        for sq, _mult in parts:
+            for prod, d in po.distinct_degree(K, sq):
+                seed = rng.random()
+                got = po.equal_degree(K, prod, d, random.Random(seed))
+                want = equal_degree_split_by_poly(Poly._raw(K, prod), d, random.Random(seed))
+                assert [Poly._raw(K, g) for g in got] == want, f
+        assert factor(f) == factor_by_poly_stages(f), f
+
+
+def test_squarefree_input_takes_one_gcd_and_no_division(monkeypatch):
+    K = build_prime_field(5)
+    g, h = find_irreducible(K, 2, 0), find_irreducible(K, 3, 0)
+    calls, inside_gcd = [], []
+    real_gcd, real_divmod = po.gcd, po.divmod_
+
+    def gcd(*args):
+        calls.append("gcd")
+        inside_gcd.append(True)
+        try:
+            return real_gcd(*args)
+        finally:
+            inside_gcd.pop()
+
+    def divmod_(*args):
+        if not inside_gcd:
+            calls.append("div")
+        return real_divmod(*args)
+
+    monkeypatch.setattr(po, "gcd", gcd)
+    monkeypatch.setattr(po, "divmod_", divmod_)
+    gh = po.mul(K, g, h)
+    assert po.squarefree(K, gh) == [(gh, 1)]
+    assert calls == ["gcd"]
+    # g**2 * h: t = g, then one pass of the loop per multiplicity
+    calls.clear()
+    assert po.squarefree(K, po.mul(K, g, gh)) == [(g, 2), (h, 1)]
+    assert calls == ["gcd", "div"] + ["gcd", "div", "div"] * 2

@@ -320,14 +320,18 @@ def test_chebyshev_negative_index_rejected(F5):
         chebyshev(-1, F5)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_monic_divisors_match_exhaustive_search(p):
+    """Random f, and g**m * h with multiplicities m up to 3, where the
+    enumeration prunes branches that cannot reach degree d."""
     from polydec import build_prime_field
 
     K = build_prime_field(p)
     rng = seeded_rng(("divisors", p))
-    for _ in range(6):
-        f = rand_poly(K, rng, rng.randrange(1, 6))
+    cases = [rand_poly(K, rng, rng.randrange(1, 6)) for _ in range(6)]
+    for dg, m, dh in [(1, 2, 1), (1, 3, 1), (2, 2, 1), (1, 3, 2), (2, 1, 3)]:
+        cases.append(rand_poly(K, rng, dg, monic=True) ** m * rand_poly(K, rng, dh))
+    for f in cases:
         for d in range(f.degree + 1):
             want = [
                 g
@@ -336,6 +340,24 @@ def test_monic_divisors_match_exhaustive_search(p):
                 if (f % g).is_zero()
             ]
             assert monic_divisors(f, d) == sorted(want, key=lambda g: g.key())
+
+
+@pytest.mark.parametrize("d, want, products", [
+    # x^2+x+1, x+1, x^2+1, x, x^2+x: none above degree 2
+    (2, ["x^2+x", "x^2+1", "x^2+x+1"], 5),
+    # no branch that skips both x and x+1, which cannot reach degree 5
+    (5, ["x^5+x^4+x^2+x", "x^5+x^3+x^2+1"], 9),
+])
+def test_divisor_enumeration_prunes_products(F2, monkeypatch, d, want, products):
+    """The degree-d divisors of x * (x+1)**3 * (x^2+x+1), and the products
+    the enumeration forms on the way."""
+    parts = factor(Poly.parse(F2, "x*(x+1)^3*(x^2+x+1)"))[0]
+    degrees = []
+    real = upoly.po.mul
+    monkeypatch.setattr(upoly.po, "mul", lambda K, a, b: degrees.append(len(a) + len(b) - 2)
+                        or real(K, a, b))
+    assert [str(g) for g in upoly._divisors_of_factors(F2, parts, d)] == want
+    assert max(degrees) <= d and len(degrees) == products
 
 
 def test_parse_print_roundtrip(F3, F4):
