@@ -11,7 +11,17 @@ Grammar (whitespace ignored)::
 names (g1, g2, ...).  Evaluation happens directly in the polynomial ring
 over the field, on sparse ``{exponent: rep}`` maps, so printed canonical
 forms round-trip exactly even when extension-field coefficients carry their
-own '+' and '*', and a large exponent costs its bit length, not its size.
+own '+' and '*'.
+
+Costs: the text is tokenized by one regular-expression scan.  A term such as
+``3*g1*x^5`` costs one map product per ``*``, each a single pass over the
+other operand, and one field addition where it joins a sum.  A power of a
+single term (``x^16384``, ``(2*x)^9``, ``g1^3``) is one field power whatever
+the exponent.  A power of a many-term map takes binary powering, and a
+product of two many-term maps costs len(a) * len(b) field products; above
+_SPARSE_MAX_PRODUCT it is a DegreeError before any is formed.  So a text
+costs at most a small multiple of its length times that cap: a power takes
+at most two products per bit of its exponent.
 """
 
 from __future__ import annotations
@@ -22,24 +32,24 @@ from . import _polyops as po
 from .errors import DegreeError, ParseError
 
 # Dense coefficient lists (Poly, rational and modulus text) hold at most this
-# degree; additive text stays sparse and has no such limit.
+# degree; additive text stays sparse and has no degree limit.
 _DENSE_MAX_DEGREE = 1 << 24
+# A product of two many-term sparse maps forms at most this many coefficient
+# products (operands of 256 terms each), for text of every kind.  The largest
+# product in the tests, README and selftest forms 529.
+_SPARSE_MAX_PRODUCT = 1 << 16
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|\-|\(|\)|/)")
+# a character that starts no token and is not whitespace
+_BAD = re.compile(r"[^\s\dA-Za-z_^*+\-()/]")
 
 
 def tokenize(text):
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character at {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
+    bad = _BAD.search(text)
+    if bad:
+        pos = len(text[: bad.start()].rstrip())
+        raise ParseError(f"bad character at {text[pos:]!r}")
+    return _TOKEN.findall(text)
 
 
 def parse_int_list(text):
@@ -62,6 +72,19 @@ def _add_into(K, a, b, op):
 
 
 def _mul(K, a, b):
+    """The product of two sparse maps.  A one-term operand scales the other
+    in one pass; two many-term operands cost len(a) * len(b) products, a
+    DegreeError above _SPARSE_MAX_PRODUCT before any is formed."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        (f, d), = b.items()
+        mul = K.mul
+        return {e + f: mul(c, d) for e, c in a.items()}
+    if len(a) * len(b) > _SPARSE_MAX_PRODUCT:
+        raise DegreeError(
+            f"a product of {len(a)} and {len(b)} terms is above the sparse limit"
+            f" {_SPARSE_MAX_PRODUCT}")
     z = K.zero()
     out = {}
     for e, c in a.items():
@@ -76,19 +99,23 @@ def _constant(K, rep):
 
 class _Parser:
     """Evaluates token streams to sparse ``{exponent: rep}`` maps with no
-    zero terms, so ``x^N`` costs one term whatever ``N`` is."""
+    zero terms, so ``x^N`` costs one term whatever ``N`` is.
+
+    The token list ends in a ``None`` sentinel, which the evaluator reads in
+    place of calling :meth:`peek`; subclasses may still call peek and take.
+    """
 
     def __init__(self, field, tokens, var):
         self.K = field
-        self.toks = tokens
+        self.toks = [*tokens, None]
         self.i = 0
         self.var = var
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
+        return self.toks[self.i]
 
     def take(self):
-        t = self.peek()
+        t = self.toks[self.i]
         if t is None:
             raise ParseError("unexpected end of expression")
         self.i += 1
@@ -96,37 +123,45 @@ class _Parser:
 
     def parse(self):
         value = self.expr()
-        if self.peek() is not None:
-            raise ParseError(f"trailing tokens at {self.toks[self.i:]!r}")
+        if self.toks[self.i] is not None:
+            raise ParseError(f"trailing tokens at {self.toks[self.i:-1]!r}")
         return value
 
     def expr(self):
         K = self.K
+        toks = self.toks
         value = self.term()
-        while self.peek() in ("+", "-"):
-            op = K.add if self.take() == "+" else K.sub
+        while toks[self.i] in ("+", "-"):
+            op = K.add if toks[self.i] == "+" else K.sub
+            self.i += 1
             _add_into(K, value, self.term(), op)
         return value
 
     def term(self):
+        toks = self.toks
         value = self.unary()
-        while self.peek() == "*":
-            self.take()
+        while toks[self.i] == "*":
+            self.i += 1
             value = _mul(self.K, value, self.unary())
         return value
 
     def unary(self):
         K = self.K
-        if self.peek() == "-":
-            self.take()
+        toks = self.toks
+        if toks[self.i] == "-":
+            self.i += 1
             return {e: K.neg(c) for e, c in self.unary().items()}
         value = self.atom()
-        if self.peek() == "^":
-            self.take()
+        if toks[self.i] == "^":
+            self.i += 1
             e = self.take()
             if not e.isdigit():
                 raise ParseError(f"exponent must be a natural number, got {e!r}")
-            value = po._power(lambda a, b: _mul(K, a, b), {0: K.one()}, value, int(e))
+            n = int(e)
+            if len(value) == 1:
+                (f, c), = value.items()
+                return {f * n: K.pow_(c, n)}
+            value = po._power(lambda a, b: _mul(K, a, b), {0: K.one()}, value, n)
         return value
 
     def atom(self):

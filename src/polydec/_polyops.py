@@ -323,7 +323,7 @@ def _frobenius_apply(K, M, h):
     return trim(K, out)
 
 
-def distinct_degree(K, f):
+def distinct_degree(K, f, kept=None):
     """Yield (product of the degree-d irreducible factors of f, d), lowest
     d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981).
 
@@ -338,7 +338,9 @@ def distinct_degree(K, f):
     scan stops once deg v < 2(d+1) and yields what is left as one
     irreducible.  On any f the first yield has d = deg f exactly when f is
     irreducible: a reducible f has a factor of degree at most deg f / 2,
-    which the scan reaches before it stops.
+    which the scan reaches before it stops.  When ``kept`` is a list, the
+    q-power matrix the scan builds, if any, is appended to it; for an
+    irreducible f it is the matrix of f itself.
     """
     q = K.order
     x = [K.zero(), K.one()]
@@ -350,6 +352,8 @@ def distinct_degree(K, f):
                 and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16))):
             M = _frobenius_matrix(K, v)
             h = mod(K, h, v)
+            if kept is not None:
+                kept.append(M)
         h = powmod(K, h, q, v) if M is None else _frobenius_apply(K, M, h)
         g = gcd(K, sub(K, h, x), v)
         if deg(g) > 0:
@@ -461,16 +465,18 @@ def poly_str(K, terms, var):
     ``terms`` are (exponent, representation) pairs in rising exponent
     order; zero coefficients are skipped.
     """
-    z = K.zero()
+    z, one = K.zero(), K.one()
     out = []
     for e, c in reversed(list(terms)):
         if c == z:
             continue
-        cs = K.elt_str(c)
-        wrapped = f"({cs})" if any(s in cs for s in "+-*") else cs
-        if e == 0:
-            out.append(wrapped)
-        else:
+        if e:
             v = var if e == 1 else f"{var}^{e}"
-            out.append(v if c == K.one() else f"{wrapped}*{v}")
+            if c == one:
+                out.append(v)
+                continue
+        cs = K.elt_str(c)
+        if "+" in cs or "-" in cs or "*" in cs:
+            cs = f"({cs})"
+        out.append(f"{cs}*{v}" if e else cs)
     return "+".join(out) or "0"

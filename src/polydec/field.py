@@ -212,7 +212,8 @@ class ExtensionField(Field):
             raise Reducible("extension modulus must have degree >= 2")
         if modulus[-1] != base.one():
             raise NotMonic("extension modulus must be monic")
-        if not po.is_irreducible(base, modulus):
+        kept = []  # the q-power matrix of the modulus, if the scan builds it
+        if next(po.distinct_degree(base, modulus, kept))[1] != d:
             raise Reducible("extension modulus is reducible over its base")
         self.base = base
         self.modulus = tuple(modulus)
@@ -226,8 +227,9 @@ class ExtensionField(Field):
         self._names = base._names + (self.gen_name,)
         self._zero = (base.zero(),) * d
         self._one = (base.one(),) + self._zero[1:]
+        self._gen = (base.zero(), base.one()) + self._zero[2:]
         self._log = None  # built by _tabulate on first use
-        self._frobenius = None  # the q-power matrix, built by _pth_powers
+        self._frobenius = kept[0] if kept else None  # else built by _pth_powers
 
     def zero(self):
         return self._zero
@@ -255,11 +257,7 @@ class ExtensionField(Field):
 
     def gen(self):
         """The residue of the adjoined indeterminate, as a Felt."""
-        b = self.base
-        rep = tuple(
-            b.one() if i == 1 else b.zero() for i in range(self.deg)
-        )
-        return Felt(self, rep)
+        return Felt(self, self._gen)
 
     # Element ops read the tables when the field has them.  ``log`` maps
     # zero to 2n (n = q - 1), and ``exp`` holds g^0 .. g^(n-1) twice, then
@@ -406,7 +404,7 @@ class ExtensionField(Field):
 
     def generator_by_name(self, name):
         if name == self.gen_name:
-            return self.gen().rep
+            return self._gen
         return self.embed(self.base.generator_by_name(name))
 
     def describe(self):

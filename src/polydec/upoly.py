@@ -266,26 +266,33 @@ def _divisors_of_factors(K, parts, d):
     """The monic products of degree d of the factor list ``parts`` of
     ``factor``, each irreducible taken up to its multiplicity, sorted by key.
 
-    A branch stops once the degrees left cannot reach d, and no product is
-    formed past the highest exponent that still fits in d.
+    A branch is taken only when the parts left can make up exactly the
+    degree it still lacks, and no product is formed past the highest
+    exponent that leaves such a branch.
     """
     out = []
-    left = [0] * (len(parts) + 1)  # left[i]: the degree of parts[i:]
+    # reach[i]: the degrees up to d of the products of parts[i:] (a knapsack
+    # over the multiplicities)
+    reach = [None] * len(parts) + [{0}]
     for i in reversed(range(len(parts))):
-        left[i] = left[i + 1] + parts[i][0].degree * parts[i][1]
+        n, mult = parts[i][0].degree, parts[i][1]
+        reach[i] = {s + e * n for s in reach[i + 1] for e in range(mult + 1) if s + e * n <= d}
 
     def rec(idx, cur, deg):
         if deg == d:
             out.append(Poly._raw(K, cur))
-        elif deg + left[idx] >= d:
-            irr, mult = parts[idx]
-            top = min(mult, (d - deg) // irr.degree)
-            for e in range(top + 1):
-                rec(idx + 1, cur, deg + e * irr.degree)
-                if e < top:
-                    cur = po.mul(K, cur, irr.coeffs)
+            return
+        irr, mult = parts[idx]
+        n, after = irr.degree, reach[idx + 1]
+        top = max(e for e in range(min(mult, (d - deg) // n) + 1) if d - deg - e * n in after)
+        for e in range(top + 1):
+            if d - deg - e * n in after:
+                rec(idx + 1, cur, deg + e * n)
+            if e < top:
+                cur = po.mul(K, cur, irr.coeffs)
 
-    rec(0, [K.one()], 0)
+    if d in reach[0]:
+        rec(0, [K.one()], 0)
     out.sort(key=lambda g: g.key())
     return out
 

@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -28,7 +29,7 @@ from polydec import (
 )
 from polydec import _expr, _polyops as po
 from polydec.additive import peel_frobenius, right_quotient
-from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic
+from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic, ParseError
 from polydec.ratfun import _outer_pair
 
 
@@ -358,6 +359,43 @@ class DenseParser(_expr._Parser):
 
 def eval_poly_text_dense(field, text, var="x"):
     return DenseParser(field, _expr.tokenize(text), var).parse()
+
+
+_MATCH_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|\-|\(|\)|/)")
+
+
+def tokenize_by_match(text):
+    """Tokens by one anchored match per token, reporting the first position
+    where none matches: the oracle for _expr.tokenize."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        m = _MATCH_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"bad character at {text[pos:]!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+def poly_str_by_elt_str(K, terms, var):
+    """Canonical text with every coefficient printed by K.elt_str: the
+    oracle for _polyops.poly_str."""
+    z = K.zero()
+    out = []
+    for e, c in reversed(list(terms)):
+        if c == z:
+            continue
+        cs = K.elt_str(c)
+        wrapped = f"({cs})" if any(s in cs for s in "+-*") else cs
+        if e == 0:
+            out.append(wrapped)
+        else:
+            v = var if e == 1 else f"{var}^{e}"
+            out.append(v if c == K.one() else f"{wrapped}*{v}")
+    return "+".join(out) or "0"
 
 
 def is_irreducible_rabin(K, f):

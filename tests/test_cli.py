@@ -378,6 +378,24 @@ def test_dense_text_too_large_to_hold_exits_2(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: degree 1099511627776 is above")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["meet", "--field", "GF(3)", "(x+1)^1099511627776", "x"],
+        ["meet", "--field", "GF(3)", "(x+2)^100000", "x"],
+        ["compose", "--field", "GF(5)", "(x+1)^10000000", "x"],
+    ],
+)
+def test_text_products_above_the_sparse_limit_exit_2(capsys, argv):
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: a product of ")
+    assert lines[0].endswith("terms is above the sparse limit 65536")
+
+
 def test_large_prime_field_answers_quickly(capsys):
     start = time.monotonic()
     code, out, _ = run(capsys, "meet", "--field", "GF(1000000000000000003)", "x", "x")

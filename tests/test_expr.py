@@ -5,11 +5,26 @@ import time
 
 import pytest
 
-from polydec import AdditivePoly, Poly, build_prime_field, parse_field_spec, parse_rational
-from polydec._expr import _DENSE_MAX_DEGREE, dense, eval_poly_text
-from polydec.errors import DegreeError, NotAdditive
+from polydec import (
+    AdditivePoly,
+    Poly,
+    _expr,
+    _polyops as po,
+    build_prime_field,
+    parse_field_spec,
+    parse_rational,
+)
+from polydec._expr import _DENSE_MAX_DEGREE, _SPARSE_MAX_PRODUCT, dense, eval_poly_text, tokenize
+from polydec.errors import DegreeError, NotAdditive, ParseError
 
-from conftest import TOWER, eval_poly_text_dense, field_of, seeded_rng
+from conftest import (
+    TOWER,
+    eval_poly_text_dense,
+    field_of,
+    poly_str_by_elt_str,
+    seeded_rng,
+    tokenize_by_match,
+)
 
 
 def _random_text(rng, names, depth):
@@ -96,3 +111,131 @@ def test_dense_text_above_the_limit_is_a_degree_error():
     f = AdditivePoly.parse(F2, "x^1099511627776+x")
     assert time.monotonic() - start < 0.1
     assert f == AdditivePoly(F2, [1] + [0] * 39 + [1])
+
+
+# token characters, ASCII and other whitespace, characters that start no
+# token (one a superscript digit, which is no decimal), and non-ASCII
+# decimal digits, which int() reads
+_TEXT_CHARS = (
+    "x", "g1", "y_2", "7", "42", "^", "*", "+", "-", "(", ")", "/",
+    " ", "  ", "\t", "\n", "\u00a0", "\u2003",
+    "#", "$", ".", "\u00e9", "\u00b2",
+    "\u0663", "\u096d", "\uff10",
+)
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def test_tokenize_matches_the_match_loop():
+    rng = seeded_rng("tokenize")
+    texts = ["", " ", "x", "x #", "x+\t$", " \u00a0", "x\u0663^\u0663", "\u00b2"]
+    texts += ["".join(rng.choice(_TEXT_CHARS) for _ in range(rng.randrange(12))) for _ in range(3000)]
+    errors = 0
+    for text in texts:
+        want = _outcome(tokenize_by_match, text)
+        assert _outcome(tokenize, text) == want, repr(text)
+        errors += isinstance(want, str)
+    assert 0 < errors < len(texts)
+
+
+def test_non_ascii_digits_read_as_numbers():
+    F7 = build_prime_field(7)
+    assert tokenize("x\u0663 + \u0664\u0662") == ["x", "\u0663", "+", "\u0664\u0662"]
+    assert Poly.parse(F7, "x^\u0663+\u0664\u0662*x") == Poly.parse(F7, "x^3")
+    with pytest.raises(ParseError, match="^bad character at ' \u00b2'$"):
+        tokenize("x \u00b2")
+
+
+@pytest.mark.parametrize("text, spec", [
+    ("(g1*g2)^5*x^7", TOWER),
+    ("(g1*x^2)^3*(g2+x)", TOWER),
+    ("(-x)^4", 3),
+    ("(-x)^3", 5),
+    ("(2*x)^9", 5),
+    ("(2*x)^0+(0*x)^3+0^0", 7),
+    ("x^1000*(x+1)", 2),
+    ("g1^3*x+(g1+1)^4", "GF(3^2)"),
+    ("3*(x+2)*x^2*(x-1)", 5),
+])
+def test_monomial_powers_and_one_term_products_match_dense_oracle(text, spec):
+    K = field_of(spec)
+    terms = eval_poly_text(K, text, "x")
+    assert K.zero() not in terms.values()
+    assert dense(K, terms) == eval_poly_text_dense(K, text), text
+
+
+def test_a_power_of_one_term_forms_no_map_product(monkeypatch):
+    K = parse_field_spec(TOWER)
+    products = []
+    real = _expr._mul
+    monkeypatch.setattr(_expr, "_mul", lambda K, a, b: products.append((len(a), len(b)))
+                        or real(K, a, b))
+    for text in ["x^16384", "g1^3", "(g2)^5", "(-g1)^7", "-x^1099511627776"]:
+        eval_poly_text(K, text, "x")
+    assert products == []
+    eval_poly_text(K, "(g1*g2)^5*x^7", "x")
+    assert products == [(1, 1), (1, 1)]
+
+
+def test_only_products_of_two_many_term_maps_are_capped(monkeypatch):
+    F5 = build_prime_field(5)
+    monkeypatch.setattr(_expr, "_SPARSE_MAX_PRODUCT", 3)
+    for text in ["x*(x^3+x^2+x+1)*3", "2*(x^3+x^2+x+1)*x^4", "-(x+1)*(x^3+1)^0"]:
+        assert dense(F5, eval_poly_text(F5, text, "x")) == eval_poly_text_dense(F5, text), text
+    with pytest.raises(DegreeError, match="^a product of 2 and 2 terms is above the sparse limit 3$"):
+        eval_poly_text(F5, "x*(x+1)*(x+2)", "x")
+
+
+def _ones(n):
+    return "(" + "+".join(f"x^{e}" for e in range(n)) + ")"
+
+
+def test_a_product_above_the_sparse_limit_is_a_degree_error():
+    F3 = build_prime_field(3)
+    assert _SPARSE_MAX_PRODUCT == 1 << 16
+    f = Poly.parse(F3, f"{_ones(256)}*{_ones(256)}")
+    assert f.degree == 510
+    message = f"a product of 257 and 256 terms is above the sparse limit {_SPARSE_MAX_PRODUCT}"
+    with pytest.raises(DegreeError, match=f"^{message}$"):
+        Poly.parse(F3, f"{_ones(257)}*{_ones(256)}")
+    # (x^(3^30)+x)^3 = x^(3^31)+x^3 is two terms however large its degree
+    f = AdditivePoly.parse(F3, f"(x^{3**30}+x)^3")
+    assert f == AdditivePoly(F3, [0, 1] + [0] * 29 + [1])
+    start = time.monotonic()
+    with pytest.raises(DegreeError, match="^a product of 324 and 324 terms"):
+        AdditivePoly.parse(F3, "(x+1)^1099511627776")
+    assert time.monotonic() - start < 1
+
+
+def _random_terms(K, rng):
+    """(exponent, rep) pairs in rising order, with zero and unit
+    coefficients, unit ones at exponents 0 and 1 included."""
+    n = rng.randrange(6)
+    z, one = K.zero(), K.one()
+    pool = [z, one, one, K.neg(one)] + [K.rand_rep(rng) for _ in range(3)]
+    return [(e, rng.choice(pool)) for e in range(n)]
+
+
+@pytest.mark.parametrize("spec", [2, 3, "GF(3^2)", "GF(2^4)", TOWER])
+def test_poly_str_matches_the_elt_str_oracle_and_round_trips(spec):
+    K = field_of(spec)
+    rng = seeded_rng(f"poly_str:{spec}")
+    cases = [[(0, K.one())], [(0, K.zero()), (1, K.one())], [(0, K.one()), (1, K.one())], []]
+    cases += [_random_terms(K, rng) for _ in range(300)]
+    for terms in cases:
+        want = poly_str_by_elt_str(K, terms, "x")
+        assert po.poly_str(K, terms, "x") == want
+        f = Poly(K, [c for _, c in terms])
+        assert str(f) == want
+        assert Poly.parse(K, str(f)) == f
+        g = AdditivePoly(K, [c for _, c in terms])
+        assert AdditivePoly.parse(K, str(g)) == g
+        assert str(g) == poly_str_by_elt_str(K, ((K.p**i, c) for i, c in terms), "x")
+    if K.height:
+        for a in K.elements():
+            assert K.elt_str(a) == poly_str_by_elt_str(K.base, enumerate(a), K.gen_name)

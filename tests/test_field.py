@@ -312,6 +312,26 @@ def test_untabulated_frobenius_matches_repeated_pth_powers(base, n, monkeypatch)
     assert len(powers) == sum(times % e % step for times in range(2 * e + 1))
 
 
+@pytest.mark.parametrize("base, n", [("GF(2^2)", 8), (13, 18), ("GF(2^2)", 6), (2, 11)])
+def test_extension_builds_its_q_power_matrix_once(base, n, monkeypatch):
+    """The matrix that the irreducibility scan of the modulus builds (degree
+    8 and up, base order 3 and up) is the one frobenius_rep uses."""
+    F = field_of(base)
+    modulus = find_irreducible(F, n)
+    matrices = []
+    real = po._frobenius_matrix
+    monkeypatch.setattr(po, "_frobenius_matrix", lambda *args: matrices.append(args) or real(*args))
+    K = build_extension(F, modulus)
+    assert len(matrices) == (F.order >= 3 and n >= 8)
+    a = K.rand_rep(seeded_rng(("one matrix", base, n)))
+    want = a
+    for _ in range(F.degree_over_prime):
+        want = K.pow_(want, K.p)
+    assert K.frobenius_rep(a, F.degree_over_prime) == want
+    assert len(matrices) == 1
+    assert K._frobenius == real(F, list(modulus))
+
+
 def test_raw_reps_are_coerced_to_canonical_tuples(F4):
     from_lists = Poly(F4, [[0, 1], [1, 0], [0, 0]])
     assert from_lists.degree == 1

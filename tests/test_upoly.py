@@ -345,8 +345,9 @@ def test_monic_divisors_match_exhaustive_search(p):
 @pytest.mark.parametrize("d, want, products", [
     # x^2+x+1, x+1, x^2+1, x, x^2+x: none above degree 2
     (2, ["x^2+x", "x^2+1", "x^2+x+1"], 5),
-    # no branch that skips both x and x+1, which cannot reach degree 5
-    (5, ["x^5+x^4+x^2+x", "x^5+x^3+x^2+1"], 9),
+    # no branch that skips both x and x+1, which cannot reach degree 5, and
+    # no x*(x+1)^3, which only the quadratic follows
+    (5, ["x^5+x^4+x^2+x", "x^5+x^3+x^2+1"], 8),
 ])
 def test_divisor_enumeration_prunes_products(F2, monkeypatch, d, want, products):
     """The degree-d divisors of x * (x+1)**3 * (x^2+x+1), and the products
