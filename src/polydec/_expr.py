@@ -2,16 +2,18 @@
 
 Grammar (whitespace ignored)::
 
-    expr  := term (('+' | '-') term)*
-    term  := unary ('*' unary)*
-    unary := '-' unary | atom ['^' natural]
-    atom  := natural | name | '(' expr ')'
+    ratfun := expr ['/' expr]
+    expr   := term (('+' | '-') term)*
+    term   := unary ('*' unary)*
+    unary  := '-' unary | atom ['^' natural]
+    atom   := natural | name | '(' expr ')'
 
-``name`` is the polynomial variable or one of the field tower's generator
-names (g1, g2, ...).  Evaluation happens directly in the polynomial ring
-over the field, on sparse ``{exponent: rep}`` maps, so printed canonical
-forms round-trip exactly even when extension-field coefficients carry their
-own '+' and '*'.
+``natural`` is Unicode decimal digits, at most sys.get_int_max_str_digits()
+of them (0: no limit); ``name`` is the variable or a generator name (g1, ...).
+Rational-function text is a ``ratfun``, read in one pass; other text an
+``expr``.  Evaluation happens directly in the polynomial ring over the field,
+on sparse ``{exponent: rep}`` maps, so printed canonical forms round-trip
+exactly even when extension-field coefficients carry their own '+' and '*'.
 
 Costs: the text is tokenized by one regular-expression scan.  A term such as
 ``3*g1*x^5`` costs one map product per ``*``, each a single pass over the
@@ -27,6 +29,7 @@ at most two products per bit of its exponent.
 from __future__ import annotations
 
 import re
+import sys
 
 from . import _polyops as po
 from .errors import DegreeError, ParseError
@@ -50,6 +53,19 @@ def tokenize(text):
         pos = len(text[: bad.start()].rstrip())
         raise ParseError(f"bad character at {text[pos:]!r}")
     return _TOKEN.findall(text)
+
+
+def _natural(token):
+    """The one reader of numbers in text: the value of a ``natural``, else a
+    ParseError.  The leading underscore keeps this per-token call out of the
+    per-layer tracer."""
+    if not token.isdecimal():
+        raise ParseError(f"expected a natural number, got {token!r}")
+    try:
+        return int(token)
+    except ValueError:  # the only one int() raises on decimal digits
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a number of {len(token)} digits is above the limit {limit}") from None
 
 
 def parse_int_list(text):
@@ -122,7 +138,10 @@ class _Parser:
         return t
 
     def parse(self):
-        value = self.expr()
+        return self.end(self.expr())
+
+    def end(self, value):
+        """value, when every token has been read."""
         if self.toks[self.i] is not None:
             raise ParseError(f"trailing tokens at {self.toks[self.i:-1]!r}")
         return value
@@ -155,9 +174,9 @@ class _Parser:
         if toks[self.i] == "^":
             self.i += 1
             e = self.take()
-            if not e.isdigit():
+            if not e[0].isdecimal():
                 raise ParseError(f"exponent must be a natural number, got {e!r}")
-            n = int(e)
+            n = _natural(e)
             if len(value) == 1:
                 (f, c), = value.items()
                 return {f * n: K.pow_(c, n)}
@@ -172,10 +191,12 @@ class _Parser:
             if self.take() != ")":
                 raise ParseError("expected ')'")
             return value
-        if t.isdigit():
-            return _constant(K, K.from_int(int(t)))
         if t == self.var:
             return {1: K.one()}
+        if t[0].isdecimal():
+            return _constant(K, K.from_int(_natural(t)))
+        if not t.isidentifier():
+            raise ParseError(f"expected a number, the variable, a generator or '(', got {t!r}")
         return _constant(K, K.generator_by_name(t))
 
 
@@ -201,32 +222,16 @@ def eval_poly_text(field, text, var):
     return _Parser(field, toks, var).parse()
 
 
-def split_rational_text(text):
-    """Split ``num/den`` at the single top-level '/'; den may be absent."""
-    toks = tokenize(text)
-    depth = 0
-    cut = None
-    for i, t in enumerate(toks):
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-        elif t == "/" and depth == 0:
-            if cut is not None:
-                raise ParseError("more than one top-level '/' in rational function")
-            cut = i
-    if cut is None:
-        return toks, None
-    return toks[:cut], toks[cut + 1 :]
-
-
 def eval_rational_text(field, text, var):
-    """Parse ``num/den`` (or plain ``num``) into two sparse maps."""
-    num_toks, den_toks = split_rational_text(text)
-    num = _Parser(field, num_toks, var).parse()
-    if den_toks is None:
-        return num, {0: field.one()}
-    if not den_toks:
+    """Parse ``num/den`` (or plain ``num``) into two sparse maps, in one pass."""
+    parser = _Parser(field, tokenize(text), var)
+    num = parser.expr()
+    if parser.toks[parser.i] != "/":
+        return parser.end(num), {0: field.one()}
+    parser.i += 1
+    if parser.toks[parser.i] is None:
         raise ParseError("empty denominator")
-    den = _Parser(field, den_toks, var).parse()
-    return num, den
+    den = parser.expr()
+    if parser.toks[parser.i] == "/":
+        raise ParseError("more than one top-level '/' in rational function")
+    return num, parser.end(den)

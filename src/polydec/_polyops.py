@@ -197,17 +197,15 @@ def monic(K, a):
 
 
 def gcd(K, a, b):
-    """Monic greatest common divisor; either argument may be zero."""
+    """Monic greatest common divisor of a and b, not both zero."""
     a, b = list(a), list(b)
     while b:
         a, b = b, mod(K, a, b)
-    if not a:
-        return []
     return monic(K, a)
 
 
 def extgcd(K, a, b):
-    """Return (g, u, v) with u*a + v*b = g and g monic (or zero)."""
+    """Return (g, u, v) with u*a + v*b = g monic, for a and b not both zero."""
     r0, r1 = list(a), list(b)
     u0, u1 = [K.one()], []
     v0, v1 = [], [K.one()]
@@ -216,8 +214,6 @@ def extgcd(K, a, b):
         r0, r1 = r1, r
         u0, u1 = u1, sub(K, u0, mul(K, q, u1))
         v0, v1 = v1, sub(K, v0, mul(K, q, v1))
-    if not r0:
-        return [], u0, v0
     c = K.inv(r0[-1])
     return scale(K, r0, c), scale(K, u0, c), scale(K, v0, c)
 

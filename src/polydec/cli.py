@@ -180,12 +180,9 @@ def _cmd_absdec(args):
     field = _field_of(args)
     f = AdditivePoly.parse(field, args.expr)
     tower, dec = addecomp.abs_decompose(f)
-    if args.json:
-        print(json.dumps(dec.to_json_dict(), sort_keys=True))
-    else:
+    if not args.json:
         print(f"field: {tower.describe()}")
-        print(dec)
-    return 0
+    return _emit_decs(args, [dec])
 
 
 def _cmd_ratdec(args):

@@ -17,6 +17,7 @@ names below it; a level built without one takes the first ``g<k>`` unused.
 from __future__ import annotations
 
 from . import _polyops as po
+from ._expr import _natural, dense, eval_poly_text
 from .errors import (
     DegreeError,
     DivideByZero,
@@ -567,60 +568,42 @@ def lift(a, target):
 
 
 def parse_field_spec(text, seed=0):
-    """Parse the field spec grammar into a Field."""
+    """Parse the field spec grammar into a Field.  Each ``[`` opens a level:
+    no ``[`` can occur in a modulus, which is expression text."""
     s = text.strip().replace(" ", "")
     if not s.startswith("GF("):
         raise ParseError(f"field spec must start with GF(: {text!r}")
-    close = s.index(")") if ")" in s else -1
-    if close < 0:
+    head, paren, rest = s[3:].partition(")")
+    if not paren:
         raise ParseError(f"unbalanced parenthesis in field spec {text!r}")
-    head = s[3:close]
-    rest = s[close + 1 :]
-    if "^" in head:
-        p_txt, e_txt = head.split("^", 1)
-        if not (p_txt.isdigit() and e_txt.isdigit()):
-            raise ParseError(f"bad prime power {head!r}")
-        p, e = int(p_txt), int(e_txt)
-        if e < 1:
-            raise ParseError(f"prime power exponent must be >= 1: {head!r}")
-        base = build_prime_field(p)
-        if e == 1:
-            field = base
-        else:
-            field = ExtensionField(base, find_irreducible(base, e, seed))
-    else:
-        if not head.isdigit():
-            raise ParseError(f"bad characteristic {head!r}")
-        field = build_prime_field(int(head))
-    while rest:
-        if not rest.startswith("["):
-            raise ParseError(f"trailing junk in field spec: {rest!r}")
-        if "]" not in rest:
+    p_txt, caret, e_txt = head.partition("^")
+    try:
+        p, e = _natural(p_txt), _natural(e_txt) if caret else 1
+    except ParseError as exc:
+        what = "prime power" if caret else "characteristic"
+        raise ParseError(f"bad {what} {head!r}: {exc}") from None
+    if e < 1:
+        raise ParseError(f"prime power exponent must be >= 1: {head!r}")
+    field = build_prime_field(p)
+    if e > 1:
+        field = ExtensionField(field, find_irreducible(field, e, seed))
+    first, *levels = rest.split("[")
+    if first:
+        raise ParseError(f"trailing junk in field spec: {rest!r}")
+    for level in levels:
+        gen_name, bracket, after = level.partition("]")
+        if not bracket:
             raise ParseError(f"missing ']' after generator name in field spec {text!r}")
-        gb = rest.index("]")
-        gen_name = rest[1:gb]
         names = field._names + ("x",)
         if gen_name in names or not (gen_name.isascii() and gen_name.isidentifier()):
             raise ParseError(f"generator {gen_name!r} must be a name not in {', '.join(names)}")
-        rest = rest[gb + 1 :]
-        if not rest.startswith("/("):
+        if not after.startswith("/("):
             raise ParseError("expected /(modulus) after generator name")
-        depth = 0
-        end = -1
-        for i, ch in enumerate(rest[1:], start=1):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    end = i
-                    break
-        if end < 0:
+        mod_txt, paren, junk = after[2:].rpartition(")")
+        if not paren:
             raise ParseError("unbalanced parenthesis in modulus")
-        mod_txt = rest[2:end]
-        rest = rest[end + 1 :]
-        from ._expr import dense, eval_poly_text
-
+        if junk:
+            raise ParseError(f"trailing junk in field spec: {junk!r}")
         coeffs = dense(field, eval_poly_text(field, mod_txt, gen_name))
         field = ExtensionField(field, coeffs, gen_name=gen_name)
     return field

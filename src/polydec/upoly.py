@@ -19,7 +19,6 @@ from .errors import (
     BothZero,
     DegreeError,
     DegreeMismatch,
-    DivideByZero,
     FieldMismatch,
     NotMonic,
     ZeroInput,
@@ -168,8 +167,6 @@ class Poly(CoeffVector):
 
     def __divmod__(self, other):
         self._check(other)
-        if other.is_zero():
-            raise DivideByZero("polynomial division by zero")
         q, r = po.divmod_(self.field, list(self.coeffs), list(other.coeffs))
         return Poly._raw(self.field, q), Poly._raw(self.field, r)
 

@@ -17,6 +17,7 @@ from polydec import (
     add_rdivrem,
     build_extension,
     build_prime_field,
+    find_irreducible,
     flt_apply,
     meet,
     min_add_mult,
@@ -29,6 +30,7 @@ from polydec import (
 )
 from polydec import _expr, _polyops as po
 from polydec.additive import peel_frobenius, right_quotient
+from polydec.field import ExtensionField
 from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic, ParseError
 from polydec.ratfun import _outer_pair
 
@@ -378,6 +380,100 @@ def tokenize_by_match(text):
         out.append(m.group(1))
         pos = m.end()
     return out
+
+
+def split_rational_text_by_depth(text):
+    """Split ``num/den`` at the single top-level '/' by a scan of the
+    parenthesis depth; den may be absent."""
+    toks = _expr.tokenize(text)
+    depth = 0
+    cut = None
+    for i, t in enumerate(toks):
+        if t == "(":
+            depth += 1
+        elif t == ")":
+            depth -= 1
+        elif t == "/" and depth == 0:
+            if cut is not None:
+                raise ParseError("more than one top-level '/' in rational function")
+            cut = i
+    if cut is None:
+        return toks, None
+    return toks[:cut], toks[cut + 1 :]
+
+
+def eval_rational_text_split(field, text, var="x"):
+    """``num/den`` split first, then each side parsed on its own: the oracle
+    for the one-pass _expr.eval_rational_text."""
+    num_toks, den_toks = split_rational_text_by_depth(text)
+    num = _expr._Parser(field, num_toks, var).parse()
+    if den_toks is None:
+        return num, {0: field.one()}
+    if not den_toks:
+        raise ParseError("empty denominator")
+    den = _expr._Parser(field, den_toks, var).parse()
+    return num, den
+
+
+def parse_field_spec_by_depth(text, seed=0):
+    """The field spec grammar read by str.isdigit() and int() on the head
+    and by a parenthesis-depth scan for each modulus: the oracle for
+    polydec.parse_field_spec.  Reads superscript digits and numbers above
+    the int() string limit as a ValueError."""
+    s = text.strip().replace(" ", "")
+    if not s.startswith("GF("):
+        raise ParseError(f"field spec must start with GF(: {text!r}")
+    close = s.index(")") if ")" in s else -1
+    if close < 0:
+        raise ParseError(f"unbalanced parenthesis in field spec {text!r}")
+    head = s[3:close]
+    rest = s[close + 1 :]
+    if "^" in head:
+        p_txt, e_txt = head.split("^", 1)
+        if not (p_txt.isdigit() and e_txt.isdigit()):
+            raise ParseError(f"bad prime power {head!r}")
+        p, e = int(p_txt), int(e_txt)
+        if e < 1:
+            raise ParseError(f"prime power exponent must be >= 1: {head!r}")
+        base = build_prime_field(p)
+        if e == 1:
+            field = base
+        else:
+            field = ExtensionField(base, find_irreducible(base, e, seed))
+    else:
+        if not head.isdigit():
+            raise ParseError(f"bad characteristic {head!r}")
+        field = build_prime_field(int(head))
+    while rest:
+        if not rest.startswith("["):
+            raise ParseError(f"trailing junk in field spec: {rest!r}")
+        if "]" not in rest:
+            raise ParseError(f"missing ']' after generator name in field spec {text!r}")
+        gb = rest.index("]")
+        gen_name = rest[1:gb]
+        names = field._names + ("x",)
+        if gen_name in names or not (gen_name.isascii() and gen_name.isidentifier()):
+            raise ParseError(f"generator {gen_name!r} must be a name not in {', '.join(names)}")
+        rest = rest[gb + 1 :]
+        if not rest.startswith("/("):
+            raise ParseError("expected /(modulus) after generator name")
+        depth = 0
+        end = -1
+        for i, ch in enumerate(rest[1:], start=1):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    end = i
+                    break
+        if end < 0:
+            raise ParseError("unbalanced parenthesis in modulus")
+        mod_txt = rest[2:end]
+        rest = rest[end + 1 :]
+        coeffs = _expr.dense(field, _expr.eval_poly_text(field, mod_txt, gen_name))
+        field = ExtensionField(field, coeffs, gen_name=gen_name)
+    return field
 
 
 def poly_str_by_elt_str(K, terms, var):

@@ -229,6 +229,10 @@ def test_non_monic_input_is_normalized_with_note(capsys):
     assert len(lines) == 4
 
 
+# a number of 5000 digits, above Python's default int() string limit of 4300
+_ONES = "1" * 5000
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -245,6 +249,15 @@ def test_non_monic_input_is_normalized_with_note(capsys):
         ["all-complete", "--field", "GF(2)", "--limit", "-1", "x^4+x"],
         ["decompose", "--field", "GF(2)", "--limit", "-1", "--shape", "2,2", "x^4+x"],
         ["meet", "--field", "GF(3317044064679887385961981)", "x", "x"],
+        # numbers above the int() string limit, and superscript digits, which
+        # are no decimal digits
+        ["meet", "--field", "GF(2)", f"x^{_ONES}", "x"],
+        ["meet", "--field", "GF(2)", f"{_ONES}*x", "x"],
+        ["meet", "--field", f"GF({_ONES})", "x", "x"],
+        ["meet", "--field", f"GF(2^{_ONES})", "x", "x"],
+        ["meet", "--field", f"GF(2)[a]/(a^2+a+{_ONES})", "x", "x"],
+        ["meet", "--field", "GF(\u00b2)", "x", "x"],
+        ["meet", "--field", "GF(2^\u00b3)", "x", "x"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -291,6 +304,15 @@ def _spec(field):
         (_spec(f"{TOWER}[g1]/(g1^2+g1+1)"), "generator 'g1' must be a name not in g1, g2, x"),
         # GF(p^1) is the prime field itself
         (["meet", "--field", "GF(5^1)", "x^", "x"], "unexpected end of expression"),
+        # an operator where an operand belongs is named as such; a name that
+        # is not a generator is an unknown generator
+        (["meet", "--field", "GF(5)", "x++x", "x"],
+         "expected a number, the variable, a generator or '(', got '+'"),
+        (["ratdec", "--field", "GF(5)", "--shape", "2,0,2,1", "/x"],
+         "expected a number, the variable, a generator or '(', got '/'"),
+        (["meet", "--field", "GF(5)", "x+y", "x"], "unknown generator 'y' in field GF(5)"),
+        (_MEET + [f"x^{_ONES}", "x"], "a number of 5000 digits is above the limit 4300"),
+        (_spec("GF(2^\u00b3)"), "bad prime power '2^\u00b3': expected a natural number"),
     ],
 )
 def test_parse_errors_exit_2_with_their_own_error_line(capsys, argv, message):
@@ -462,6 +484,39 @@ def test_empty_result_json_is_empty_list(capsys):
 
 
 _FIELDS = ["GF(2)", "GF(5)", "GF(2^2)", TOWER]
+# 4301 to 5000 digits: above Python's default int() string limit
+_LONG = st.builds(lambda digit, n: digit * n, st.sampled_from("123456789"), st.integers(4301, 5000))
+
+
+@st.composite
+def _level(draw):
+    """One tower level ``[name]/(modulus)``, sometimes malformed: a missing
+    ']', an unbalanced modulus, or trailing text after it."""
+    name = draw(st.sampled_from(["a", "g2", "x", "", "+"]))
+    constant = draw(_LONG if draw(st.integers(0, 5)) == 0 else st.sampled_from("12\u0661"))
+    level = f"[{name}]/({name}^2+{name}+{constant})"
+    flaw = draw(st.sampled_from(["none", "none", "none", "no ]", "no )", "junk"]))
+    if flaw == "no ]":
+        return level.replace("]", "", 1)
+    if flaw == "no )":
+        return level[:-1]
+    if flaw == "junk":
+        return level + draw(st.sampled_from(["x", "+1", "(", ")", "]"]))
+    return level
+
+
+@st.composite
+def _field_spec(draw):
+    """Mostly a field from _FIELDS; else a spec from a small grammar with
+    superscript, non-ASCII and long numbers and malformed levels."""
+    if draw(st.integers(0, 3)):
+        return draw(st.sampled_from(_FIELDS))
+    head = draw(st.sampled_from(["2", "5", "2^2", "3^0", "\u0662", "\u00b2", "2^\u00b3", "a"]))
+    if draw(st.integers(0, 5)) == 0:
+        head = draw(_LONG | _LONG.map("2^{}".format))
+    return f"GF({head})" + "".join(draw(st.lists(_level(), max_size=2)))
+
+
 _ADDITIVE = ["all-complete", "basis", "absdec", "meet", "join", "transform", "similar", "transmute"]
 # exponents of up to 3 digits go where the work stays small: additive input
 # over a prime field is either rejected at parse time or kept in exponent
@@ -475,12 +530,16 @@ _WIDE = st.one_of(
 
 @st.composite
 def _polynomial_text(draw, exponents):
+    """Text and degree; one text in ten may have long numbers in its
+    coefficient and exponent slots, which count as degree 0."""
+    coefficients = st.sampled_from([1, 2, 3, 9])
+    if draw(st.integers(0, 9)) == 0:
+        coefficients, exponents = coefficients | _LONG, exponents | _LONG
     terms = draw(st.lists(
-        st.tuples(st.sampled_from("+-"), st.sampled_from([1, 2, 3, 9]), exponents),
-        min_size=1, max_size=3,
+        st.tuples(st.sampled_from("+-"), coefficients, exponents), min_size=1, max_size=3,
     ))
     text = "".join(f"{sign}{c}*x^{e}" for sign, c, e in terms)
-    return text.lstrip("+"), max(e for _s, _c, e in terms)
+    return text.lstrip("+"), max(e if isinstance(e, int) else 0 for _s, _c, e in terms)
 
 
 @st.composite
@@ -490,7 +549,7 @@ def _argv(draw):
     ))
     if cmd == "counts":
         return [cmd] + [str(draw(st.integers(-1, 5))) for _ in range(3)]
-    field = draw(st.sampled_from(_FIELDS))
+    field = draw(_field_spec())
     argv = [cmd, "--field", field]
     for flag in ("--json", "--assert-additive"):
         if draw(st.booleans()):
@@ -498,7 +557,8 @@ def _argv(draw):
     if draw(st.booleans()):
         argv += ["--seed", str(draw(st.integers(0, 3)))]
     if cmd == "chebyshev":
-        return argv + ["--", str(draw(st.integers(-1, 60)))]
+        index = draw(_LONG if draw(st.integers(0, 9)) == 0 else st.integers(-1, 60))
+        return argv + ["--", str(index)]
     # a leading '-' reads as an option unless '--' comes first
     end_of_options = ["--"] if draw(st.booleans()) else []
     wide = cmd in _ADDITIVE and field in ("GF(2)", "GF(5)")

@@ -1,6 +1,7 @@
 """The sparse expression evaluator against the dense oracle, and additive
 parsing straight from its exponent map."""
 
+import sys
 import time
 
 import pytest
@@ -15,12 +16,15 @@ from polydec import (
     parse_rational,
 )
 from polydec._expr import _DENSE_MAX_DEGREE, _SPARSE_MAX_PRODUCT, dense, eval_poly_text, tokenize
-from polydec.errors import DegreeError, NotAdditive, ParseError
+from polydec._expr import eval_rational_text
+from polydec.errors import DegreeError, NotAdditive, ParseError, PolydecError
 
 from conftest import (
     TOWER,
     eval_poly_text_dense,
+    eval_rational_text_split,
     field_of,
+    parse_field_spec_by_depth,
     poly_str_by_elt_str,
     seeded_rng,
     tokenize_by_match,
@@ -239,3 +243,141 @@ def test_poly_str_matches_the_elt_str_oracle_and_round_trips(spec):
     if K.height:
         for a in K.elements():
             assert K.elt_str(a) == poly_str_by_elt_str(K.base, enumerate(a), K.gen_name)
+
+
+def test_natural_reads_what_tokenize_calls_a_number():
+    assert [_expr._natural(t) for t in ["0", "007", "\u0663", "\u0664\u0662"]] == [0, 7, 3, 42]
+    for text in ["", "\u00b2", " 1", "1 ", "+1", "-1", "1_0", "0x1", "1.0"]:
+        with pytest.raises(ParseError, match="^expected a natural number, got "):
+            _expr._natural(text)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert _expr._natural("9" * 4300) == 10**4300 - 1
+        with pytest.raises(ParseError, match="^a number of 4301 digits is above the limit 4300$"):
+            _expr._natural("9" * 4301)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert _expr._natural("1" + "0" * 5000) == 10**5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _long_number(rng):
+    """4301 to 5000 digits: above Python's default int() string limit."""
+    return str(rng.randrange(1, 10)) + "".join(rng.choice("0123456789")
+                                               for _ in range(rng.randrange(4300, 5000)))
+
+
+def _read(reader, *args):
+    """("value", result), ("error", text) for a PolydecError, or
+    ("ValueError", text) for the old readers' int() failures."""
+    try:
+        return "value", reader(*args)
+    except PolydecError as exc:
+        return "error", str(exc)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _both_raise(old, new, text):
+    """Checks that both sides give a value or both raise, the new one a
+    PolydecError (the old spec reader's ValueError, on superscript digits
+    and long numbers, is the traceback this reader mends); True when both
+    raise."""
+    assert new[0] in ("value", "error"), (text, new)
+    if old[0] == "value" or new[0] == "value":
+        assert old[0] == new[0] == "value", (text, old, new)
+        return False
+    return True
+
+
+def _rational_text(rng, names):
+    """Expression text with '/' anywhere: top level, nested, leading,
+    trailing and repeated, and some numbers too long to read."""
+    pieces = [_random_text(rng, names, rng.randrange(4)) for _ in range(rng.randrange(1, 4))]
+    text = "/".join(f"({p})" if rng.random() < 0.5 else p for p in pieces)
+    kind = rng.randrange(8)
+    if kind == 0:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + "/" + text[cut:]
+    elif kind == 1:
+        text = text.replace("x", _long_number(rng), 1)
+    elif kind == 2:
+        text = rng.choice(["/", "", "(", ")"]) + text + rng.choice(["/", "", ")"])
+    return text
+
+
+@pytest.mark.parametrize("spec", [5, "GF(3^2)", TOWER])
+def test_one_pass_rational_parse_matches_the_split_oracle(spec):
+    K = field_of(spec)
+    names = [f"g{i}" for i in range(1, K.height + 1)]
+    rng = seeded_rng(f"ratfun-text:{spec}")
+    texts = ["", "/", "x/", "/x", "x//x", "x/x/x", "(x/x)", "x/(x)/", "x^/x", "x/()"]
+    texts += [_rational_text(rng, names) for _ in range(800)]
+    errors = 0
+    for text in texts:
+        old = _read(eval_rational_text_split, K, text)
+        new = _read(eval_rational_text, K, text, "x")
+        if _both_raise(old, new, text):
+            errors += 1
+        else:
+            assert new[1] == old[1], text
+    assert min(errors, len(texts) - errors) > len(texts) // 5
+
+
+_MODULI = {"2": "{n}^2+{n}+1", "3": "{n}^2+1", "5": "{n}^2+2", "2^2": "{n}^3+{n}+1"}
+
+
+def _spec_text(rng):
+    """A field spec from a small grammar, with malformed heads and levels:
+    no '(' or ')', non-decimal digits, long numbers, a missing ']', an
+    unbalanced modulus and trailing text after it."""
+    head = rng.choice([*_MODULI, "7", "3^1", "2^0", "2^3", "6", "a", "", "2^a", "^2",
+                       "\u00b2", "2^\u00b3", "\u0663", "\u0662^\u0662", "2^2^2"])
+    if rng.random() < 0.05:
+        head = _long_number(rng)
+    elif rng.random() < 0.05:
+        head = f"2^{_long_number(rng)}"
+    text = rng.choice(["GF(", "GF(", "GF(", "GF(", "GF", "F("]) + head
+    text += rng.choice([")", ")", ")", ")", ")", "", "))"])
+    used = []
+    for _ in range(rng.randrange(3)):
+        n = rng.choice(["a", "b", "g1", "g2", "x", "+", "", "a1", *used[:1]])
+        mod = _MODULI.get(head, "{n}^2+{n}+1").format(n=n) + "".join(f"+{m}" for m in used[-1:])
+        used.append(n)
+        mod = rng.choice([mod, mod, mod, f"({mod})", f"{mod}+{n}^4", "", f"{n}+1)*({n}+1",
+                          f"{mod}+{_long_number(rng)}" if rng.random() < 0.1 else mod])
+        level = f"[{n}]/({mod})"
+        kind = rng.randrange(12)
+        if kind == 0:
+            level = level.replace("]", "", 1)
+        elif kind == 1:
+            level = level[:-1]
+        elif kind == 2:
+            level += rng.choice(["x", "+1", "(", ")", "]", "[", "/(b)"])
+        elif kind == 3:
+            level = level.replace("/", "", 1)
+        elif kind == 4:
+            level = level.replace("(", "((", 1)
+        text += level
+    if rng.random() < 0.2:
+        cut = rng.randrange(len(text) + 1)
+        text = text[:cut] + rng.choice([" ", "  ", "\t"]) + text[cut:]
+    return text
+
+
+def test_field_spec_reader_matches_the_depth_scan_oracle():
+    rng = seeded_rng("field-spec-text")
+    texts = ["GF(2)", "GF(2^2)", TOWER, f" {TOWER} ", "GF(2)[a]/(a^2+a+1)x", "GF(\u00b2)",
+             "GF(2^\u00b3)", "GF(\u0663)", "GF(2)[a]/((a^2+a+1)", "GF(2)[a]/(a+1)*(a+1)"]
+    texts += [_spec_text(rng) for _ in range(1500)]
+    outcomes = {"value": 0, "error": 0, "ValueError": 0}
+    for text in texts:
+        old = _read(parse_field_spec_by_depth, text, 1)
+        new = _read(parse_field_spec, text, 1)
+        outcomes[old[0]] += 1
+        if not _both_raise(old, new, text):
+            K, want = new[1], old[1]
+            assert K == want and K.describe() == want.describe(), text
+            assert getattr(K, "modulus", None) == getattr(want, "modulus", None), text
+    assert min(outcomes.values()) > 20, outcomes
