@@ -444,15 +444,18 @@ def random_monic(K, n, rng):
     return [K.rand_rep(rng) for _ in range(n)] + [K.one()]
 
 
-def find_irreducible(K, n, seed):
-    """Deterministically seeded search for a monic irreducible of degree n."""
+def _monic_candidates(K, n, seed):
+    """The seeded random monics of degree n that find_irreducible tries."""
     import random
 
     rng = random.Random(f"irreducible:{K.order}:{n}:{seed}")
     while True:
-        f = random_monic(K, n, rng)
-        if is_irreducible(K, f):
-            return f
+        yield random_monic(K, n, rng)
+
+
+def find_irreducible(K, n, seed):
+    """Deterministically seeded search for a monic irreducible of degree n."""
+    return next(f for f in _monic_candidates(K, n, seed) if is_irreducible(K, f))
 
 
 def poly_str(K, terms, var):

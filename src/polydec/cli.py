@@ -1,10 +1,16 @@
 """Command-line surface: ``polydec <subcommand> ...``.
 
-Exit codes: 0 for success/found, 1 for a clean "no decomposition" (or
-negative verdict), 2 for usage or input errors.  Output is line-oriented;
-``--json`` switches decomposition-shaped results to the JSON schema
-``{"target", "field", "factors", "complete"}`` (an empty result prints
-``[]``).  Identical argv and seed give byte-identical output.
+Exit codes: 0 for an answer, 1 for an empty result ("no decomposition",
+or a negative verdict such as ``similar`` false), 2 for usage or input
+errors.  Each subcommand that takes ``--json`` prints its results through
+``_emit``, which formats each item once: a text line each, or under
+``--json`` one record each (a bare object for one item, a list for
+several, ``[]`` for none).  A decomposition's record is ``{"target",
+"field", "factors", "complete"}``, any other result's is ``{"field",
+"result"}``.  Under ``--json`` an input error found after argv is parsed
+also prints ``{"error", "type"}`` on stdout, and no ``note:`` line is
+printed.  ``counts`` and ``selftest`` print text only.  Identical argv and
+seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import sys
 from . import addecomp, additive, gendecomp, ratfun, upoly
 from .additive import AdditivePoly
 from ._expr import parse_int_list
-from .addecomp import OrderedFactorisation
+from .addecomp import Decomposition, OrderedFactorisation
 from .errors import DegreeError, ParseError, PolydecError
 from .field import parse_field_spec
 from .gendecomp import Strategy
@@ -45,36 +51,44 @@ def _shape(args):
     return parse_int_list(args.shape)
 
 
-def _emit(args, records, lines):
-    """Print JSON records under --json, else text lines; 1 when empty."""
+def _emit(args, items, record, text, empty):
+    """Print each item once: ``record(item)`` under --json (one object for
+    one item, a list otherwise), else ``text(item)`` a line each, or the
+    ``empty`` line when there are none.  Returns 1 exactly when empty."""
     if args.json:
+        records = [record(item) for item in items]
         print(json.dumps(records[0] if len(records) == 1 else records, sort_keys=True))
     else:
-        for line in lines or ["no decomposition"]:
-            print(line)
-    return 0 if lines else 1
+        print("\n".join(map(text, items)) if items else empty)
+    return 0 if items else 1
 
 
 def _emit_decs(args, decs):
-    return _emit(args, [d.to_json_dict() for d in decs], [str(d) for d in decs])
+    return _emit(args, decs, Decomposition.to_json_dict, str, "no decomposition")
+
+
+def _result(value):
+    """The record of a single result: a polynomial and its field."""
+    return {"field": value.field.describe(), "result": str(value)}
+
+
+def _emit_result(args, value):
+    return _emit(args, [value], _result, str, None)
 
 
 def _cmd_compose(args):
     field = _field_of(args)
     polys = [_poly(args, field, t) for t in args.exprs]
-    acc = polys[0]
-    for f in polys[1:]:
-        acc = upoly.compose(acc, f)
-    print(acc)
-    return 0
+    return _emit_result(args, functools.reduce(upoly.compose, polys))
 
 
-def _monicized(f):
-    """Scale to monic, reporting the adjustment (f = c * (monic f))."""
+def _monicized(args, f):
+    """Scale to monic; in text mode, note the adjustment (f = c * target)."""
     if f.is_monic() or f.is_zero():
         return f
-    c = f.lc()
-    print(f"note: input scaled by {c.inv()} to make it monic (f = {c} * target)")
+    if not args.json:
+        c = f.lc()
+        print(f"note: input scaled by {c.inv()} to make it monic (f = {c} * target)")
     return f.monic()
 
 
@@ -84,24 +98,21 @@ def _cmd_decompose(args):
     strategy = Strategy(args.strategy)
     if args.limit is not None and args.limit < 0:
         raise ParseError("--limit must be >= 0")
-    f = _monicized(_poly(args, field, args.expr))
-    decs = gendecomp.ord_fact_decomp(f, shape, strategy)
-    if args.limit is not None:
-        decs = decs[: args.limit]
-    return _emit_decs(args, decs)
+    f = _monicized(args, _poly(args, field, args.expr))
+    return _emit_decs(args, gendecomp.ord_fact_decomp(f, shape, strategy)[: args.limit])
 
 
 def _cmd_complete(args):
-    field = _field_of(args)
-    f = _monicized(_poly(args, field, args.expr))
-    dec = gendecomp.first_complete(f, Strategy(args.strategy))
-    return _emit_decs(args, [dec])
+    f = _monicized(args, _poly(args, _field_of(args), args.expr))
+    return _emit_decs(args, [gendecomp.first_complete(f, Strategy(args.strategy))])
+
+
+def _additive(args):
+    return AdditivePoly.parse(_field_of(args), args.expr)
 
 
 def _cmd_all_complete(args):
-    field = _field_of(args)
-    f = AdditivePoly.parse(field, args.expr)
-    decs = addecomp.all_complete_decompositions(f, limit=args.limit)
+    decs = addecomp.all_complete_decompositions(_additive(args), limit=args.limit)
     return _emit_decs(args, decs)
 
 
@@ -110,54 +121,32 @@ def _additive_pair(args):
     return [AdditivePoly.parse(field, text) for text in args.exprs]
 
 
-def _print_ring_op(name):
-    """A subcommand printing ``additive.<name>`` of its two inputs."""
-
-    def run(args):
-        print(getattr(additive, name)(*_additive_pair(args)))
-        return 0
-
-    return run
+def _ring_op(name):
+    """A subcommand emitting ``additive.<name>`` of its two inputs."""
+    return lambda args: _emit_result(args, getattr(additive, name)(*_additive_pair(args)))
 
 
 def _cmd_similar(args):
-    f, g = _additive_pair(args)
-    flag, witness = additive.is_similar(f, g)
-    if flag:
-        print(f"true witness={witness}")
-        return 0
-    print("false")
-    return 1
+    flag, witness = additive.is_similar(*_additive_pair(args))
+    return _emit(args, [witness] if flag else [], _result, "true witness={}".format, "false")
 
 
 def _cmd_transmute(args):
+    """Each pair (gbar, fbar) is a decomposition of f o g = gbar o fbar."""
     f, g = _additive_pair(args)
     pairs = additive.transmutable(f, g)
-    if not pairs:
-        print("no transmutation")
-        return 1
-    for gbar, fbar in pairs:
-        print(f"({gbar}) o ({fbar})")
-    return 0
+    fg = additive.add_compose(f, g)
+    decs = [Decomposition(fg, pair) for pair in pairs]
+    return _emit(args, decs, Decomposition.to_json_dict, str, "no transmutation")
 
 
 def _cmd_minaddmult(args):
-    field = _field_of(args)
-    f = Poly.parse(field, args.expr)
-    print(additive.min_add_mult(f))
-    return 0
+    return _emit_result(args, additive.min_add_mult(Poly.parse(_field_of(args), args.expr)))
 
 
 def _cmd_basis(args):
-    field = _field_of(args)
-    f = AdditivePoly.parse(field, args.expr)
-    basis = addecomp.indec_basis(f)
-    if basis is None:
-        print("not completely reducible")
-        return 1
-    for part in basis:
-        print(part)
-    return 0
+    basis = addecomp.indec_basis(_additive(args))
+    return _emit(args, basis or [], _result, str, "not completely reducible")
 
 
 def _cmd_counts(args):
@@ -171,18 +160,14 @@ def _cmd_counts(args):
 
 
 def _cmd_chebyshev(args):
-    field = _field_of(args)
-    print(upoly.chebyshev(args.index, field))
-    return 0
+    return _emit_result(args, upoly.chebyshev(args.index, _field_of(args)))
 
 
 def _cmd_absdec(args):
-    field = _field_of(args)
-    f = AdditivePoly.parse(field, args.expr)
-    tower, dec = addecomp.abs_decompose(f)
-    if not args.json:
-        print(f"field: {tower.describe()}")
-    return _emit_decs(args, [dec])
+    tower, dec = addecomp.abs_decompose(_additive(args))
+    return _emit(
+        args, [dec], Decomposition.to_json_dict, lambda d: f"field: {tower.describe()}\n{d}", None
+    )
 
 
 def _cmd_ratdec(args):
@@ -191,17 +176,13 @@ def _cmd_ratdec(args):
     if len(quad) != 4:
         raise ParseError("ratdec shape must be rN,rD,sN,sD")
     f = ratfun.parse_rational(field, args.expr)
+
+    def record(pair):
+        factors = [str(h) for h in pair]
+        return {"target": str(f), "field": field.describe(), "factors": factors, "complete": False}
+
     pairs = ratfun.general_rat_dec(f, quad)
-    records = [
-        {
-            "target": str(f),
-            "field": field.describe(),
-            "factors": [str(g), str(h)],
-            "complete": False,
-        }
-        for g, h in pairs
-    ]
-    return _emit(args, records, [f"({g}) o ({h})" for g, h in pairs])
+    return _emit(args, pairs, record, lambda pair: "({}) o ({})".format(*pair), "no decomposition")
 
 
 def _cmd_selftest(args):
@@ -265,9 +246,9 @@ def build_parser():
     p.set_defaults(func=_cmd_all_complete)
 
     for name, fn, help_text in [
-        ("meet", _print_ring_op("meet"), "greatest common right composition factor"),
-        ("join", _print_ring_op("join"), "least common left composition multiple"),
-        ("transform", _print_ring_op("transform"), "transformation of the second input by the first"),
+        ("meet", _ring_op("meet"), "greatest common right composition factor"),
+        ("join", _ring_op("join"), "least common left composition multiple"),
+        ("transform", _ring_op("transform"), "transformation of the second input by the first"),
         ("similar", _cmd_similar, "similarity test with witness"),
         ("transmute", _cmd_transmute, "all transmutations of f by g"),
     ]:
@@ -315,6 +296,7 @@ def _parser():
 
 
 def main(argv=None):
+    args = None  # a usage error leaves it unset, and prints no JSON
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
@@ -322,6 +304,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     except PolydecError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if getattr(args, "json", False):
+            print(json.dumps({"error": str(exc), "type": type(exc).__name__}, sort_keys=True))
         return 2
 
 

@@ -586,7 +586,14 @@ def parse_field_spec(text, seed=0):
         raise ParseError(f"prime power exponent must be >= 1: {head!r}")
     field = build_prime_field(p)
     if e > 1:
-        field = ExtensionField(field, find_irreducible(field, e, seed))
+        # find_irreducible's modulus is the first candidate that passes the
+        # extension's own irreducibility scan: each candidate is scanned once
+        for modulus in po._monic_candidates(field, e, seed):
+            try:
+                field = ExtensionField(field, modulus)
+                break
+            except Reducible:
+                pass
     first, *levels = rest.split("[")
     if first:
         raise ParseError(f"trailing junk in field spec: {rest!r}")

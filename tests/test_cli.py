@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import functools
 import io
 import json
 import time
@@ -6,7 +8,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polydec.cli import main
+from polydec import errors
+from polydec.addecomp import Decomposition
+from polydec.cli import build_parser, main
 from polydec.upoly import _CHEBYSHEV_MAX_INDEX
 
 from conftest import TOWER
@@ -16,6 +20,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@functools.cache
+def _subcommands():
+    """Subcommand name -> its argument parser."""
+    parser = build_parser()
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _takes_json(command):
+    return "--json" in _subcommands()[command]._option_string_actions
 
 
 def test_meet_worked_example(capsys):
@@ -229,6 +244,20 @@ def test_non_monic_input_is_normalized_with_note(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "argv, complete", [(["decompose", "--shape", "2,2"], False), (["complete"], True)]
+)
+def test_non_monic_input_under_json_prints_no_note(capsys, argv, complete):
+    code, out, err = run(capsys, *argv, "--json", "--field", "GF(5)", "2*x^4+2*x^2+2")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "target": "x^4+x^2+1",
+        "field": "GF(5)",
+        "factors": ["x^2+x+1", "x^2"],
+        "complete": complete,
+    }
+
+
 # a number of 5000 digits, above Python's default int() string limit of 4300
 _ONES = "1" * 5000
 
@@ -268,6 +297,14 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+    if _takes_json(argv[0]):
+        # the same error, and one error object on stdout
+        code, out, json_err = run(capsys, argv[0], "--json", *argv[1:])
+        assert (code, json_err) == (2, err)
+        record = json.loads(out)
+        assert set(record) == {"error", "type"}
+        assert f"error: {record['error']}\n" == err
+        assert issubclass(getattr(errors, record["type"]), errors.PolydecError)
 
 
 _MEET = ["meet", "--field", "GF(2)"]
@@ -482,6 +519,98 @@ def test_empty_result_json_is_empty_list(capsys):
     assert code == 1 and json.loads(out) == []
 
 
+_DEC = {"target", "field", "factors", "complete"}
+_ONE = {"field", "result"}
+_F4 = "GF(2)[g1]/(g1^2+g1+1)"
+# per subcommand that takes --json: its record kind and argv tails giving
+# an answer, an empty result or negative verdict where one exists, and an
+# error after parsing
+_CONTRACT = {
+    "compose": (_ONE, [["--field", "GF(5)", "x^25+x", "x^5+x"], ["--field", "GF(5)", "x^", "x"]]),
+    "decompose": (_DEC, [
+        ["--field", "GF(5)", "--strategy", "sep", "--shape", "25,5", "x^125+x^25+x^5+x"],
+        ["--field", "GF(5)", "--strategy", "sep", "--shape", "5,5", "x^25+x^5+x"],
+        ["--field", "GF(2)", "--shape", "2,x", "x^4+x"],
+    ]),
+    "complete": (_DEC, [["--field", "GF(2)", "x^12+x^9+x^6+x^3"], ["--field", "GF(2)", "x"]]),
+    "all-complete": (_DEC, [
+        ["--field", _F4, "x^4+x"],
+        ["--field", _F4, "--limit", "0", "x^4+x"],
+        ["--field", "GF(2)", "x^3+x"],
+    ]),
+    "meet": (_ONE, [["--field", "GF(3)", "x^27+2*x^9+x^3+2*x", "x^9+x^3+x"],
+                    ["--field", "GF(3)", "x^2+x", "x^3"]]),
+    "join": (_ONE, [["--field", "GF(3)", "x^27+2*x^9+x^3+2*x", "x^9+x^3+x"],
+                    ["--field", "GF(6)", "x", "x"]]),
+    "transform": (_ONE, [["--field", "GF(2)", "x^2+x", "x^4+x"],
+                         ["--field", "GF(2)", "x^2+x", "x^2+1"]]),
+    "similar": (_ONE, [
+        ["--field", "GF(2)", "x^2+x", "x^2+x"],
+        ["--field", "GF(2)", "x^2", "x^2+x"],
+        ["--field", "GF(2)", "x^2", "x^2+x+1"],
+    ]),
+    "transmute": (_DEC, [
+        ["--field", "GF(5)", "x^5+3*x", "x^5+2*x"],
+        ["--field", "GF(2)", "x^2", "x^2"],
+        ["--field", "GF(2)", "x^4+x", "x^2"],
+    ]),
+    "minaddmult": (_ONE, [["--field", "GF(3)", "x+2"], ["--field", "GF(3)", "0"]]),
+    "basis": (_ONE, [
+        ["--field", _F4, "x^4+x"], ["--field", "GF(2)", "x^4+x"], ["--field", "GF(2)", "x^3"],
+    ]),
+    "chebyshev": (_ONE, [["--field", "GF(7)", "3"], ["--field", "GF(7)", "--", "-1"]]),
+    "absdec": (_DEC, [["--field", "GF(5)", "x^25+x^5+x"], ["--field", "GF(2)", "x^16+x"]]),
+    "ratdec": (_DEC, [
+        ["--field", "GF(5)", "--shape", "2,0,2,1", "x^4/(x^2+2*x+1)"],
+        ["--field", "GF(5)", "--shape", "4,0,1,1", "x^4/(x^2+2*x+1)"],
+        ["--field", "GF(5)", "--shape", "2,0,2", "x^4/(x^2+2*x+1)"],
+    ]),
+}
+
+
+def test_contract_table_covers_every_subcommand_that_takes_json():
+    assert set(_CONTRACT) == {cmd for cmd in _subcommands() if _takes_json(cmd)}
+    assert not {"counts", "selftest"} & set(_CONTRACT)
+
+
+@pytest.mark.parametrize(
+    "command, kind, tail",
+    [
+        pytest.param(cmd, kind, tail, id=f"{cmd}-{i}")
+        for cmd, (kind, tails) in _CONTRACT.items()
+        for i, tail in enumerate(tails)
+    ],
+)
+def test_json_output_contract(capsys, monkeypatch, command, kind, tail):
+    """Under --json stdout is one JSON document of the subcommand's record
+    kind, with text mode's exit code; each mode formats only its own way."""
+    calls = []
+    for name in ("to_json_dict", "__str__"):
+        real = getattr(Decomposition, name)
+        monkeypatch.setattr(
+            Decomposition, name,
+            lambda d, real=real, name=name: calls.append(name) or real(d),
+        )
+    code, text_out, text_err = run(capsys, command, *tail)
+    assert "to_json_dict" not in calls
+    calls.clear()
+    json_code, out, err = run(capsys, command, "--json", *tail)
+    assert "__str__" not in calls
+    assert (json_code, err) == (code, text_err)
+    payload = json.loads(out)
+    if code == 2:
+        assert set(payload) == {"error", "type"} and text_out == ""
+        assert text_err == f"error: {payload['error']}\n"
+    elif code == 1:
+        assert payload == []
+    else:
+        assert code == 0
+        records = payload if isinstance(payload, list) else [payload]
+        assert len(records) == len(text_out.splitlines()) - (command == "absdec")
+        assert all(set(rec) == kind for rec in records)
+        assert len(records) > 1 or isinstance(payload, dict)
+
+
 
 _FIELDS = ["GF(2)", "GF(5)", "GF(2^2)", TOWER]
 # 4301 to 5000 digits: above Python's default int() string limit
@@ -543,6 +672,24 @@ def _polynomial_text(draw, exponents):
 
 
 @st.composite
+def _additive_text(draw, field):
+    """Monic additive text over ``field``: x^(p^n) and up to three lower
+    terms c*x^(p^k).  n reaches 9 over GF(2), else 4: the exponents stay
+    within _WIDE over the prime fields and within _SMALL over extensions
+    (x^16+x over GF(16) has 315 complete decompositions, x^256+x has
+    about 5e12)."""
+    p = 5 if field == "GF(5)" else 2
+    n = draw(st.integers(1, 9 if field == "GF(2)" else 4))
+    generator = ["g1"] if field in ("GF(2^2)", TOWER) else []
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from("+-"), st.sampled_from(["1", "2", "3", "9"] + generator),
+                  st.integers(0, n - 1)),
+        max_size=3,
+    ))
+    return f"x^{p**n}" + "".join(f"{sign}{c}*x^{p**k}" for sign, c, k in terms)
+
+
+@st.composite
 def _argv(draw):
     cmd = draw(st.sampled_from(
         _ADDITIVE + ["compose", "decompose", "complete", "minaddmult", "ratdec", "counts", "chebyshev"]
@@ -562,6 +709,13 @@ def _argv(draw):
     # a leading '-' reads as an option unless '--' comes first
     end_of_options = ["--"] if draw(st.booleans()) else []
     wide = cmd in _ADDITIVE and field in ("GF(2)", "GF(5)")
+    # three draws in four give an additive subcommand additive text, so
+    # that most of them reach an answer rather than a parse error
+    if cmd in _ADDITIVE and draw(st.integers(0, 3)):
+        text = draw(_additive_text(field))
+        if cmd in ("all-complete", "basis", "absdec"):
+            return argv + end_of_options + [text]
+        return argv + end_of_options + [text, draw(_additive_text(field))]
     text, degree = draw(_polynomial_text(_WIDE if wide else _SMALL))
     if cmd in ("decompose", "complete"):
         argv += ["--strategy", draw(st.sampled_from(["tame", "sep", "irred", "additive"]))]
@@ -587,8 +741,8 @@ def _argv(draw):
 @given(_argv())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_argv_grammar_never_raises(argv):
-    # each draw takes well under a second; 5 s flags a grammar change that
-    # lets a dense factorisation of high degree in
+    # each draw takes at most about a second; 5 s flags a grammar change
+    # that lets a dense factorisation of high degree in
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -597,3 +751,11 @@ def test_argv_grammar_never_raises(argv):
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error:"))
+    if "--json" in argv:
+        # one JSON document, an error object on exit 2; only a usage error
+        # that argparse raises before argv is parsed prints nothing
+        if code == 2 and not out.getvalue():
+            assert lines[0].startswith("error: polydec")
+        else:
+            record = json.loads(out.getvalue())
+            assert code != 2 or set(record) == {"error", "type"}

@@ -332,6 +332,23 @@ def test_extension_builds_its_q_power_matrix_once(base, n, monkeypatch):
     assert K._frobenius == real(F, list(modulus))
 
 
+@pytest.mark.parametrize("p, e", [(3, 12), (2, 16), (5, 9)])
+def test_prime_power_spec_scans_each_candidate_once(p, e, monkeypatch):
+    """The extension's own irreducibility scan picks find_irreducible's
+    modulus: one scan per candidate tried, the modulus included."""
+    scans = []
+    real = po.distinct_degree
+    monkeypatch.setattr(
+        po, "distinct_degree", lambda K, f, *rest: scans.append(f) or real(K, f, *rest)
+    )
+    K = parse_field_spec(f"GF({p}^{e})")
+    modulus = list(K.modulus)
+    tried = list(itertools.takewhile(
+        lambda f: f != modulus, po._monic_candidates(build_prime_field(p), e, 0)
+    ))
+    assert scans == tried + [modulus]
+
+
 def test_raw_reps_are_coerced_to_canonical_tuples(F4):
     from_lists = Poly(F4, [[0, 1], [1, 0], [0, 0]])
     assert from_lists.degree == 1
