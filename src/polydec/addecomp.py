@@ -5,9 +5,12 @@ ordered-factorisation targeting, the completely-reducible and
 similarity-free fast paths, and absolute decomposition over field towers.
 Indecomposable right factors come from one route over every field, by
 linear algebra over GF(p) on coefficient vectors: the bound (least central
-multiple) of the input, its isotypic parts, and their eigenrings.
-Everywhere a factor has to be chosen, the smallest by (degree,
-coefficient order) wins, so identical inputs give identical outputs.
+multiple) of the input, its isotypic parts, and their eigenrings.  Over
+GF(p) the ring is commutative and the complete decompositions are the
+orderings of the irreducible factors of the linearized associate, read off
+one factorisation.  Everywhere a factor has to be chosen, the smallest by
+(degree, coefficient order) wins, so identical inputs give identical
+outputs.
 """
 
 from __future__ import annotations
@@ -182,8 +185,7 @@ def indec_right_factors(f):
     _require_monic_additive(f)
     K = f.field
     if K.degree_over_prime == 1:
-        parts, _ = upoly.factor(Poly._raw(K, f.coeffs))
-        factors = [AdditivePoly._raw(K, irr.coeffs) for irr, _mult in parts]
+        factors = [irr for irr, _mult in _associate_factors(f)]
     else:
         ell, g = peel_frobenius(f)
         factors = []
@@ -194,6 +196,18 @@ def indec_right_factors(f):
         if ell:
             factors.append(AdditivePoly.monomial(K, 1))
     return sorted(factors, key=lambda g: g.key())
+
+
+def _associate_factors(f):
+    """Over GF(p): the monic irreducible factors of the linearized associate
+    of f, as additive polynomials with their multiplicities, sorted by key.
+
+    There composition is the product of associates, so these are the
+    indecomposable right factors of f, and its complete decompositions are
+    the distinct orderings of this multiset.
+    """
+    parts, _ = upoly.factor(Poly._raw(f.field, f.coeffs))
+    return [(AdditivePoly._raw(f.field, irr.coeffs), mult) for irr, mult in parts]
 
 
 def _min_poly(u, g):
@@ -285,9 +299,16 @@ def is_indecomposable(f):
 
 
 def complete_decomposition(f):
-    """One complete decomposition, peeling the first indecomposable right
-    factor at every stage."""
+    """One complete decomposition: the one that peels the smallest
+    indecomposable right factor at every stage.
+
+    Over GF(p) that is the factors of the associate, each as often as its
+    multiplicity, in descending key order, read off one factorisation.
+    """
     _require_monic_additive(f)
+    if f.field.degree_over_prime == 1:
+        factors = [irr for irr, mult in reversed(_associate_factors(f)) for _ in range(mult)]
+        return Decomposition(f, tuple(factors), complete=True)
     factors_inner_first = []
     cur = f
     while cur is not None:
@@ -298,15 +319,46 @@ def complete_decomposition(f):
     return Decomposition(f, tuple(reversed(factors_inner_first)), complete=True)
 
 
-def all_complete_decompositions(f, limit=None):
-    """All complete decompositions, in deterministic order.
+# Over GF(p), all_complete_decompositions raises before building more
+# factors than this, summed over its decompositions.  Each decomposition is
+# checked by composing its factors, at a cost that grows with their number:
+# 34,650 decompositions of 12 factors took 2.1 s, and 1,000 of 256 factors
+# 2.4 s (one core of a 2-core Xeon VM).
+_ALL_COMPLETE_MAX_FACTORS = 1 << 19
 
-    Branches over every indecomposable right factor; quotient results are
-    memoized so shared subproblems are solved once.
+
+def all_complete_decompositions(f, limit=None):
+    """All complete decompositions (the first ``limit`` of them), sorted
+    by key.
+
+    Over GF(p) they are the distinct orderings of the associate's
+    irreducible factors (see :func:`_associate_factors`), enumerated in
+    lexicographic order of the key-sorted factors, which is their key
+    order.  Their count, a multinomial coefficient, is known before any is
+    built: an output of more than _ALL_COMPLETE_MAX_FACTORS factors in all
+    is an ExponentBoundExceeded.  Over GF(p**e), e > 1, the search branches
+    over every indecomposable right factor, memoizing quotient results so
+    shared subproblems are solved once.
     """
     _require_monic_additive(f)
     if limit is not None and limit < 0:
         raise BadLength("limit must be >= 0")
+    if f.field.degree_over_prime == 1:
+        parts = _associate_factors(f)
+        mults = [mult for _irr, mult in parts]
+        length = sum(mults)
+        count = math.factorial(length) // math.prod(map(math.factorial, mults))
+        if limit is not None:
+            count = min(count, limit)
+        if count * length > _ALL_COMPLETE_MAX_FACTORS:
+            raise ExponentBoundExceeded(
+                f"{count} complete decompositions of {length} factors are above"
+                f" the limit of {_ALL_COMPLETE_MAX_FACTORS} factors"
+            )
+        return [
+            Decomposition(f, tuple(parts[i][0] for i in order), complete=True)
+            for order in itertools.islice(_orderings(mults), count)
+        ]
     memo = {}
 
     def rec(g):
@@ -333,6 +385,25 @@ def all_complete_decompositions(f, limit=None):
     if limit is not None:
         decs = decs[:limit]
     return decs
+
+
+def _orderings(mults):
+    """The distinct sequences holding each index i mults[i] times, in
+    lexicographic order (by next permutation); one list, updated in place
+    after each yield."""
+    seq = [i for i, m in enumerate(mults) for _ in range(m)]
+    while True:
+        yield seq
+        i = len(seq) - 2
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(seq) - 1
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
 def is_refinement(kappa, rho):

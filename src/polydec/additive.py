@@ -145,11 +145,9 @@ class AdditivePoly(CoeffVector):
 
 def _frobenius_rows(K, coeffs):
     """The function t -> the p**t-th powers of ``coeffs``.  A power p**t
-    reads row t mod e, e the degree of K over GF(p), built on first read:
-    over GF(p) the one row is ``coeffs`` itself."""
+    reads row t mod e, e > 1 the degree of K over GF(p), built on first
+    read."""
     e, z = K.degree_over_prime, K.zero()
-    if e == 1:
-        return lambda t: coeffs
     rows = {0: coeffs}
 
     def row(t):
@@ -162,11 +160,17 @@ def _frobenius_rows(K, coeffs):
 
 
 def add_compose(f, g):
-    """f(g); exponents add.  Coefficients: c[i+j] += a[i] * b[j]**(p**i)."""
+    """f(g); exponents add.  Coefficients: c[i+j] += a[i] * b[j]**(p**i).
+
+    Over GF(p), where c**(p**i) = c, that is the product of the coefficient
+    vectors (of the linearized associates), done by ``_polyops.mul``.
+    """
     f._check(g)
     K = f.field
     if f.is_zero() or g.is_zero():
         return AdditivePoly.zero(K)
+    if K.degree_over_prime == 1:
+        return AdditivePoly._raw(K, po.mul(K, f.coeffs, g.coeffs))
     z = K.zero()
     out = [z] * (len(f.coeffs) + len(g.coeffs) - 1)
     powers = _frobenius_rows(K, g.coeffs)
@@ -183,12 +187,17 @@ def add_rdivrem(f, g):
     """Q, R with f = Q(g) + R and expn R < expn g (right division).
 
     The quotient term c at x**(p**t) is lc(rem) * (1/lc g)**(p**t), and
-    c * b_j**(p**t) comes off the remainder at x**(p**(t+j)).
+    c * b_j**(p**t) comes off the remainder at x**(p**(t+j)).  Over GF(p)
+    the powers are the coefficients themselves, so this is the division of
+    the coefficient vectors, done by ``_polyops.divmod_``.
     """
     f._check(g)
     if g.is_zero():
         raise DivideByZero("right division by the zero additive polynomial")
     K, z = f.field, f.field.zero()
+    if K.degree_over_prime == 1:
+        q, r = po.divmod_(K, list(f.coeffs), list(g.coeffs))
+        return AdditivePoly._raw(K, q), AdditivePoly._raw(K, r)
     b, rho, rem = g.coeffs, g.expn, list(f.coeffs)
     quot = [z] * max(0, len(rem) - rho)
     monic = g.is_monic()

@@ -10,6 +10,7 @@ import pytest
 from polydec import (
     NEG_INF,
     AdditivePoly,
+    Decomposition,
     Felt,
     FracLinear,
     Poly,
@@ -19,6 +20,7 @@ from polydec import (
     build_prime_field,
     find_irreducible,
     flt_apply,
+    indec_right_factors,
     meet,
     min_add_mult,
     norm_rat_dec,
@@ -202,6 +204,72 @@ def add_rdivrem_by_composition(f, g):
         q[nu - rho] = c
         rem = rem - add_compose(AdditivePoly.monomial(K, nu - rho, Felt(K, c)), g)
     return AdditivePoly._raw(K, q), rem
+
+
+def add_compose_by_frobenius_loop(f, g):
+    """f(g) term by term, c[i+j] += a[i] * b[j]**(p**i), each power by
+    frobenius_rep: the oracle for add_compose over GF(p)."""
+    f._check(g)
+    K = f.field
+    if f.is_zero() or g.is_zero():
+        return AdditivePoly.zero(K)
+    out = [K.zero()] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = K.add(out[i + j], K.mul(a, K.frobenius_rep(b, i)))
+    return AdditivePoly._raw(K, out)
+
+
+def add_rdivrem_by_frobenius_loop(f, g):
+    """Q, R with f = Q(g) + R and expn R < expn g: the quotient term at
+    x**(p**t) is lc(rem) * (1/lc g)**(p**t), and c * b_j**(p**t) comes off
+    the remainder at x**(p**(t+j)), each power by frobenius_rep.  The
+    oracle for add_rdivrem over GF(p)."""
+    f._check(g)
+    if g.is_zero():
+        raise DivideByZero("right division by the zero additive polynomial")
+    K = f.field
+    b, rho, rem = g.coeffs, g.expn, list(f.coeffs)
+    quot = [K.zero()] * max(0, len(rem) - rho)
+    inv_lead = K.inv(b[-1])
+    for t in reversed(range(len(quot))):
+        c = quot[t] = K.mul(rem[t + rho], K.frobenius_rep(inv_lead, t))
+        for j in range(rho + 1):
+            rem[t + j] = K.sub(rem[t + j], K.mul(c, K.frobenius_rep(b[j], t)))
+    return AdditivePoly._raw(K, quot), AdditivePoly._raw(K, rem[:rho])
+
+
+def all_complete_by_recursion(f, limit=None):
+    """All complete decompositions by branching over every indecomposable
+    right factor, quotients memoized, sorted by key: the oracle for
+    all_complete_decompositions over GF(p)."""
+    memo = {}
+
+    def rec(g):
+        if g not in memo:
+            rf = indec_right_factors(g)
+            if rf == [g]:
+                memo[g] = [(g,)]
+            else:
+                memo[g] = [tail + (h,) for h in rf for tail in rec(right_quotient(g, h))]
+        return memo[g]
+
+    decs = sorted((Decomposition(f, factors, complete=True) for factors in rec(f)),
+                  key=lambda d: d.key())
+    return decs if limit is None else decs[:limit]
+
+
+def complete_by_peeling(f):
+    """One complete decomposition, peeling the first indecomposable right
+    factor at every stage: the oracle for complete_decomposition over
+    GF(p)."""
+    inner_first = []
+    cur = f
+    while cur is not None:
+        h = indec_right_factors(cur)[0]
+        inner_first.append(h)
+        cur = None if h == cur else right_quotient(cur, h)
+    return Decomposition(f, tuple(reversed(inner_first)), complete=True)
 
 
 def euclid_scheme(f, g):

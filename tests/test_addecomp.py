@@ -45,6 +45,8 @@ from polydec.errors import (
 
 from conftest import (
     TOWER,
+    all_complete_by_recursion,
+    complete_by_peeling,
     dense_indec_right_factors,
     field_of,
     monic_additive_polys,
@@ -651,3 +653,104 @@ def test_factors_to_right_moves_every_subset(spec):
             res = simfree_bidecomp(f, shape)
             assert tuple(int(g.degree) for g in res.factors) == shape
     assert moves >= 40
+
+
+def prime_field_inputs(K, expn, rng):
+    """Seeded inputs of exponent expn over GF(p): random simple and non-simple
+    ones (the latter with an x**p right factor), and two chains drawn from a
+    pool of three indecomposable factors, so that factors repeat; x**p joins
+    the pool of the second."""
+    out = [rand_monic_additive(K, expn, rng, simple) for simple in (True, False)]
+    for extra in ([], [AdditivePoly.monomial(K, 1)]):
+        pool = [rand_indec_factor(K, rng.choice((1, 1, 2)), rng) for _ in range(3 - len(extra))]
+        pool += extra
+        chain, left = [], expn
+        while left:
+            g = rng.choice([g for g in pool if g.expn <= left] or [rand_indec_factor(K, 1, rng)])
+            chain.append(g)
+            left -= g.expn
+        out.append(functools.reduce(add_compose, chain))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_decompositions_match_the_recursion_oracle(monkeypatch, p):
+    """Over GF(p) the orderings of the associate's factors give exactly the
+    results of the memoized recursion and of peeling, order included."""
+    K = field_of(p)
+    rng = seeded_rng(f"orderings-vs-recursion:{p}")
+    draws = 0
+    for expn, _trial in itertools.product(range(1, 9), range(4)):
+        for f in prime_field_inputs(K, expn, rng):
+            want = all_complete_by_recursion(f)
+            for limit in (None, 0, 1, 3):
+                assert all_complete_decompositions(f, limit) == want[:limit], str(f)
+            assert complete_decomposition(f) == complete_by_peeling(f)
+            k = rng.randint(1, expn - 1) if expn > 1 else 0
+            shape = (p ** (expn - k), p**k) if k else (p**expn,)
+            got = decompose_ordered(f, shape)
+            with monkeypatch.context() as m:
+                m.setattr(addecomp, "all_complete_decompositions", all_complete_by_recursion)
+                assert got == decompose_ordered(f, shape)
+            draws += 1
+    assert draws == 128
+
+
+def counting_factor(monkeypatch):
+    """Patch upoly.factor to record its calls; returns the record."""
+    calls = []
+    real = upoly.factor
+
+    def counted(g):
+        calls.append(g.degree)
+        return real(g)
+
+    monkeypatch.setattr(upoly, "factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p,text,shape",
+    [
+        (2, "x^4096+x", (64, 64)),
+        (2, "x^16777216+x", None),
+        (3, "x^729+2*x^243+x^9+2*x^3", (27, 27)),
+        (5, "x^625+x^25+x", (25, 25)),
+    ],
+)
+def test_prime_field_decompositions_factor_once(monkeypatch, p, text, shape):
+    # the memoized recursion factors 24 times on x^4096+x over GF(2), 80 times
+    # on x^(2^24)+x
+    f = AdditivePoly.parse(field_of(p), text)
+    calls = counting_factor(monkeypatch)
+    runs = [lambda: complete_decomposition(f), lambda: all_complete_decompositions(f, 5)]
+    if shape:
+        runs += [lambda: all_complete_decompositions(f), lambda: decompose_ordered(f, shape)]
+    for call in runs:
+        calls.clear()
+        assert call()
+        assert len(calls) == 1
+
+
+def test_all_complete_output_bound_over_prime_fields(monkeypatch):
+    # x^(2^48)+x has the associate (y+1)^16 (y^2+y+1)^16: C(32, 16) orderings
+    f = AdditivePoly.parse(field_of(2), "x^281474976710656+x")
+    start = time.monotonic()
+    decs = all_complete_decompositions(f, limit=5)
+    assert time.monotonic() - start < 1
+    a, b = AdditivePoly.parse(f.field, "x^2+x"), AdditivePoly.parse(f.field, "x^4+x^2+x")
+    assert decs[0].factors == (a,) * 16 + (b,) * 16
+    assert decs[1].factors == (a,) * 15 + (b, a) + (b,) * 15
+    msg = "601080390 complete decompositions of 32 factors are above the limit of 524288 factors"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        all_complete_decompositions(f)
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(f, (2**24, 2**24))
+    # the bound counts the factors to be built: 6 orderings of 4 here
+    g = AdditivePoly.parse(field_of(2), "x^16+x^4")
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 24)
+    assert len(all_complete_decompositions(g)) == 6
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 23)
+    with pytest.raises(ExponentBoundExceeded):
+        all_complete_decompositions(g)
+    assert len(all_complete_decompositions(g, limit=5)) == 5

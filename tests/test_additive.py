@@ -37,7 +37,9 @@ from polydec.field import ExtensionField, Field, build_extension, find_irreducib
 
 from conftest import (
     TOWER,
+    add_compose_by_frobenius_loop,
     add_rdivrem_by_composition,
+    add_rdivrem_by_frobenius_loop,
     count_maximal_flags,
     euclid_scheme,
     field_of,
@@ -200,6 +202,26 @@ def test_composition_ring_takes_frobenius_powers_from_one_table(spec, monkeypatc
         row = g.coeffs[:-1] + (() if g.is_monic() else g.coeffs[-1:])
         assert len(calls) == powers([t for t, c in enumerate(q.coeffs) if c != z], row)
         assert (q, r) == add_rdivrem_by_composition(f, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_field_ring_ops_match_the_frobenius_loop(p):
+    """Over GF(p) add_compose and add_rdivrem run on the _polyops product
+    and division, packed at these lengths, and agree with the twisted loops."""
+    K = field_of(p)
+    rng = seeded_rng(("prime-field ring ops", p))
+    zero = AdditivePoly.zero(K)
+    for k in range(60):
+        f = zero if k % 15 == 0 else rand_additive(K, rng, rng.randrange(0, 40), monic=False)
+        g = zero if k % 15 == 1 else rand_additive(K, rng, rng.randrange(0, 20), rng.random() < 0.5)
+        assert add_compose(f, g) == add_compose_by_frobenius_loop(f, g)
+        assert add_compose(g, f) == add_compose_by_frobenius_loop(g, f)
+        if g.is_zero():
+            for divide in (add_rdivrem, add_rdivrem_by_frobenius_loop):
+                with pytest.raises(DivideByZero, match="^right division by the zero additive"):
+                    divide(f, g)
+        else:
+            assert add_rdivrem(f, g) == add_rdivrem_by_frobenius_loop(f, g)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -287,6 +287,7 @@ _ONES = "1" * 5000
         ["meet", "--field", f"GF(2)[a]/(a^2+a+{_ONES})", "x", "x"],
         ["meet", "--field", "GF(\u00b2)", "x", "x"],
         ["meet", "--field", "GF(2^\u00b3)", "x", "x"],
+        ["all-complete", "--field", "GF(2)", "x^281474976710656+x"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -380,6 +381,22 @@ def test_compose_above_the_dense_limit_exits_2(capsys):
     assert time.monotonic() - start < 1
     assert (code, out) == (2, "")
     assert err == "error: degree 16785409 of g(h) is above the dense limit 16777216\n"
+
+
+def test_all_complete_above_the_output_limit_exits_2(capsys):
+    # x^(2^48)+x over GF(2) has C(32, 16) complete decompositions of 32 factors
+    argv = ["all-complete", "--field", "GF(2)", "x^281474976710656+x"]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 601080390 complete decompositions of 32 factors are above the limit of"
+        " 524288 factors\n"
+    )
+    code, out, _ = run(capsys, *argv, "--limit", "5")
+    assert time.monotonic() - start < 1
+    assert code == 0 and len(out.splitlines()) == 5
 
 
 def test_absdec_names_a_new_level_by_the_first_unused_generator(capsys):
