@@ -6,11 +6,13 @@ mul/inv`` on representations.  The empty list is the zero polynomial.  The
 field tower uses these helpers for products, moduli, inverses and
 irreducibility testing, ``upoly.factor`` for its squarefree,
 distinct-degree and equal-degree stages, and the public ``Poly`` class
-wraps them.  Over a prime field (elements are the ints 0..p-1) ``mul`` and
-``divmod_`` pack long operands into integers, a slot per coefficient: a
-product is one integer product (Kronecker substitution), and division one
-shifted integer add per quotient term on a window of the dividend a few
-divisor lengths long.
+wraps them.  With ``frobenius``, ``mul`` and ``divmod_`` are the product
+and right division of the additive composition ring as well.  Over a
+prime field (elements are the ints 0..p-1), where that twist is the
+identity, ``mul`` and ``divmod_`` pack long operands into integers, a slot
+per coefficient: a product is one integer product (Kronecker
+substitution), and division one shifted integer add per quotient term on
+a window of the dividend a few divisor lengths long.
 """
 
 from __future__ import annotations
@@ -91,7 +93,26 @@ def _unpack(n, w, count):
     return [int.from_bytes(data[i : i + w], "little") for i in range(0, w * count, w)]
 
 
-def mul(K, a, b):
+def _frobenius_rows(K, coeffs):
+    """The function t -> the p**t-th powers of ``coeffs``.  A power p**t
+    reads row t mod e, e > 1 the degree of K over GF(p), built on first
+    read."""
+    e, z = K.degree_over_prime, K.zero()
+    rows = {0: coeffs}
+
+    def row(t):
+        k = t % e
+        if k not in rows:
+            rows[k] = [c if c == z else K.frobenius_rep(c, k) for c in coeffs]
+        return rows[k]
+
+    return row
+
+
+def mul(K, a, b, frobenius=False):
+    """The product a * b; with ``frobenius``, that of the skew ring K[t; s],
+    s the p-th power map (Ore 1933), where term i of a multiplies the
+    p**i-th powers of b: the composition of additive polynomials."""
     if not a or not b:
         return []
     if K.kind == "prime":
@@ -112,17 +133,20 @@ def mul(K, a, b):
                         out[k] = (out[k] + x * y) % p
         return trim(K, out)
     z = K.zero()
+    rows = _frobenius_rows(K, b) if frobenius else None
     out = [z] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai != z:
-            for j, bj in enumerate(b):
+            for k, bj in enumerate(rows(i) if rows else b, i):
                 if bj != z:
-                    out[i + j] = K.add(out[i + j], K.mul(ai, bj))
+                    out[k] = K.add(out[k], K.mul(ai, bj))
     return trim(K, out)
 
 
-def divmod_(K, a, b):
-    """Quotient and remainder of a by nonzero b."""
+def divmod_(K, a, b, frobenius=False):
+    """Quotient and remainder of a by nonzero b; with ``frobenius``, right
+    division in the skew ring of ``mul``, quotient term t read off with the
+    p**t-th powers of b[:-1] and, unless b is monic, of 1/lc(b)."""
     if not b:
         raise DivideByZero("polynomial division by zero")
     if len(a) < len(b):
@@ -130,7 +154,8 @@ def divmod_(K, a, b):
     monic = b[-1] == K.one()
     inv_lead = None if monic else K.inv(b[-1])
     db = len(b) - 1
-    if not db:
+    # twisted, quotient term t by a constant c is a_t * (1/c)**(p**t)
+    if not db and (monic or not frobenius):
         return trim(K, list(a)) if monic else scale(K, a, inv_lead), []
     if K.kind == "prime":
         p = K.p
@@ -165,22 +190,23 @@ def divmod_(K, a, b):
             rem = [r % p for r in _unpack(packed & ((1 << bits * db) - 1), w, db)]
             hi = lo
         return trim(K, quot), trim(K, rem)
-    rem = list(a)
-    quot = [K.zero()] * (len(a) - db)
     z = K.zero()
-    for k in range(len(a) - 1, db - 1, -1):
-        c = rem[k]
-        if c == z:
-            continue
-        q = c if monic else K.mul(c, inv_lead)
-        quot[k - db] = q
-        off = k - db
-        for j in range(db):
-            bj = b[j]
-            if bj != z:
-                rem[off + j] = K.sub(rem[off + j], K.mul(q, bj))
-        rem[k] = z
-    return trim(K, quot), trim(K, rem)
+    # the row of quotient term t: b[:db], then 1/lc(b) unless b is monic
+    row = b[:db] if monic else [*b[:db], inv_lead]
+    rows = _frobenius_rows(K, row) if frobenius else None
+    rem = list(a)
+    quot = [z] * (len(a) - db)
+    for t in reversed(range(len(quot))):
+        c = rem[t + db]
+        if c != z:
+            r = rows(t) if rows else row
+            if not monic:
+                c = K.mul(c, r[db])
+            quot[t] = c
+            for j in range(db):
+                if r[j] != z:
+                    rem[t + j] = K.sub(rem[t + j], K.mul(c, r[j]))
+    return trim(K, quot), trim(K, rem[:db])
 
 
 def mod(K, a, b):

@@ -319,26 +319,40 @@ def complete_decomposition(f):
     return Decomposition(f, tuple(reversed(factors_inner_first)), complete=True)
 
 
-# Over GF(p), all_complete_decompositions raises before building more
-# factors than this, summed over its decompositions.  Each decomposition is
-# checked by composing its factors, at a cost that grows with their number:
-# 34,650 decompositions of 12 factors took 2.1 s, and 1,000 of 256 factors
-# 2.4 s (one core of a 2-core Xeon VM).
+# all_complete_decompositions raises before building more factors than
+# this, summed over its decompositions.  Each decomposition is checked by
+# composing its factors, at a cost that grows with their number: 34,650
+# decompositions of 12 factors took 2.1 s, and 1,000 of 256 factors 2.4 s
+# (one core of a 2-core Xeon VM).
 _ALL_COMPLETE_MAX_FACTORS = 1 << 19
+
+
+def _check_output_size(count, length):
+    """ExponentBoundExceeded when count decompositions of length factors
+    are above _ALL_COMPLETE_MAX_FACTORS factors in all."""
+    if count * length > _ALL_COMPLETE_MAX_FACTORS:
+        raise ExponentBoundExceeded(
+            f"{count} complete decompositions of {length} factors are above"
+            f" the limit of {_ALL_COMPLETE_MAX_FACTORS} factors"
+        )
 
 
 def all_complete_decompositions(f, limit=None):
     """All complete decompositions (the first ``limit`` of them), sorted
-    by key.
+    by key.  Their count is known before any is built: an output of more
+    than _ALL_COMPLETE_MAX_FACTORS factors in all is an
+    ExponentBoundExceeded.
 
     Over GF(p) they are the distinct orderings of the associate's
     irreducible factors (see :func:`_associate_factors`), enumerated in
     lexicographic order of the key-sorted factors, which is their key
-    order.  Their count, a multinomial coefficient, is known before any is
-    built: an output of more than _ALL_COMPLETE_MAX_FACTORS factors in all
-    is an ExponentBoundExceeded.  Over GF(p**e), e > 1, the search branches
-    over every indecomposable right factor, memoizing quotient results so
-    shared subproblems are solved once.
+    order, and their count is a multinomial coefficient, at most ``limit``.
+    Over GF(p**e), e > 1, one walk of the quotient graph calls
+    indec_right_factors once per quotient and records each quotient's
+    (factor, quotient) edges and its count of complete decompositions, a
+    sum over its edges; all of them have one length (Jordan-Hoelder).  The
+    decompositions are then built from the same edges, every one before
+    the sort, so ``limit`` does not lower the count checked.
     """
     _require_monic_additive(f)
     if limit is not None and limit < 0:
@@ -350,41 +364,33 @@ def all_complete_decompositions(f, limit=None):
         count = math.factorial(length) // math.prod(map(math.factorial, mults))
         if limit is not None:
             count = min(count, limit)
-        if count * length > _ALL_COMPLETE_MAX_FACTORS:
-            raise ExponentBoundExceeded(
-                f"{count} complete decompositions of {length} factors are above"
-                f" the limit of {_ALL_COMPLETE_MAX_FACTORS} factors"
-            )
+        _check_output_size(count, length)
         return [
             Decomposition(f, tuple(parts[i][0] for i in order), complete=True)
             for order in itertools.islice(_orderings(mults), count)
         ]
+    edges, sizes = {}, {}
+
+    def walk(g):
+        """The count and the length of the complete decompositions of g."""
+        if g not in sizes:
+            rf = indec_right_factors(g)
+            edges[g] = [] if rf == [g] else [(h, right_quotient(g, h)) for h in rf]
+            below = [walk(q) for _h, q in edges[g]]
+            sizes[g] = (sum(c for c, _ in below), below[0][1] + 1) if below else (1, 1)
+        return sizes[g]
+
+    _check_output_size(*walk(f))
     memo = {}
 
-    def rec(g):
-        known = memo.get(g)
-        if known is not None:
-            return known
-        rf = indec_right_factors(g)
-        if rf == [g]:
-            memo[g] = [(g,)]
-            return memo[g]
-        out = []
-        for h in rf:
-            q = right_quotient(g, h)
-            for tail in rec(q):
-                out.append(tail + (h,))
-        memo[g] = out
-        return out
+    def build(g):
+        if g not in memo:
+            memo[g] = [tail + (h,) for h, q in edges[g] for tail in build(q)] or [(g,)]
+        return memo[g]
 
-    decs = [
-        Decomposition(f, factors, complete=True)
-        for factors in rec(f)
-    ]
-    decs.sort(key=lambda d: d.key())
-    if limit is not None:
-        decs = decs[:limit]
-    return decs
+    decs = sorted((Decomposition(f, factors, complete=True) for factors in build(f)),
+                  key=lambda d: d.key())
+    return decs if limit is None else decs[:limit]
 
 
 def _orderings(mults):

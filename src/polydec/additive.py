@@ -5,7 +5,9 @@ stored as the coefficient vector ``a[i]`` of ``x**(p**i)``.  Under addition
 and composition these form a left-Euclidean ring: right division always
 exists, the meet (greatest common right composition factor) coincides with
 the ordinary multiplicative gcd, and the join (least common left
-composition multiple) comes out of the extended Euclidean scheme.
+composition multiple) comes out of the extended Euclidean scheme.  It is
+the skew polynomial ring F_q[t; s], s the p-th power map (Ore 1933), on
+the product and division of ``_polyops`` twisted by Frobenius.
 """
 
 from __future__ import annotations
@@ -143,78 +145,27 @@ class AdditivePoly(CoeffVector):
         return po.poly_str(self.field, ((p**i, c) for i, c in enumerate(self.coeffs)), "x")
 
 
-def _frobenius_rows(K, coeffs):
-    """The function t -> the p**t-th powers of ``coeffs``.  A power p**t
-    reads row t mod e, e > 1 the degree of K over GF(p), built on first
-    read."""
-    e, z = K.degree_over_prime, K.zero()
-    rows = {0: coeffs}
-
-    def row(t):
-        k = t % e
-        if k not in rows:
-            rows[k] = [c if c == z else K.frobenius_rep(c, k) for c in coeffs]
-        return rows[k]
-
-    return row
-
-
 def add_compose(f, g):
-    """f(g); exponents add.  Coefficients: c[i+j] += a[i] * b[j]**(p**i).
-
-    Over GF(p), where c**(p**i) = c, that is the product of the coefficient
-    vectors (of the linearized associates), done by ``_polyops.mul``.
-    """
+    """f(g); exponents add.  Coefficients: c[i+j] += a[i] * b[j]**(p**i),
+    the product of the skew ring, done by ``_polyops.mul``."""
     f._check(g)
     K = f.field
-    if f.is_zero() or g.is_zero():
-        return AdditivePoly.zero(K)
-    if K.degree_over_prime == 1:
-        return AdditivePoly._raw(K, po.mul(K, f.coeffs, g.coeffs))
-    z = K.zero()
-    out = [z] * (len(f.coeffs) + len(g.coeffs) - 1)
-    powers = _frobenius_rows(K, g.coeffs)
-    for i, a in enumerate(f.coeffs):
-        if a == z:
-            continue
-        for j, b in enumerate(powers(i)):
-            if b != z:
-                out[i + j] = K.add(out[i + j], K.mul(a, b))
-    return AdditivePoly._raw(K, out)
+    return AdditivePoly._raw(K, po.mul(K, f.coeffs, g.coeffs, frobenius=True))
 
 
 def add_rdivrem(f, g):
     """Q, R with f = Q(g) + R and expn R < expn g (right division).
 
     The quotient term c at x**(p**t) is lc(rem) * (1/lc g)**(p**t), and
-    c * b_j**(p**t) comes off the remainder at x**(p**(t+j)).  Over GF(p)
-    the powers are the coefficients themselves, so this is the division of
-    the coefficient vectors, done by ``_polyops.divmod_``.
+    c * b_j**(p**t) comes off the remainder at x**(p**(t+j)): the right
+    division of the skew ring, done by ``_polyops.divmod_``.
     """
     f._check(g)
     if g.is_zero():
         raise DivideByZero("right division by the zero additive polynomial")
-    K, z = f.field, f.field.zero()
-    if K.degree_over_prime == 1:
-        q, r = po.divmod_(K, list(f.coeffs), list(g.coeffs))
-        return AdditivePoly._raw(K, q), AdditivePoly._raw(K, r)
-    b, rho, rem = g.coeffs, g.expn, list(f.coeffs)
-    quot = [z] * max(0, len(rem) - rho)
-    monic = g.is_monic()
-    # row t holds the p**t-th powers of b_0 .. b_rho-1, then of 1/lc(g)
-    # unless g is monic
-    powers = _frobenius_rows(K, b[:rho] + (() if monic else (K.inv(b[-1]),)))
-    for t in reversed(range(len(quot))):
-        c = rem[t + rho]
-        if c != z:
-            row = powers(t)
-            if not monic:
-                c = K.mul(c, row[rho])
-            quot[t] = c
-            for j in range(rho):
-                if row[j] != z:
-                    rem[t + j] = K.sub(rem[t + j], K.mul(c, row[j]))
-    return AdditivePoly._raw(K, quot), AdditivePoly._raw(K, rem[:rho])
+    K = f.field
+    q, r = po.divmod_(K, list(f.coeffs), g.coeffs, frobenius=True)
+    return AdditivePoly._raw(K, q), AdditivePoly._raw(K, r)
 
 
 def right_quotient(f, g):

@@ -229,8 +229,10 @@ class ExtensionField(Field):
         self._zero = (base.zero(),) * d
         self._one = (base.one(),) + self._zero[1:]
         self._gen = (base.zero(), base.one()) + self._zero[2:]
-        self._log = None  # built by _tabulate on first use
         self._frobenius = kept[0] if kept else None  # else built by _pth_powers
+        self._log = None
+        if self.order <= _TABLE_MAX_ORDER:
+            self._tabulate()
 
     def zero(self):
         return self._zero
@@ -260,14 +262,14 @@ class ExtensionField(Field):
         """The residue of the adjoined indeterminate, as a Felt."""
         return Felt(self, self._gen)
 
-    # Element ops read the tables when the field has them.  ``log`` maps
-    # zero to 2n (n = q - 1), and ``exp`` holds g^0 .. g^(n-1) twice, then
-    # zeros, so a sum of two logs indexes the product directly.  ``zech``
-    # is also two periods long: a difference of two logs indexes it
-    # directly, negative ones from the end.
+    # Element ops read the tables when the field has them (``_log`` is not
+    # None), built in __init__.  ``log`` maps zero to 2n (n = q - 1), and
+    # ``exp`` holds g^0 .. g^(n-1) twice, then zeros, so a sum of two logs
+    # indexes the product directly.  ``zech`` is also two periods long: a
+    # difference of two logs indexes it directly, negative ones from the end.
 
     def add(self, a, b):
-        if self._log is None and not self._tabulate():
+        if self._log is None:
             base = self.base
             return tuple(base.add(x, y) for x, y in zip(a, b))
         log, exp = self._log, self._exp
@@ -280,7 +282,7 @@ class ExtensionField(Field):
         return exp[la + self._zech[lb - la]]
 
     def sub(self, a, b):
-        if self._log is None and not self._tabulate():
+        if self._log is None:
             base = self.base
             return tuple(base.sub(x, y) for x, y in zip(a, b))
         log, exp = self._log, self._exp
@@ -294,19 +296,19 @@ class ExtensionField(Field):
         return exp[la + self._zech[lb - la]]
 
     def neg(self, a):
-        if self._log is None and not self._tabulate():
+        if self._log is None:
             base = self.base
             return tuple(base.neg(x) for x in a)
         return self._exp[self._log[a] + self._log_minus_one]
 
     def mul(self, a, b):
-        if self._log is None and not self._tabulate():
+        if self._log is None:
             return self._mul_mod(a, b)
         log = self._log
         return self._exp[log[a] + log[b]]
 
     def inv(self, a):
-        if self._log is None and not self._tabulate():
+        if self._log is None:
             return self._inv_euclid(a)
         la = self._log[a]
         if la >= self._n:
@@ -314,15 +316,12 @@ class ExtensionField(Field):
         return self._exp[self._n - la]
 
     def _tabulate(self):
-        """Build the tables of a field of order at most _TABLE_MAX_ORDER;
-        False for a larger field.
+        """Build the tables of a field of order at most _TABLE_MAX_ORDER.
 
         A primitive element ``g`` is the first nonzero element, in element
         order, with ``g^(n/r) != 1`` for every prime ``r | n``; one walk of
         ``n`` products gives its powers.
         """
-        if self.order > _TABLE_MAX_ORDER:
-            return False
         n = self.order - 1
         zero, one = self._zero, self._one
         mul = self._mul_mod
@@ -343,7 +342,6 @@ class ExtensionField(Field):
         self._exp = powers * 2 + [zero] * (2 * n + 1)
         self._zech = zech * 2
         self._log = log
-        return True
 
     def _pth_powers(self, a, times):
         """a**(p**times), 0 < times < e."""
@@ -354,7 +352,7 @@ class ExtensionField(Field):
         # one binary p-th power at every base order and degree measured
         # (GF(2) degrees 11-40, GF(13) 3-18, GF(2^2) and GF(3^2) 4-8), so
         # the matrix is built on first use and kept.
-        if self._log is not None or self._tabulate():
+        if self._log is not None:
             la = self._log[a]
             return a if la >= self._n else self._exp[la * self.p**times % self._n]
         whole, times = divmod(times, self.base.degree_over_prime)

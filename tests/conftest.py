@@ -208,7 +208,7 @@ def add_rdivrem_by_composition(f, g):
 
 def add_compose_by_frobenius_loop(f, g):
     """f(g) term by term, c[i+j] += a[i] * b[j]**(p**i), each power by
-    frobenius_rep: the oracle for add_compose over GF(p)."""
+    frobenius_rep: the oracle for add_compose."""
     f._check(g)
     K = f.field
     if f.is_zero() or g.is_zero():
@@ -224,7 +224,7 @@ def add_rdivrem_by_frobenius_loop(f, g):
     """Q, R with f = Q(g) + R and expn R < expn g: the quotient term at
     x**(p**t) is lc(rem) * (1/lc g)**(p**t), and c * b_j**(p**t) comes off
     the remainder at x**(p**(t+j)), each power by frobenius_rep.  The
-    oracle for add_rdivrem over GF(p)."""
+    oracle for add_rdivrem."""
     f._check(g)
     if g.is_zero():
         raise DivideByZero("right division by the zero additive polynomial")
@@ -242,7 +242,7 @@ def add_rdivrem_by_frobenius_loop(f, g):
 def all_complete_by_recursion(f, limit=None):
     """All complete decompositions by branching over every indecomposable
     right factor, quotients memoized, sorted by key: the oracle for
-    all_complete_decompositions over GF(p)."""
+    all_complete_decompositions."""
     memo = {}
 
     def rec(g):

@@ -754,3 +754,31 @@ def test_all_complete_output_bound_over_prime_fields(monkeypatch):
     with pytest.raises(ExponentBoundExceeded):
         all_complete_decompositions(g)
     assert len(all_complete_decompositions(g, limit=5)) == 5
+
+
+def test_all_complete_output_bound_over_extension_fields(monkeypatch):
+    """Over GF(p^e) one walk of the quotient graph counts the output, with
+    one indec_right_factors call per quotient, before any decomposition is
+    built; limit does not lower the count."""
+    f = AdditivePoly.parse(field_of(TOWER), "x^16+x")
+    want = all_complete_by_recursion(f)
+    calls = []
+    real = addecomp.indec_right_factors
+    monkeypatch.setattr(addecomp, "indec_right_factors", lambda g: calls.append(g) or real(g))
+    assert all_complete_decompositions(f) == want
+    assert len(want) == 315 and len(calls) == len(set(calls))
+    # 315 decompositions of 4 factors
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 1260)
+    assert all_complete_decompositions(f, limit=5) == want[:5]
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 1259)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a decomposition was built")
+
+    monkeypatch.setattr(addecomp, "Decomposition", build)
+    msg = "315 complete decompositions of 4 factors are above the limit of 1259 factors"
+    for limit in (None, 5):
+        calls.clear()
+        with pytest.raises(ExponentBoundExceeded, match=msg):
+            all_complete_decompositions(f, limit)
+        assert len(calls) == len(set(calls))

@@ -204,16 +204,28 @@ def test_composition_ring_takes_frobenius_powers_from_one_table(spec, monkeypatc
         assert (q, r) == add_rdivrem_by_composition(f, g)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_prime_field_ring_ops_match_the_frobenius_loop(p):
-    """Over GF(p) add_compose and add_rdivrem run on the _polyops product
-    and division, packed at these lengths, and agree with the twisted loops."""
-    K = field_of(p)
-    rng = seeded_rng(("prime-field ring ops", p))
+@pytest.mark.parametrize("spec", [2, 3, 5, 7, "GF(2^2)", "GF(3^2)", "GF(2^4)", "GF(5^3)", TOWER])
+def test_ring_ops_match_the_frobenius_loop(spec):
+    """add_compose and add_rdivrem, the _polyops product and division
+    twisted by Frobenius, agree with the twisted loops: on zero operands,
+    non-monic divisors and divisors c*x with c != 1, where over GF(p^e)
+    quotient term t is a_t * (1/c)**(p**t), not a_t / c.  Over GF(p) the
+    lengths reach the packed kernels."""
+    K = field_of(spec)
+    rng = seeded_rng(("ring ops", spec))
     zero = AdditivePoly.zero(K)
+    f_len, g_len = (40, 20) if K.kind == "prime" else (12, 8)
     for k in range(60):
-        f = zero if k % 15 == 0 else rand_additive(K, rng, rng.randrange(0, 40), monic=False)
-        g = zero if k % 15 == 1 else rand_additive(K, rng, rng.randrange(0, 20), rng.random() < 0.5)
+        f = zero if k % 15 == 0 else rand_additive(K, rng, rng.randrange(0, f_len), monic=False)
+        if k % 15 == 1:
+            g = zero
+        elif k % 5 == 2:
+            c = K.rand_rep(rng)
+            while c == K.zero() or (c == K.one() and K.order > 2):
+                c = K.rand_rep(rng)
+            g = AdditivePoly._raw(K, [c])
+        else:
+            g = rand_additive(K, rng, rng.randrange(0, g_len), rng.random() < 0.5)
         assert add_compose(f, g) == add_compose_by_frobenius_loop(f, g)
         assert add_compose(g, f) == add_compose_by_frobenius_loop(g, f)
         if g.is_zero():

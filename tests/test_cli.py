@@ -399,6 +399,19 @@ def test_all_complete_above_the_output_limit_exits_2(capsys):
     assert code == 0 and len(out.splitlines()) == 5
 
 
+def test_all_complete_above_the_output_limit_over_a_tower_exits_2(capsys):
+    # x^256+x over GF(16) has 771,435 complete decompositions of 8 factors
+    # over 1,982 quotients, counted before any is built
+    start = time.monotonic()
+    code, out, err = run(capsys, "all-complete", "--field", TOWER, "x^256+x")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 771435 complete decompositions of 8 factors are above the limit of"
+        " 524288 factors\n"
+    )
+
+
 def test_absdec_names_a_new_level_by_the_first_unused_generator(capsys):
     code, out, _ = run(capsys, "absdec", "--field", "GF(5)[g2]/(g2^2+2)", "x^25+x^5+x")
     assert code == 0
