@@ -12,12 +12,17 @@ prime field (elements are the ints 0..p-1), where that twist is the
 identity, ``mul`` and ``divmod_`` pack long operands into integers, a slot
 per coefficient: a product is one integer product (Kronecker
 substitution), and division one shifted integer add per quotient term on
-a window of the dividend a few divisor lengths long.
+a window of the dividend a few divisor lengths long.  Over GF(2) the
+squarefree, distinct-degree and equal-degree stages, and so ``_factor``
+and ``is_irreducible``, run on bit strings: a polynomial is a Python int
+whose bit i is the coefficient of x**i, converted once on the way in and
+once per factor on the way out.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 import struct
 
 from .errors import DivideByZero
@@ -446,9 +451,155 @@ def _key(K, c):
     return (len(c), tuple(K.elt_key(x) for x in c))
 
 
-def is_irreducible(K, f):
-    """Irreducibility over K: the first distinct-degree product is all of f."""
-    return deg(f) > 0 and next(distinct_degree(K, f))[1] == deg(f)
+def _factor(K, f, seed):
+    """The (monic irreducible factor, multiplicity) pairs of a nonzero f in
+    the order the stages find them: its squarefree parts, each split by
+    distinct_degree, each product by equal_degree with draws from
+    random.Random(seed), seeded at the first split that draws."""
+    if K.order == 2:
+        by_squarefree, by_degree, split = _squarefree2, _distinct_degree2, _equal_degree2
+        f, size, out = _bits(f), int.bit_length, _coeffs
+    else:
+        by_squarefree, by_degree, split = squarefree, distinct_degree, equal_degree
+        f, size, out = monic(K, f), len, list
+    rng, parts = None, []
+    for sq, mult in by_squarefree(K, f):
+        for prod, d in by_degree(K, sq):
+            if rng is None and size(prod) > d + 1:
+                rng = random.Random(seed)
+            parts += [(out(irr), mult) for irr in split(K, prod, d, rng)]
+    return parts
+
+
+def is_irreducible(K, f, kept=None):
+    """Irreducibility over K: the first distinct-degree product is all of
+    f.  ``kept`` is as for distinct_degree (over GF(2) no matrix is built)."""
+    if K.order == 2:
+        f = _bits(f)
+        n, scan = f.bit_length() - 1, _distinct_degree2(K, f)
+    else:
+        n, scan = deg(f), distinct_degree(K, f, kept)
+    return n > 0 and next(scan)[1] == n
+
+
+# The GF(2) stages.  A polynomial is an int, bit i the coefficient of x**i;
+# the zero polynomial is 0 and every other one is monic.  Each stage takes
+# the arguments of its list stage, K = GF(2) included, and does the same
+# arithmetic, equal_degree with the same draws, so the factors and their
+# order are the same.  A remainder is
+# one shift and XOR per quotient term, and a square spreads the bits of
+# each byte through _SPREAD.
+_SPREAD = [int("0".join(f"{b:b}"), 2).to_bytes(2, "little") for b in range(256)]
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bits(c):
+    """The int of a list of 0/1 coefficients."""
+    return int(bytes(c[::-1]).translate(_TO_DIGITS) or b"0", 2)
+
+
+def _coeffs(a):
+    """The coefficient list of an int, without trailing zeros."""
+    return list(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else []
+
+
+def _square2(a):
+    return int.from_bytes(
+        b"".join(map(_SPREAD.__getitem__, a.to_bytes((a.bit_length() + 7) // 8, "little"))),
+        "little")
+
+
+def _rem2(a, b):
+    n = b.bit_length()
+    while (s := a.bit_length() - n) >= 0:
+        a ^= b << s
+    return a
+
+
+def _quo2(a, b):
+    """The quotient of a by nonzero b."""
+    n, q = b.bit_length(), 0
+    while (s := a.bit_length() - n) >= 0:
+        a ^= b << s
+        q |= 1 << s
+    return q
+
+
+def _gcd2(a, b):
+    # the loop of _rem2 inlined: a call per step made a gcd 9-24% slower
+    while b:
+        n = b.bit_length()
+        while (s := a.bit_length() - n) >= 0:
+            a ^= b << s
+        a, b = b, a
+    return a
+
+
+def _key2(a):
+    """_key of the coefficient list of a: bit length, then the bits from
+    the lowest up."""
+    return a.bit_length(), bin(a)[:1:-1]
+
+
+def _squarefree2(K, f):
+    """squarefree over GF(2)."""
+    if f < 2:
+        return []
+    # the derivative keeps the odd terms, each one degree down
+    t = _gcd2(f, f >> 1 & int("01" * (f.bit_length() // 2 + 1), 2))
+    if t == 1:
+        return [(f, 1)]
+    parts, i = [], 0
+    v = _quo2(f, t)
+    while v > 1:
+        i += 1
+        w = _gcd2(t, v)
+        z = _quo2(v, w)
+        if z > 1:
+            parts.append((z, i))
+        v, t = w, _quo2(t, w)
+    if t > 1:
+        # t has only even terms: its square root keeps every other bit
+        parts += [(g, m * 2) for g, m in _squarefree2(K, int(bin(t)[2::2], 2))]
+    return sorted(parts, key=lambda pm: _key2(pm[0]))
+
+
+def _distinct_degree2(K, f):
+    """distinct_degree over GF(2), where a step is one square mod v."""
+    v, h, d = f, 2, 0
+    while v.bit_length() > 2 * (d + 1):
+        d += 1
+        h = _rem2(_square2(h), v)
+        g = _gcd2(h ^ 2, v)
+        if g > 1:
+            yield g, d
+            v = _quo2(v, g)
+            h = _rem2(h, v)
+    if v > 1:
+        yield v, v.bit_length() - 1
+
+
+def _equal_degree2(K, u, d, rng):
+    """equal_degree over GF(2): a split is gcd of u and the trace map
+    a + a**2 + ... + a**(2**(d-1)) mod u."""
+    n = u.bit_length() - 1
+    if n == d:
+        return [u]
+    draw = rng.randrange
+    while True:
+        a = _bits([draw(2) for _ in range(n)])
+        if a < 2:
+            continue
+        t = split = a
+        for _ in range(d - 1):
+            t = _rem2(_square2(t), u)
+            split ^= t
+        if not split:
+            continue
+        g = _gcd2(split, u)
+        if 1 < g and g.bit_length() <= n:
+            return _equal_degree2(K, g, d, rng) + _equal_degree2(K, _quo2(u, g), d, rng)
 
 
 def _prime_divisors(n):
@@ -472,8 +623,6 @@ def random_monic(K, n, rng):
 
 def _monic_candidates(K, n, seed):
     """The seeded random monics of degree n that find_irreducible tries."""
-    import random
-
     rng = random.Random(f"irreducible:{K.order}:{n}:{seed}")
     while True:
         yield random_monic(K, n, rng)

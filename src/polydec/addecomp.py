@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -327,12 +328,12 @@ def complete_decomposition(f):
 _ALL_COMPLETE_MAX_FACTORS = 1 << 19
 
 
-def _check_output_size(count, length):
+def _check_output_size(count, length, what="complete decompositions"):
     """ExponentBoundExceeded when count decompositions of length factors
     are above _ALL_COMPLETE_MAX_FACTORS factors in all."""
     if count * length > _ALL_COMPLETE_MAX_FACTORS:
         raise ExponentBoundExceeded(
-            f"{count} complete decompositions of {length} factors are above"
+            f"{count} {what} of {length} factors are above"
             f" the limit of {_ALL_COMPLETE_MAX_FACTORS} factors"
         )
 
@@ -444,10 +445,23 @@ def _blocks(kappa, rho):
 
 
 def decompose_ordered(f, shape):
-    """All decompositions of f matching the ordered factorisation, found by
-    filtering complete decompositions whose shape refines it."""
+    """All decompositions of f matching the ordered factorisation, sorted
+    by key.
+
+    Over GF(p) composition is the product of associates, so a
+    decomposition is a sequence of blocks of the associate's irreducible
+    factors (see :func:`_associate_factors`), each factor the product of
+    its block, and a block's degree is the exponent of its shape entry, a
+    power of p.  The sequences are counted
+    before any is built (a knapsack over the multiplicities per block), and
+    more than _ALL_COMPLETE_MAX_FACTORS factors in all is an
+    ExponentBoundExceeded.  Over GF(p**e), e > 1, the complete
+    decompositions whose shape refines it are grouped into blocks.
+    """
     _require_monic_additive(f)
     shape = _checked_shape(shape, f.degree)
+    if f.field.degree_over_prime == 1:
+        return _decompose_by_blocks(f, shape)
     seen = {}
     for dec in all_complete_decompositions(f):
         ends = _blocks(dec.shape, shape)
@@ -457,6 +471,73 @@ def decompose_ordered(f, shape):
         cand = Decomposition(f, grouped, complete=(grouped == dec.factors))
         seen.setdefault(cand.key(), cand)
     return [seen[k] for k in sorted(seen)]
+
+
+def _decompose_by_blocks(f, shape):
+    """decompose_ordered over GF(p)."""
+    K = f.field
+    # the block degrees, innermost first: the entries multiply to
+    # deg f = p**expn, so each is a power of p
+    sizes = [round(math.log(entry, K.p)) for entry in reversed(shape)]
+    parts = _associate_factors(f)
+    degrees = [irr.expn for irr, _ in parts]
+    last, memo = len(sizes) - 1, {}
+
+    def count(j, left):
+        """The number of sequences of blocks j.. of the multiset ``left``
+        (an exponent per part); memo[j, left] keeps the (block j, the rest,
+        its count) steps that lead to at least one."""
+        if j == last:
+            return 1
+        if (j, left) not in memo:
+            edges = []
+            for block in _sub_multisets(degrees, left, sizes[j]):
+                rest = tuple(map(operator.sub, left, block))
+                n = count(j + 1, rest)
+                if n:
+                    edges.append((block, rest, n))
+            memo[j, left] = edges
+        return sum(n for _b, _r, n in memo[j, left])
+
+    def walk(j, left):
+        if j == last:
+            yield (left,)
+            return
+        for block, rest, _n in memo[j, left]:
+            for tail in walk(j + 1, rest):
+                yield (block,) + tail
+
+    mults = tuple(mult for _irr, mult in parts)
+    _check_output_size(count(0, mults), len(shape), "decompositions")
+
+    @functools.cache
+    def product(block):
+        return _compose_chain([irr for (irr, _), e in zip(parts, block) for _ in range(e)])
+
+    decs = [
+        Decomposition(f, tuple(map(product, reversed(blocks))),
+                      complete=all(sum(b) == 1 for b in blocks))
+        for blocks in walk(0, mults)
+    ]
+    return sorted(decs, key=lambda d: d.key())
+
+
+def _sub_multisets(degrees, mults, d):
+    """The exponent tuples e, 0 <= e[i] <= mults[i], with
+    sum(e[i] * degrees[i]) == d."""
+    reach = upoly._reach(degrees, mults, d)
+
+    def rec(i, left):
+        if i == len(degrees):
+            yield ()
+            return
+        for e in range(min(mults[i], left // degrees[i]) + 1):
+            if left - e * degrees[i] in reach[i + 1]:
+                for tail in rec(i + 1, left - e * degrees[i]):
+                    yield (e,) + tail
+
+    if d in reach[0]:
+        yield from rec(0, d)
 
 
 def indec_basis(f):

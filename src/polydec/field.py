@@ -214,7 +214,7 @@ class ExtensionField(Field):
         if modulus[-1] != base.one():
             raise NotMonic("extension modulus must be monic")
         kept = []  # the q-power matrix of the modulus, if the scan builds it
-        if next(po.distinct_degree(base, modulus, kept))[1] != d:
+        if not po.is_irreducible(base, modulus, kept):
             raise Reducible("extension modulus is reducible over its base")
         self.base = base
         self.modulus = tuple(modulus)

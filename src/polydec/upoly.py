@@ -11,7 +11,6 @@ a canonical order, so no caller needs a seed.
 from __future__ import annotations
 
 import operator
-import random
 
 from . import _polyops as po
 from ._expr import _DENSE_MAX_DEGREE, dense, eval_poly_text
@@ -237,19 +236,14 @@ def factor(f):
     Returns ``(parts, lc)`` where parts is a list of (irreducible Poly,
     multiplicity) sorted by (degree, coefficient order) and lc is the
     leading coefficient, so that lc * prod(g**m) == f.  The squarefree,
-    distinct-degree and equal-degree stages run on raw coefficient lists
-    in ``_polyops``.
+    distinct-degree and equal-degree stages run in ``_polyops``: on raw
+    coefficient lists, and over GF(2) on bit strings.
     """
     if f.is_zero():
         raise ZeroInput("cannot factor the zero polynomial")
     K = f.field
-    rng = None  # seeded at the first split that draws from it
-    parts = []
-    for sq, mult in po.squarefree(K, po.monic(K, list(f.coeffs))):
-        for prod, d in po.distinct_degree(K, sq):
-            if rng is None and po.deg(prod) > d:
-                rng = random.Random(f"factor:{K.order}:{f.degree}:0")
-            parts += [(Poly._raw(K, irr), mult) for irr in po.equal_degree(K, prod, d, rng)]
+    seed = f"factor:{K.order}:{f.degree}:0"
+    parts = [(Poly._raw(K, irr), mult) for irr, mult in po._factor(K, list(f.coeffs), seed)]
     parts.sort(key=lambda pm: pm[0].key())
     return parts, f.lc()
 
@@ -268,12 +262,7 @@ def _divisors_of_factors(K, parts, d):
     exponent that leaves such a branch.
     """
     out = []
-    # reach[i]: the degrees up to d of the products of parts[i:] (a knapsack
-    # over the multiplicities)
-    reach = [None] * len(parts) + [{0}]
-    for i in reversed(range(len(parts))):
-        n, mult = parts[i][0].degree, parts[i][1]
-        reach[i] = {s + e * n for s in reach[i + 1] for e in range(mult + 1) if s + e * n <= d}
+    reach = _reach([irr.degree for irr, _ in parts], [mult for _, mult in parts], d)
 
     def rec(idx, cur, deg):
         if deg == d:
@@ -292,6 +281,15 @@ def _divisors_of_factors(K, parts, d):
         rec(0, [K.one()], 0)
     out.sort(key=lambda g: g.key())
     return out
+
+
+def _reach(degrees, mults, d):
+    """reach[i]: the sums up to d of e_k * degrees[k] over k >= i, each
+    0 <= e_k <= mults[k] (a knapsack over the multiplicities)."""
+    reach = [{0}]
+    for n, mult in zip(reversed(degrees), reversed(mults)):
+        reach.append({s + e * n for s in reach[-1] for e in range(mult + 1) if s + e * n <= d})
+    return reach[::-1]
 
 
 # Chebyshev indices above this are a DegreeError: at this index T_n took

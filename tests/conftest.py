@@ -31,6 +31,7 @@ from polydec import (
     upoly,
 )
 from polydec import _expr, _polyops as po
+from polydec.addecomp import _blocks, _compose_chain
 from polydec.additive import peel_frobenius, right_quotient
 from polydec.field import ExtensionField
 from polydec.errors import DegreeInfeasible, DivideByZero, NotMonic, ParseError
@@ -257,6 +258,21 @@ def all_complete_by_recursion(f, limit=None):
     decs = sorted((Decomposition(f, factors, complete=True) for factors in rec(f)),
                   key=lambda d: d.key())
     return decs if limit is None else decs[:limit]
+
+
+def decompose_ordered_by_grouping(f, shape):
+    """The complete decompositions of all_complete_by_recursion whose shape
+    refines shape, grouped into blocks: the oracle for decompose_ordered
+    over GF(p)."""
+    seen = {}
+    for dec in all_complete_by_recursion(f):
+        ends = _blocks(dec.shape, shape)
+        if ends is None:
+            continue
+        grouped = tuple(_compose_chain(dec.factors[a:b]) for a, b in zip([0] + ends, ends))
+        cand = Decomposition(f, grouped, complete=(grouped == dec.factors))
+        seen.setdefault(cand.key(), cand)
+    return [seen[k] for k in sorted(seen)]
 
 
 def complete_by_peeling(f):

@@ -47,6 +47,7 @@ from conftest import (
     TOWER,
     all_complete_by_recursion,
     complete_by_peeling,
+    decompose_ordered_by_grouping,
     dense_indec_right_factors,
     field_of,
     monic_additive_polys,
@@ -674,9 +675,10 @@ def prime_field_inputs(K, expn, rng):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_prime_field_decompositions_match_the_recursion_oracle(monkeypatch, p):
-    """Over GF(p) the orderings of the associate's factors give exactly the
-    results of the memoized recursion and of peeling, order included."""
+def test_prime_field_decompositions_match_the_recursion_oracle(p):
+    """Over GF(p) the orderings of the associate's factors, and the walk of
+    its sub-multisets, give exactly the results of the memoized recursion,
+    of peeling and of grouping, order and completeness included."""
     K = field_of(p)
     rng = seeded_rng(f"orderings-vs-recursion:{p}")
     draws = 0
@@ -688,10 +690,13 @@ def test_prime_field_decompositions_match_the_recursion_oracle(monkeypatch, p):
             assert complete_decomposition(f) == complete_by_peeling(f)
             k = rng.randint(1, expn - 1) if expn > 1 else 0
             shape = (p ** (expn - k), p**k) if k else (p**expn,)
-            got = decompose_ordered(f, shape)
-            with monkeypatch.context() as m:
-                m.setattr(addecomp, "all_complete_decompositions", all_complete_by_recursion)
-                assert got == decompose_ordered(f, shape)
+            cuts = sorted(rng.sample(range(1, expn), 2)) if expn > 2 else None
+            for s in [shape] + ([(p ** cuts[0], p ** (cuts[1] - cuts[0]), p ** (expn - cuts[1]))]
+                                if cuts else []):
+                got = decompose_ordered(f, s)
+                want = decompose_ordered_by_grouping(f, s)
+                assert got == want, (str(f), s)
+                assert [d.complete for d in got] == [d.complete for d in want]
             draws += 1
     assert draws == 128
 
@@ -744,8 +749,14 @@ def test_all_complete_output_bound_over_prime_fields(monkeypatch):
     msg = "601080390 complete decompositions of 32 factors are above the limit of 524288 factors"
     with pytest.raises(ExponentBoundExceeded, match=msg):
         all_complete_decompositions(f)
-    with pytest.raises(ExponentBoundExceeded, match=msg):
-        decompose_ordered(f, (2**24, 2**24))
+    # a block of degree 24 holds 4..12 quadratics and the rest linear
+    start = time.monotonic()
+    decs = decompose_ordered(f, (2**24, 2**24))
+    assert time.monotonic() - start < 1
+    assert [d.key() for d in decs] == sorted(d.key() for d in decs)
+    assert all(d.shape == (2**24, 2**24) and not d.complete for d in decs)
+    inner = [dict((g.expn, m) for g, m in addecomp._associate_factors(d.factors[1])) for d in decs]
+    assert sorted(parts.get(2, 0) for parts in inner) == list(range(4, 13))
     # the bound counts the factors to be built: 6 orderings of 4 here
     g = AdditivePoly.parse(field_of(2), "x^16+x^4")
     monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 24)
@@ -754,6 +765,27 @@ def test_all_complete_output_bound_over_prime_fields(monkeypatch):
     with pytest.raises(ExponentBoundExceeded):
         all_complete_decompositions(g)
     assert len(all_complete_decompositions(g, limit=5)) == 5
+
+
+def test_decompose_ordered_over_prime_fields_counts_before_building(monkeypatch):
+    """Over GF(p) decompose_ordered counts its sequences of blocks and
+    checks them against the bound before any decomposition is built."""
+    # x^(2^48)+x has 9 decompositions of shape (2^24, 2^24), 18 factors
+    f = AdditivePoly.parse(field_of(2), "x^281474976710656+x")
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 18)
+    assert len(decompose_ordered(f, (2**24, 2**24))) == 9
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 17)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a decomposition was built")
+
+    monkeypatch.setattr(addecomp, "Decomposition", build)
+    msg = "9 decompositions of 2 factors are above the limit of 17 factors"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(f, (2**24, 2**24))
+    # x^256+x^16+x^4+x: the associate's irreducibles do not fit blocks of 2
+    g = AdditivePoly.parse(field_of(2), "x^256+x^16+x^4+x")
+    assert decompose_ordered(g, (4,) * 4) == []
 
 
 def test_all_complete_output_bound_over_extension_fields(monkeypatch):

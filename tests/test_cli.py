@@ -399,6 +399,26 @@ def test_all_complete_above_the_output_limit_exits_2(capsys):
     assert code == 0 and len(out.splitlines()) == 5
 
 
+def test_complete_over_gf2_at_degree_4096_answers(capsys):
+    # the distinct-degree scan of the degree-4095 tail runs to d = 2047
+    start = time.monotonic()
+    code, out, _ = run(capsys, "complete", "--field", "GF(2)", "x^4096+x^7+1")
+    assert time.monotonic() - start < 20
+    assert (code, out) == (0, "(x^4096+x^7+1)\n")
+
+
+def test_decompose_additive_reads_blocks_of_one_factorisation(capsys):
+    # 9 answers behind 90,090 complete decompositions of 13 factors: the
+    # sub-multisets of degree 4 of y^5 (y+1)^4 (y^2+y+1)^4
+    argv = ["decompose", "--strategy", "additive", "--field", "GF(2)", "--shape", "8192,16",
+            "x^131072+x^32"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 9
+    assert lines[0] == "(x^8192+x^512+x^32) o (x^16+x)"
+    assert lines[-1] == "(x^8192+x^2) o (x^16)"
+
+
 def test_all_complete_above_the_output_limit_over_a_tower_exits_2(capsys):
     # x^256+x over GF(16) has 771,435 complete decompositions of 8 factors
     # over 1,982 quotients, counted before any is built

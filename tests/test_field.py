@@ -337,9 +337,13 @@ def test_prime_power_spec_scans_each_candidate_once(p, e, monkeypatch):
     """The extension's own irreducibility scan picks find_irreducible's
     modulus: one scan per candidate tried, the modulus included."""
     scans = []
-    real = po.distinct_degree
+    real, real2 = po.distinct_degree, po._distinct_degree2
     monkeypatch.setattr(
         po, "distinct_degree", lambda K, f, *rest: scans.append(f) or real(K, f, *rest)
+    )
+    # over GF(2) the scan runs on bit strings
+    monkeypatch.setattr(
+        po, "_distinct_degree2", lambda K, f: scans.append(po._coeffs(f)) or real2(K, f)
     )
     K = parse_field_spec(f"GF({p}^{e})")
     modulus = list(K.modulus)

@@ -2,6 +2,7 @@
 factoring stages of _polyops against the code they replaced, on sizes on
 both sides of every cutoff and slot width."""
 
+import functools
 import itertools
 import math
 import random
@@ -296,3 +297,58 @@ def test_squarefree_input_takes_one_gcd_and_no_division(monkeypatch):
     calls.clear()
     assert po.squarefree(K, po.mul(K, g, gh)) == [(g, 2), (h, 1)]
     assert calls == ["gcd", "div"] + ["gcd", "div", "div"] * 2
+
+
+def _gf2_inputs(rng):
+    """Coefficient lists over GF(2): dense monics of degree 1-512, sparse
+    trinomials, squares and 2**k-th powers (the square-root branch of
+    squarefree), repeated factors, products of many linear and quadratic
+    factors, x**(2**k) + x (every irreducible of degree dividing k), and
+    degrees 0 and 1."""
+    K = field_of(2)
+
+    def power(g, n):
+        return po._power(lambda a, b: po.mul(K, a, b), [1], g, n)
+
+    def prod(*gs):
+        return functools.reduce(lambda a, b: po.mul(K, a, b), gs, [1])
+
+    small = [po.random_monic(K, rng.randrange(1, 6), rng) for _ in range(6)]
+    cases = [po.random_monic(K, n, rng) for n in (1, 2, 3, 7, 8, 9, 31, 64, 100, 255, 512)]
+    cases += [[1] + [0] * (k - 1) + [1] + [0] * (n - k - 1) + [1]
+              for n, k in ((7, 3), (63, 1), (127, 1), (200, 7))]
+    cases += [power(small[0], 2), prod(power(small[1], 4), small[2]), power(small[3], 8),
+              prod(power(small[4], 3), power(small[5], 2), small[0])]
+    cases += [prod(power([0, 1], a), power([1, 1], b), power([1, 1, 1], c))
+              for a, b, c in ((5, 0, 3), (0, 7, 6), (3, 4, 5))]
+    cases += [[0, 1] + [0] * (2**k - 2) + [1] for k in range(1, 8)]
+    return cases + [[1], [0, 1], [1, 1]]
+
+
+def test_gf2_stages_match_the_list_stages():
+    """The GF(2) stages on bit strings against the list stages over GF(2):
+    squarefree parts, every (product, d) of the distinct-degree scan,
+    equal-degree splits from one seed (the generator left in one state, so
+    the draws are the same), factor end to end and irreducibility."""
+    K = field_of(2)
+    rng = seeded_rng("gf2 stages")
+    for f in _gf2_inputs(rng):
+        assert po._coeffs(po._bits(f)) == f
+        parts = po.squarefree(K, f)
+        assert [(po._coeffs(g), m) for g, m in po._squarefree2(K, po._bits(f))] == parts, f
+        factor_rng = random.Random(f"factor:2:{po.deg(f)}:0")
+        want = []
+        for sq, mult in parts:
+            scan = list(po.distinct_degree(K, sq))
+            assert [(po._coeffs(g), d) for g, d in po._distinct_degree2(K, po._bits(sq))] == scan
+            for prod, d in scan:
+                seed = rng.random()
+                split, split2 = random.Random(seed), random.Random(seed)
+                got = po._equal_degree2(K, po._bits(prod), d, split2)
+                assert [po._coeffs(g) for g in got] == po.equal_degree(K, prod, d, split)
+                assert split2.getstate() == split.getstate()
+                want += [(g, mult) for g in po.equal_degree(K, prod, d, factor_rng)]
+        want.sort(key=lambda gm: po._key(K, gm[0]))
+        assert [(list(g.coeffs), m) for g, m in factor(Poly(K, f))[0]] == want
+        n = po.deg(f)
+        assert is_irreducible(Poly(K, f)) == (n > 0 and next(po.distinct_degree(K, f))[1] == n)

@@ -238,8 +238,8 @@ def test_factor_is_seed_reproducible(F5):
 
 def test_factor_seeds_its_generator_at_the_first_split(F4, F5, monkeypatch):
     seeds = []
-    real = upoly.random.Random
-    monkeypatch.setattr(upoly.random, "Random", lambda seed: seeds.append(seed) or real(seed))
+    real = upoly.po.random.Random
+    monkeypatch.setattr(upoly.po.random, "Random", lambda seed: seeds.append(seed) or real(seed))
     # one irreducible factor of each degree: no split draws
     assert factor(Poly.parse(F5, "(x+1)*(x^2+2)*(x^3+x+1)"))[0] == [
         (Poly.parse(F5, "x+1"), 1), (Poly.parse(F5, "x^2+2"), 1), (Poly.parse(F5, "x^3+x+1"), 1)]
