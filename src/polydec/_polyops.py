@@ -455,19 +455,22 @@ def _factor(K, f, seed):
     """The (monic irreducible factor, multiplicity) pairs of a nonzero f in
     the order the stages find them: its squarefree parts, each split by
     distinct_degree, each product by equal_degree with draws from
-    random.Random(seed), seeded at the first split that draws."""
+    random.Random(seed), seeded at the first split that draws.  A factor
+    is a coefficient list, over GF(2) bytes."""
     if K.order == 2:
-        by_squarefree, by_degree, split = _squarefree2, _distinct_degree2, _equal_degree2
-        f, size, out = _bits(f), int.bit_length, _coeffs
+        by_squarefree, by_degree, f, size = _squarefree2, _distinct_degree2, _bits(f), int.bit_length
+
+        def split(K, u, d, rng):
+            return map(_coeffs, _equal_degree2(K, u, d, rng))
     else:
         by_squarefree, by_degree, split = squarefree, distinct_degree, equal_degree
-        f, size, out = monic(K, f), len, list
+        f, size = monic(K, f), len
     rng, parts = None, []
     for sq, mult in by_squarefree(K, f):
         for prod, d in by_degree(K, sq):
             if rng is None and size(prod) > d + 1:
                 rng = random.Random(seed)
-            parts += [(out(irr), mult) for irr in split(K, prod, d, rng)]
+            parts += [(irr, mult) for irr in split(K, prod, d, rng)]
     return parts
 
 
@@ -500,8 +503,8 @@ def _bits(c):
 
 
 def _coeffs(a):
-    """The coefficient list of an int, without trailing zeros."""
-    return list(bin(a)[:1:-1].encode().translate(_FROM_DIGITS)) if a else []
+    """The coefficients of an int, as bytes, without trailing zeros."""
+    return bin(a)[:1:-1].encode().translate(_FROM_DIGITS) if a else b""
 
 
 def _square2(a):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -327,6 +326,12 @@ def complete_decomposition(f):
 # (one core of a 2-core Xeon VM).
 _ALL_COMPLETE_MAX_FACTORS = 1 << 19
 
+# decompose_ordered over GF(p) raises before its count takes more steps
+# than this (see upoly._block_splits): a step took about 2.6 us, and
+# x^(2^256)+x^(2^192)+x^(2^128) over GF(2) at 16 blocks of 2^16 reached
+# it in 1.4 s (one core of a 2-core Xeon VM).
+_ORDERED_MAX_STEPS = 1 << 19
+
 
 def _check_output_size(count, length, what="complete decompositions"):
     """ExponentBoundExceeded when count decompositions of length factors
@@ -452,11 +457,12 @@ def decompose_ordered(f, shape):
     decomposition is a sequence of blocks of the associate's irreducible
     factors (see :func:`_associate_factors`), each factor the product of
     its block, and a block's degree is the exponent of its shape entry, a
-    power of p.  The sequences are counted
-    before any is built (a knapsack over the multiplicities per block), and
-    more than _ALL_COMPLETE_MAX_FACTORS factors in all is an
-    ExponentBoundExceeded.  Over GF(p**e), e > 1, the complete
-    decompositions whose shape refines it are grouped into blocks.
+    power of p.  The sequences are counted before any is built (see
+    :func:`polydec.upoly._block_splits`); more than
+    _ALL_COMPLETE_MAX_FACTORS factors in all, or a count of more than
+    _ORDERED_MAX_STEPS steps, is an ExponentBoundExceeded.  Over GF(p**e),
+    e > 1, the complete decompositions whose shape refines it are grouped
+    into blocks.
     """
     _require_monic_additive(f)
     shape = _checked_shape(shape, f.degree)
@@ -480,35 +486,10 @@ def _decompose_by_blocks(f, shape):
     # deg f = p**expn, so each is a power of p
     sizes = [round(math.log(entry, K.p)) for entry in reversed(shape)]
     parts = _associate_factors(f)
-    degrees = [irr.expn for irr, _ in parts]
-    last, memo = len(sizes) - 1, {}
-
-    def count(j, left):
-        """The number of sequences of blocks j.. of the multiset ``left``
-        (an exponent per part); memo[j, left] keeps the (block j, the rest,
-        its count) steps that lead to at least one."""
-        if j == last:
-            return 1
-        if (j, left) not in memo:
-            edges = []
-            for block in _sub_multisets(degrees, left, sizes[j]):
-                rest = tuple(map(operator.sub, left, block))
-                n = count(j + 1, rest)
-                if n:
-                    edges.append((block, rest, n))
-            memo[j, left] = edges
-        return sum(n for _b, _r, n in memo[j, left])
-
-    def walk(j, left):
-        if j == last:
-            yield (left,)
-            return
-        for block, rest, _n in memo[j, left]:
-            for tail in walk(j + 1, rest):
-                yield (block,) + tail
-
-    mults = tuple(mult for _irr, mult in parts)
-    _check_output_size(count(0, mults), len(shape), "decompositions")
+    count, splits = upoly._block_splits([irr.expn for irr, _ in parts],
+                                        [mult for _irr, mult in parts], sizes,
+                                        _ORDERED_MAX_STEPS)
+    _check_output_size(count, len(shape), "decompositions")
 
     @functools.cache
     def product(block):
@@ -517,27 +498,9 @@ def _decompose_by_blocks(f, shape):
     decs = [
         Decomposition(f, tuple(map(product, reversed(blocks))),
                       complete=all(sum(b) == 1 for b in blocks))
-        for blocks in walk(0, mults)
+        for blocks in splits
     ]
     return sorted(decs, key=lambda d: d.key())
-
-
-def _sub_multisets(degrees, mults, d):
-    """The exponent tuples e, 0 <= e[i] <= mults[i], with
-    sum(e[i] * degrees[i]) == d."""
-    reach = upoly._reach(degrees, mults, d)
-
-    def rec(i, left):
-        if i == len(degrees):
-            yield ()
-            return
-        for e in range(min(mults[i], left // degrees[i]) + 1):
-            if left - e * degrees[i] in reach[i + 1]:
-                for tail in rec(i + 1, left - e * degrees[i]):
-                    yield (e,) + tail
-
-    if d in reach[0]:
-        yield from rec(0, d)
 
 
 def indec_basis(f):

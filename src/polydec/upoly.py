@@ -18,6 +18,7 @@ from .errors import (
     BothZero,
     DegreeError,
     DegreeMismatch,
+    ExponentBoundExceeded,
     FieldMismatch,
     NotMonic,
     ZeroInput,
@@ -290,6 +291,80 @@ def _reach(degrees, mults, d):
     for n, mult in zip(reversed(degrees), reversed(mults)):
         reach.append({s + e * n for s in reach[-1] for e in range(mult + 1) if s + e * n <= d})
     return reach[::-1]
+
+
+def _block_splits(degrees, mults, sizes, max_steps):
+    """The ways to give out a multiset among blocks of given degrees.
+
+    Part i has degree degrees[i] and mults[i] copies, and the degrees add
+    up to sum(sizes).  A way gives block j e[i][j] copies of part i, every
+    copy once, so that the degrees in block j add up to sizes[j].  Returns
+    (count, ways): the number of ways, found before any is built, and a
+    generator of them, each a tuple of rows, one per block, of exponents
+    per part.
+
+    The count is a dynamic program over the parts.  Its state is the
+    sorted tuple of the degrees the blocks but the last still lack (the
+    last takes what they leave): the number of ways to fill them does not
+    depend on which block lacks which.  A part is given out one block at
+    a time, each block's lack kept in reach of the parts after it (the
+    knapsack of ``_reach``).  Each number of copies a block takes from a
+    (copies left, lacks so far) is a step, and more than max_steps steps
+    is an ExponentBoundExceeded: with many blocks of one degree the states
+    can be too many to count.
+    """
+    reach = _reach(degrees, mults, max(sizes[:-1], default=0))
+    start = tuple(sorted(sizes[:-1]))
+    # moves[i][state]: the (copies left, lacks) that part i can leave
+    # from state, with the ways to each
+    moves, states, steps = [], [start], 0
+    for i, (n, m) in enumerate(zip(degrees, mults)):
+        after, out = reach[i + 1], {}
+        for state in states:
+            front = {(m, ()): 1}
+            for c in state:
+                nxt = {}
+                for (left, lack), w in front.items():
+                    for e in range(min(left, c // n) + 1):
+                        if c - e * n in after:
+                            key = (left - e, tuple(sorted(lack + (c - e * n,))))
+                            nxt[key] = nxt.get(key, 0) + w
+                            steps += 1
+                front = nxt
+                if steps > max_steps:
+                    raise ExponentBoundExceeded(
+                        f"counting the ways to fill {len(sizes)} blocks takes more than"
+                        f" {max_steps} steps"
+                    )
+            out[state] = front
+        moves.append(out)
+        states = {lack for front in out.values() for _left, lack in front}
+    # ways[i][state]: the ways to give out parts i.. from state
+    ways = [{(0,) * len(start): 1}]
+    for out in reversed(moves):
+        below = ways[-1]
+        ways.append({state: sum(w * below.get(lack, 0) for (_left, lack), w in front.items())
+                     for state, front in out.items()})
+    ways.reverse()
+
+    def walk():
+        done = [((), tuple(sizes[:-1]))]
+        for i, n in enumerate(degrees):
+            after, alive, nxt = reach[i + 1], ways[i + 1], []
+            for cols, needs in done:
+                paths = [((), mults[i])]
+                for c in needs:
+                    paths = [(col + (e,), left - e) for col, left in paths
+                             for e in range(min(left, c // n) + 1) if c - e * n in after]
+                for col, left in paths:
+                    lack = tuple(c - e * n for c, e in zip(needs, col))
+                    if alive.get(tuple(sorted(lack))):
+                        nxt.append((cols + (col + (left,),), lack))
+            done = nxt
+        for cols, _lack in done:
+            yield tuple(zip(*cols))
+
+    return ways[0][start], walk()
 
 
 # Chebyshev indices above this are a DegreeError: at this index T_n took

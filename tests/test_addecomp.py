@@ -768,24 +768,69 @@ def test_all_complete_output_bound_over_prime_fields(monkeypatch):
 
 
 def test_decompose_ordered_over_prime_fields_counts_before_building(monkeypatch):
-    """Over GF(p) decompose_ordered counts its sequences of blocks and
-    checks them against the bound before any decomposition is built."""
-    # x^(2^48)+x has 9 decompositions of shape (2^24, 2^24), 18 factors
+    """Over GF(p) decompose_ordered counts its sequences of blocks, in a
+    bounded number of steps, and checks them against the bound before any
+    decomposition is built."""
+    # x^(2^48)+x has 9 decompositions of shape (2^24, 2^24), 18 factors,
+    # counted in 18 steps
     f = AdditivePoly.parse(field_of(2), "x^281474976710656+x")
     monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 18)
+    monkeypatch.setattr(addecomp, "_ORDERED_MAX_STEPS", 18)
     assert len(decompose_ordered(f, (2**24, 2**24))) == 9
-    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 17)
 
     def build(*args, **kwargs):
         raise AssertionError("a decomposition was built")
 
     monkeypatch.setattr(addecomp, "Decomposition", build)
+    monkeypatch.setattr(addecomp, "_ORDERED_MAX_STEPS", 17)
+    with pytest.raises(ExponentBoundExceeded,
+                       match="counting the ways to fill 2 blocks takes more than 17 steps"):
+        decompose_ordered(f, (2**24, 2**24))
+    monkeypatch.setattr(addecomp, "_ORDERED_MAX_STEPS", 18)
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 17)
     msg = "9 decompositions of 2 factors are above the limit of 17 factors"
     with pytest.raises(ExponentBoundExceeded, match=msg):
         decompose_ordered(f, (2**24, 2**24))
     # x^256+x^16+x^4+x: the associate's irreducibles do not fit blocks of 2
     g = AdditivePoly.parse(field_of(2), "x^256+x^16+x^4+x")
     assert decompose_ordered(g, (4,) * 4) == []
+
+
+def test_decompose_ordered_over_prime_fields_refuses_large_outputs_at_once(monkeypatch):
+    """Over GF(p) an output above the bound, or a count that takes too many
+    steps, raises soon after the one factorisation, with no decomposition
+    built."""
+
+    def build(*args, **kwargs):
+        raise AssertionError("a decomposition was built")
+
+    monkeypatch.setattr(addecomp, "Decomposition", build)
+    K = field_of(2)
+    # x^(2^256)+x^2: the associate y^256+y has 36 distinct irreducible
+    # factors (2 of degree 1, 1 of 2, 3 of 4 and 30 of 8), and about 1.2e9
+    # sub-multisets of degree 128
+    f = AdditivePoly.parse(K, f"x^{2**256}+x^2")
+    start = time.monotonic()
+    msg = "1221550470 decompositions of 2 factors are above the limit of 524288 factors"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(f, (2**128, 2**128))
+    assert time.monotonic() - start < 1
+    # the associate y^20 (y+1)^20 over 40 blocks of degree 1: C(40, 20)
+    # ways, counted on the number of blocks still empty, not on which
+    g = AdditivePoly.parse(K, f"x^{2**40}+x^{2**36}+x^{2**24}+x^{2**20}")
+    start = time.monotonic()
+    msg = "137846528820 decompositions of 40 factors are above the limit of 524288 factors"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(g, (2,) * 40)
+    assert time.monotonic() - start < 1
+    # the associate y^128 (y^2+y+1)^64 over 16 blocks of degree 16: the
+    # multisets of what the blocks still lack are too many to count
+    g = AdditivePoly.parse(K, f"x^{2**256}+x^{2**192}+x^{2**128}")
+    start = time.monotonic()
+    msg = "counting the ways to fill 16 blocks takes more than 524288 steps"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(g, (2**16,) * 16)
+    assert time.monotonic() - start < 10
 
 
 def test_all_complete_output_bound_over_extension_fields(monkeypatch):

@@ -343,7 +343,7 @@ def test_prime_power_spec_scans_each_candidate_once(p, e, monkeypatch):
     )
     # over GF(2) the scan runs on bit strings
     monkeypatch.setattr(
-        po, "_distinct_degree2", lambda K, f: scans.append(po._coeffs(f)) or real2(K, f)
+        po, "_distinct_degree2", lambda K, f: scans.append(list(po._coeffs(f))) or real2(K, f)
     )
     K = parse_field_spec(f"GF({p}^{e})")
     modulus = list(K.modulus)
