@@ -98,19 +98,29 @@ def irred_ff_bidecomp(f, shape):
     entries = tuple(shape)
     if len(entries) == 2 and min(entries) < 2:
         raise DegreeError("normal bidecomposition factors need degree >= 2")
-    r, s = _checked_shape(shape, f.degree, DegreeError)
-    K = f.field
+    r, _ = _checked_shape(shape, f.degree, DegreeError)
     try:
-        ext = build_extension(K, f)
+        ext = build_extension(f.field, f)
     except Reducible:
         raise NotIrreducible("input must be irreducible over its field") from None
+    return _block_pair(f, r, ext)
+
+
+def _block_pair(f, r, ext):
+    """irred_ff_bidecomp's pair of outer degree r, given ext = F[z]/(f).
+
+    The coefficient of X**(s-1) in the vanishing polynomial is minus the
+    sum of the s conjugates, the trace from F_(q**n) to F_(q**r), and it
+    is checked before the product: it lies in F for few irreducible f.
+    """
+    K = f.field
+    s = f.degree // r
     e_step = K.degree_over_prime * r
-    alpha = ext.gen()
-    roots = []
-    cur = alpha
-    for _ in range(s):
-        roots.append(cur)
-        cur = Felt(ext, ext.frobenius_rep(cur.rep, e_step))
+    roots = [ext.gen()]
+    for _ in range(s - 1):
+        roots.append(Felt(ext, ext.frobenius_rep(roots[-1].rep, e_step)))
+    if any(x != K.zero() for x in sum(roots[1:], roots[0]).rep[1:]):
+        return None
     prod = Poly.one(ext)
     for root in roots:
         prod = prod * Poly(ext, [-root, ext.felt(1)])
@@ -196,16 +206,24 @@ def first_complete(f, strategy=Strategy.SEPARATED):
     if n < 2:
         raise DegreeError("complete decomposition needs degree >= 2")
     # inner factors of an irreducible polynomial need not stay irreducible,
-    # so the block method degrades to the separated search on recursion
-    if strategy is Strategy.IRREDUCIBLE_FF and not upoly.is_irreducible(f):
-        strategy = Strategy.SEPARATED
+    # so the block method degrades to the separated search on recursion;
+    # F[z]/(f) is built once for every shape tried
+    divisors, ext = _divisors(n)[1:-1], None
+    if strategy is Strategy.IRREDUCIBLE_FF and divisors:
+        try:
+            ext = build_extension(f.field, f)
+        except Reducible:
+            strategy = Strategy.SEPARATED
     # (f - f(0))/x, factored at most once for every shape tried
     tail_parts = functools.cache(lambda: _tail_factors(f))
-    for d in _divisors(n)[1:-1]:
+    for d in divisors:
         shape = (d, n // d)
         if strategy is Strategy.TAME and d % f.field.p == 0:
             continue
-        pairs = _bidecompositions(f, shape, strategy, tail_parts)
+        if ext is None:
+            pairs = _bidecompositions(f, shape, strategy, tail_parts)
+        else:
+            pairs = [got] if (got := _block_pair(f, d, ext)) else []
         if pairs:
             g, h = pairs[0]
             tail = first_complete(h, strategy)

@@ -30,7 +30,7 @@ from polydec import (
     transform,
     upoly,
 )
-from polydec import _expr, _polyops as po
+from polydec import _expr, gendecomp, _polyops as po
 from polydec.addecomp import _blocks, _compose_chain
 from polydec.additive import peel_frobenius, right_quotient
 from polydec.field import ExtensionField
@@ -606,6 +606,19 @@ def is_irreducible_rabin(K, f):
     return True
 
 
+def is_irreducible_by_scan(K, f, kept=None):
+    """Irreducibility over K: the first distinct-degree product is all of
+    f, with the q-power matrix the scan builds, if any, appended to
+    ``kept``.  The oracle for the scan-then-Rabin split of
+    _polyops.is_irreducible."""
+    if K.order == 2:
+        f = po._bits(f)
+        n, scan = f.bit_length() - 1, po._distinct_degree2(K, f)
+    else:
+        n, scan = po.deg(f), po.distinct_degree(K, f, kept)
+    return n > 0 and next(scan)[1] == n
+
+
 def distinct_degree_by_powmod(K, f):
     """The distinct-degree scan with one binary power x**(q**d) mod v per
     degree: the oracle for the q-power matrix of _polyops.distinct_degree."""
@@ -622,6 +635,44 @@ def distinct_degree_by_powmod(K, f):
             h = po.mod(K, h, v)
     if po.deg(v) > 0:
         yield v, po.deg(v)
+
+
+def irred_ff_bidecomp_by_full_product(f, shape):
+    """irred_ff_bidecomp with the whole vanishing polynomial of the orbit
+    {alpha**(q**(j*r))} multiplied out before any coefficient is checked:
+    the oracle for the trace check of gendecomp._block_pair."""
+    r, s = shape
+    K = f.field
+    ext = build_extension(K, f)
+    roots = [ext.gen()]
+    for _ in range(s - 1):
+        roots.append(Felt(ext, ext.frobenius_rep(roots[-1].rep, K.degree_over_prime * r)))
+    prod = Poly.one(ext)
+    for root in roots:
+        prod = prod * Poly(ext, [-root, ext.felt(1)])
+    down = []
+    for i in range(1, s + 1):
+        c = prod.coeff(i).rep
+        if any(x != K.zero() for x in c[1:]):
+            return None
+        down.append(c[0])
+    h = Poly(K, [K.zero()] + down)
+    g = upoly.right_divide(f, h)
+    return None if g is None else (g, h)
+
+
+def first_complete_irred_by_rebuilds(f):
+    """The factors of first_complete(f, Strategy.IRREDUCIBLE_FF) from an
+    irreducibility test of f and one irred_ff_bidecomp, each building
+    F[z]/(f), per shape tried: the oracle for its one build per level."""
+    if not upoly.is_irreducible(f):
+        return gendecomp.first_complete(f, gendecomp.Strategy.SEPARATED).factors
+    n = f.degree
+    for d in range(2, n):
+        if n % d == 0 and (got := gendecomp.irred_ff_bidecomp(f, (d, n // d))):
+            g, h = got
+            return (g,) + first_complete_irred_by_rebuilds(h)
+    return (f,)
 
 
 def pth_root_poly(f):

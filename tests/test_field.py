@@ -334,16 +334,12 @@ def test_extension_builds_its_q_power_matrix_once(base, n, monkeypatch):
 
 @pytest.mark.parametrize("p, e", [(3, 12), (2, 16), (5, 9)])
 def test_prime_power_spec_scans_each_candidate_once(p, e, monkeypatch):
-    """The extension's own irreducibility scan picks find_irreducible's
-    modulus: one scan per candidate tried, the modulus included."""
+    """The extension's own irreducibility test picks find_irreducible's
+    modulus: one test per candidate tried, the modulus included."""
     scans = []
-    real, real2 = po.distinct_degree, po._distinct_degree2
+    real = po.is_irreducible
     monkeypatch.setattr(
-        po, "distinct_degree", lambda K, f, *rest: scans.append(f) or real(K, f, *rest)
-    )
-    # over GF(2) the scan runs on bit strings
-    monkeypatch.setattr(
-        po, "_distinct_degree2", lambda K, f: scans.append(list(po._coeffs(f))) or real2(K, f)
+        po, "is_irreducible", lambda K, f, *rest: scans.append(list(f)) or real(K, f, *rest)
     )
     K = parse_field_spec(f"GF({p}^{e})")
     modulus = list(K.modulus)

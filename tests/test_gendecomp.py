@@ -4,9 +4,11 @@ import pytest
 
 from polydec import (
     Poly,
+    gendecomp,
     Strategy,
     upoly,
     compose,
+    find_irreducible,
     first_complete,
     irred_ff_bidecomp,
     is_irreducible,
@@ -16,7 +18,13 @@ from polydec import (
 )
 from polydec.errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
 
-from conftest import field_of, rand_poly, seeded_rng
+from conftest import (
+    field_of,
+    first_complete_irred_by_rebuilds,
+    irred_ff_bidecomp_by_full_product,
+    rand_poly,
+    seeded_rng,
+)
 
 
 def test_tame_bidecomp_examples(F5, F7):
@@ -84,6 +92,77 @@ def test_irred_ff_bidecomp_errors(F2):
     f = Poly.parse(F2, "x^4+x+1")
     with pytest.raises(DegreeError):
         irred_ff_bidecomp(f, (4, 1))
+
+
+def _planted_irreducible(K, rng, shape):
+    """A seeded irreducible chain g_1(g_2(...)) of the given shape, with
+    monic factors over K, the inner ones with zero constant term."""
+    while True:
+        f = rand_poly(K, rng, shape[0], monic=True)
+        for s in shape[1:]:
+            f = compose(f, rand_poly(K, rng, s, monic=True, zero_const=True))
+        if is_irreducible(f):
+            return f
+
+
+@pytest.mark.parametrize("spec, degrees, planted", [
+    ("GF(5)", (4, 6, 8, 9, 12), [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 3)]),
+    ("GF(13)", (4, 6, 8, 18), [(2, 2), (3, 2), (2, 3), (3, 6)]),
+    ("GF(3^2)", (4, 6, 8), [(2, 2), (2, 3), (3, 2), (2, 4)]),
+])
+def test_irred_ff_bidecomp_trace_exit_matches_the_full_product(spec, degrees, planted):
+    """The block method that stops when the trace of alpha to F_(q**r) is
+    not in F gives the pairs of the one that multiplies the whole vanishing
+    polynomial out, on every shape of seeded irreducibles and of planted
+    decomposable ones."""
+    K = field_of(spec)
+    rng = seeded_rng(("trace exit", spec))
+    cases = [Poly(K, find_irreducible(K, n, seed)) for n in degrees for seed in range(3)]
+    cases += [_planted_irreducible(K, rng, shape) for shape in planted for _ in range(2)]
+    found = 0
+    for f in cases:
+        n = f.degree
+        for r in range(2, n // 2 + 1):
+            if n % r == 0:
+                got = irred_ff_bidecomp(f, (r, n // r))
+                assert got == irred_ff_bidecomp_by_full_product(f, (r, n // r)), (str(f), r)
+                found += got is not None
+    assert found >= len(planted)
+
+
+@pytest.mark.parametrize("spec, n, shapes", [
+    ("GF(13)", 18, [(3, 6), (2, 9), (6, 3), (2, 3, 3)]),
+    ("GF(5)", 12, [(2, 6), (3, 4), (2, 2, 3)]),
+])
+def test_first_complete_irreducible_builds_one_extension_per_level(spec, n, shapes, monkeypatch):
+    """Under the block method first_complete builds F[z]/(f) once per level
+    with a shape to try, where it built one per shape after a separate
+    irreducibility test, and returns the same factors."""
+    K = field_of(spec)
+    rng = seeded_rng(("one extension per level", spec))
+    cases = [Poly(K, find_irreducible(K, n, seed)) for seed in range(2)]
+    cases += [_planted_irreducible(K, rng, shape) for shape in shapes]
+    cases += [rand_poly(K, rng, n, monic=True)]
+    want = [first_complete_irred_by_rebuilds(f) for f in cases]
+    builds, levels = [], []
+    real_build, real_first = gendecomp.build_extension, gendecomp.first_complete
+    monkeypatch.setattr(gendecomp, "build_extension",
+                        lambda *args: builds.append(args) or real_build(*args))
+    monkeypatch.setattr(gendecomp, "first_complete",
+                        lambda f, strategy: levels.append((f.degree, strategy))
+                        or real_first(f, strategy))
+    for f, factors in zip(cases, want):
+        builds.clear()
+        levels.clear()
+        assert gendecomp.first_complete(f, Strategy.IRREDUCIBLE_FF).factors == factors
+        assert len(builds) == sum(strategy is Strategy.IRREDUCIBLE_FF and _composite(m)
+                                  for m, strategy in levels)
+        assert len(builds) == 1 or len(factors) > 1
+    assert sum(len(factors) > 1 for factors in want) >= len(shapes)
+
+
+def _composite(n):
+    return any(n % d == 0 for d in range(2, n))
 
 
 def test_ord_fact_decomp_examples(F2, F3, F7):

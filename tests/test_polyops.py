@@ -19,6 +19,8 @@ from conftest import (
     equal_degree_split_by_poly,
     factor_by_poly_stages,
     field_of,
+    is_irreducible_by_scan,
+    is_irreducible_rabin,
     mul_prime_loop,
     per_term_kernels,
     rand_poly,
@@ -244,6 +246,53 @@ def test_distinct_degree_that_stops_early_builds_no_matrix(monkeypatch):
     got = list(po.distinct_degree(K, f))
     assert [(po.deg(g), d) for g, d in got] == [(4, 2), (120, 4)]
     assert got == list(distinct_degree_by_powmod(K, f)) and not built
+
+
+# every degree to 16, then primes, prime powers and products of two and
+# three primes up to 64; fewer where Rabin's oracle costs most
+_ALL_DEGREES = [*range(1, 17), 18, 24, 25, 27, 30, 31, 36, 45, 48, 64]
+RABIN_DEGREES = {3: _ALL_DEGREES, 5: _ALL_DEGREES, 7: _ALL_DEGREES, 13: _ALL_DEGREES,
+                 "GF(2^2)": [*range(1, 17), 18, 24], "GF(3^2)": [*range(1, 17), 18, 24],
+                 18446744073709551557: [*range(1, 13)]}
+
+
+@pytest.mark.parametrize("spec", list(RABIN_DEGREES), ids=str)
+def test_is_irreducible_matches_the_scan_and_rabin(spec):
+    """is_irreducible against the distinct-degree scan and Rabin's
+    criterion on random monics, non-monic scalings of irreducibles,
+    find_irreducible's outputs and products of two irreducibles of degrees
+    a, n - a for a = 2, n/3, n/2.  Over GF(p) some of those pass the scan
+    up to the q-power matrix and fail only at x**(q**n) = x, others only at
+    a Rabin gcd.  ``kept`` gets the matrix exactly when f is irreducible of
+    degree 8 or more, and it is the scan's."""
+    K = field_of(spec)
+    x = [K.zero(), K.one()]
+    rng = seeded_rng(("irreducible by rabin", str(spec)))
+    irreducible = functools.cache(lambda n, seed: find_irreducible(K, n, seed))
+    cases = []
+    for n in RABIN_DEGREES[spec]:
+        c = K.zero()
+        while c == K.zero():
+            c = K.rand_rep(rng)
+        cases += [po.random_monic(K, n, rng), irreducible(n, 0), po.scale(K, irreducible(n, 0), c)]
+        cases += [po.mul(K, irreducible(a, 0), irreducible(n - a, 1))
+                  for a in sorted({2, n // 3, n // 2}) if 0 < a < n]
+    exits = []
+    for f in cases:
+        n, kept, scan_kept = po.deg(f), [], []
+        got = po.is_irreducible(K, f, kept)
+        assert got == is_irreducible_by_scan(K, f, scan_kept) == is_irreducible_rabin(K, f), f
+        assert kept == ([po._frobenius_matrix(K, f)] if got and n >= FROB else []), f
+        if got:
+            assert kept == scan_kept
+        elif scan_kept:
+            # past the scan: does f fail at x**(q**n) = x or at a gcd?
+            h = x
+            for _ in range(n):
+                h = po._frobenius_apply(K, scan_kept[0], h)
+            exits.append(h == x)
+    if K.kind == "prime":
+        assert exits.count(False) >= 3 and exits.count(True) >= 3
 
 
 def _factor_inputs(K, rng):
