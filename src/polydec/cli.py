@@ -9,8 +9,9 @@ several, ``[]`` for none).  A decomposition's record is ``{"target",
 "field", "factors", "complete"}``, any other result's is ``{"field",
 "result"}``.  Under ``--json`` an input error found after argv is parsed
 also prints ``{"error", "type"}`` on stdout, and no ``note:`` line is
-printed.  ``counts`` and ``selftest`` print text only.  Identical argv and
-seed give byte-identical output.
+printed; ``--json --help`` prints the help text as ``{"help"}``.
+``counts`` and ``selftest`` print text only.  Identical argv and seed give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import addecomp, additive, gendecomp, ratfun, upoly
 from .additive import AdditivePoly
 from ._expr import parse_int_list
 from .addecomp import Decomposition, OrderedFactorisation
-from .errors import DegreeError, ParseError, PolydecError
+from .errors import DegreeError, NotAdditive, ParseError, PolydecError
 from .field import parse_field_spec
 from .gendecomp import Strategy
 from .upoly import Poly
@@ -42,6 +43,18 @@ def _poly(args, field, text):
     if args.assert_additive:
         AdditivePoly.from_poly(f)
     return f
+
+
+def _decomposition_input(args, field):
+    """The input of decompose and complete.  Under --strategy additive,
+    additive text is read in exponent space, so its degree has no dense
+    limit; any other text is read densely."""
+    if args.strategy == Strategy.ADDITIVE.value:
+        try:
+            return AdditivePoly.parse(field, args.expr)
+        except NotAdditive:
+            pass  # the dense reading reports it in its own order
+    return _poly(args, field, args.expr)
 
 
 def _shape(args):
@@ -98,12 +111,12 @@ def _cmd_decompose(args):
     strategy = Strategy(args.strategy)
     if args.limit is not None and args.limit < 0:
         raise ParseError("--limit must be >= 0")
-    f = _monicized(args, _poly(args, field, args.expr))
+    f = _monicized(args, _decomposition_input(args, field))
     return _emit_decs(args, gendecomp.ord_fact_decomp(f, shape, strategy)[: args.limit])
 
 
 def _cmd_complete(args):
-    f = _monicized(args, _poly(args, _field_of(args), args.expr))
+    f = _monicized(args, _decomposition_input(args, _field_of(args)))
     return _emit_decs(args, [gendecomp.first_complete(f, Strategy(args.strategy))])
 
 
@@ -191,8 +204,23 @@ def _cmd_selftest(args):
     return run_selftest()
 
 
+class _HelpAction(argparse._HelpAction):
+    """--help; after --json, the help text as one JSON object {"help"}."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, "json", False):
+            print(json.dumps({"help": parser.format_help()}, sort_keys=True))
+            parser.exit()
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Raises usage errors as ParseError, so they print one error: line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action=_HelpAction, default=argparse.SUPPRESS,
+                          help="show this help message and exit")
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")

@@ -4,8 +4,10 @@ Four bidecomposition engines sit behind one recursion: the tame
 coefficient recurrence (characteristic not dividing the outer degree),
 subset search over the factors of f - f(0) (any characteristic), the
 finite-field block construction for irreducible inputs, and the additive
-machinery for additive inputs.  Every decomposition returned is normal:
-all factors monic, inner factors with zero constant term.
+machinery for additive inputs.  The additive machinery also answers the
+wild shapes of the subset search whenever f - f(0) is additive.  Every
+decomposition returned is normal: all factors monic, inner factors with
+zero constant term.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 from . import addecomp, additive, upoly
 from .addecomp import Decomposition, _checked_shape
-from .errors import DegreeError, NotIrreducible, NotTame, Reducible
+from .errors import DegreeError, ExponentBoundExceeded, NotIrreducible, NotTame, Reducible
 from .field import Felt, build_extension
 from .upoly import Poly, require_monic
 
@@ -57,20 +59,72 @@ def tame_bidecomp(f, shape):
 
 
 def sep_bidecomp(f, shape):
-    """All normal (g, h) with f = g(h) for the given (r, s) shape.
+    """All normal (g, h) with f = g(h) for the given (r, s) shape, sorted.
 
-    Candidate inner factors are x times the monic degree-(s - 1) divisors
-    of (f - f(0))/x; each candidate is checked by right division.  Works in
-    tame and wild cases alike.
+    When f - f(0) is additive the pairs are read off its decompositions in
+    the composition ring, in exponent space.  For every other input the
+    candidate inner factors are x times the monic degree-(s - 1) divisors
+    of (f - f(0))/x; each candidate is checked by right division.  Works
+    in tame and wild cases alike.
     """
     require_monic(f, _INPUTS)
     r, s = _checked_shape(shape, f.degree, DegreeError)
-    return _sep_pairs(f, s, _tail_factors(f))
+    return _wild_pairs(f, r, s, lambda: _tail_factors(f))
 
 
 def _tail_factors(f):
     """The factor list of (f - f(0))/x."""
     return upoly.factor(f.shift_constant(-f.coeff(0)) // Poly.x(f.field))[0]
+
+
+def _wild_pairs(f, r, s, tail_parts):
+    """The pairs of sep_bidecomp with shape (r, s), sorted by (h, g) key.
+
+    A normal decomposition of an additive polynomial has additive factors
+    (Dorey and Whaples 1974), and with c = f(0), f = g(h) with h(0) = 0
+    exactly when f - c = (g - c)(h).  So when f - c is additive the pairs
+    come from addecomp.decompose_ordered on it.  Otherwise, or when that
+    passes its output bounds, they come from the subset search, which
+    calls ``tail_parts`` for the factor list of (f - f(0))/x.
+    """
+    a = _additive_part(f)
+    if a is not None:
+        try:
+            decs = addecomp.decompose_ordered(a, (r, s))
+        except ExponentBoundExceeded:
+            # over GF(p**e) the bound is on all complete decompositions,
+            # whatever the shape, and the search still answers some shapes
+            pass
+        else:
+            c = f.coeff(0)
+            pairs = (dec.as_poly_factors() for dec in decs)
+            return sorted(((g.shift_constant(c), h) for g, h in pairs), key=_pair_key)
+    return _sep_pairs(f, s, tail_parts())
+
+
+def _additive_part(f):
+    """f - f(0) as an AdditivePoly when it is additive, else None.
+
+    Scans the coefficients from the top and stops at the first nonzero one
+    off a p-power exponent, for most inputs the leading one.
+    """
+    K, coeffs = f.field, f.coeffs
+    z, p = K.zero(), K.p
+    powers = [1]
+    while powers[-1] < len(coeffs) - 1:
+        powers.append(powers[-1] * p)
+    out = []
+    for i in range(len(coeffs) - 1, 0, -1):
+        if i == powers[-1]:
+            out.append(coeffs[i])
+            powers.pop()
+        elif coeffs[i] != z:
+            return None
+    return additive.AdditivePoly._raw(K, out[::-1])
+
+
+def _pair_key(gh):
+    return gh[1].key(), gh[0].key()
 
 
 def _sep_pairs(f, s, tail_parts):
@@ -83,7 +137,7 @@ def _sep_pairs(f, s, tail_parts):
         g = upoly.right_divide(f, h)
         if g is not None:
             found.append((g, h))
-    found.sort(key=lambda gh: (gh[1].key(), gh[0].key()))
+    found.sort(key=_pair_key)
     return found
 
 
@@ -142,8 +196,10 @@ def _bidecompositions(f, shape, strategy, tail_parts):
 
     Under SEPARATED the tame recurrence answers whenever p does not divide
     the outer degree: the normal decomposition is then unique (von zur
-    Gathen 1990), so the subset search could find no other pair.  The
-    search calls ``tail_parts`` for the factor list of (f - f(0))/x.
+    Gathen 1990), so the subset search could find no other pair.  Wild
+    shapes go to _wild_pairs: additive and affine inputs are answered from
+    the additive part in exponent space, every other input by the subset
+    search, which calls ``tail_parts`` for the factor list of (f - f(0))/x.
     """
     r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
@@ -154,16 +210,21 @@ def _bidecompositions(f, shape, strategy, tail_parts):
     elif tame:
         got = tame_bidecomp(f, shape)
     else:
-        return _sep_pairs(f, s, tail_parts())
+        return _wild_pairs(f, r, s, tail_parts)
     return [got] if got is not None else []
 
 
 def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED):
     """All decompositions of f matching the ordered factorisation that are
-    reachable by recursive bidecomposition under the chosen strategy."""
+    reachable by recursive bidecomposition under the chosen strategy.
+
+    Under ADDITIVE f may be an AdditivePoly, whose decompositions keep
+    additive factors."""
     require_monic(f, _INPUTS)
     shape = _checked_shape(shape, f.degree)
     if strategy is Strategy.ADDITIVE:
+        if isinstance(f, additive.AdditivePoly):
+            return addecomp.decompose_ordered(f, shape)
         decs = addecomp.decompose_ordered(
             additive.AdditivePoly.from_poly(f), shape
         )
@@ -196,18 +257,20 @@ def first_complete(f, strategy=Strategy.SEPARATED):
 
     Scans outer degrees d = smallest nontrivial divisor upward; the first
     split certifies an indecomposable outer factor, and the inner factor
-    is decomposed recursively.
+    is decomposed recursively.  Under ADDITIVE f may be an AdditivePoly,
+    whose decomposition keeps additive factors.
     """
     require_monic(f, _INPUTS)
     if strategy is Strategy.ADDITIVE:
+        if isinstance(f, additive.AdditivePoly):
+            return addecomp.complete_decomposition(f)
         dec = addecomp.complete_decomposition(additive.AdditivePoly.from_poly(f))
         return Decomposition(f, dec.as_poly_factors(), complete=True)
     n = f.degree
     if n < 2:
         raise DegreeError("complete decomposition needs degree >= 2")
-    # inner factors of an irreducible polynomial need not stay irreducible,
-    # so the block method degrades to the separated search on recursion;
-    # F[z]/(f) is built once for every shape tried
+    # F[z]/(f) is built once for every shape tried; a reducible f goes to
+    # the separated search
     divisors, ext = _divisors(n)[1:-1], None
     if strategy is Strategy.IRREDUCIBLE_FF and divisors:
         try:
@@ -226,6 +289,10 @@ def first_complete(f, strategy=Strategy.SEPARATED):
             pairs = [got] if (got := _block_pair(f, d, ext)) else []
         if pairs:
             g, h = pairs[0]
+            # a normal inner factor has x | h, so the block method cannot
+            # apply below the top level
+            if strategy is Strategy.IRREDUCIBLE_FF:
+                strategy = Strategy.SEPARATED
             tail = first_complete(h, strategy)
             return Decomposition(f, (g,) + tail.factors, complete=True)
     return Decomposition(f, (f,), complete=True)

@@ -419,6 +419,37 @@ def test_decompose_additive_reads_blocks_of_one_factorisation(capsys):
     assert lines[-1] == "(x^8192+x^2) o (x^16)"
 
 
+@pytest.mark.parametrize("argv, code, want", [
+    (["complete", "--field", "GF(2)", "x^256+x"], 0, " o ".join(["(x^2+x)"] * 8)),
+    (["complete", "--field", "GF(2)", "x^1024+x"], 0,
+     "(x^2+x) o (x^2+x) o (x^16+x^8+x^4+x^2+x) o (x^16+x^8+x^4+x^2+x)"),
+    (["decompose", "--field", "GF(2)", "--shape", "16,32", "x^512+x"], 1, "no decomposition"),
+])
+def test_additive_input_to_the_wild_search_answers_in_exponent_space(capsys, argv, code, want):
+    # the subset search over the factors of x^255+1 ran for more than 100 s
+    start = time.monotonic()
+    assert run(capsys, *argv) == (code, want + "\n", "")
+    assert time.monotonic() - start < 5
+
+
+def test_additive_strategy_above_the_dense_limit_answers(capsys):
+    # degree 2^128 is read as an AdditivePoly and printed without being
+    # made dense
+    x128 = f"x^{2**128}+x"
+    start = time.monotonic()
+    code, out, err = run(capsys, "complete", "--strategy", "additive", "--field", "GF(2)", x128)
+    assert (code, out, err) == (0, " o ".join(["(x^2+x)"] * 128) + "\n", "")
+    argv = ["decompose", "--strategy", "additive", "--field", "GF(2)",
+            "--shape", f"{2**64},{2**64}", x128]
+    half = f"x^{2**64}+x"
+    assert run(capsys, *argv) == (0, f"({half}) o ({half})\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out) == {
+        "target": x128, "field": "GF(2)", "factors": [half, half], "complete": False,
+    }
+    assert time.monotonic() - start < 5
+
+
 def test_all_complete_above_the_output_limit_over_a_tower_exits_2(capsys):
     # x^256+x over GF(16) has 771,435 complete decompositions of 8 factors
     # over 1,982 quotients, counted before any is built
@@ -660,6 +691,13 @@ def test_json_output_contract(capsys, monkeypatch, command, kind, tail):
         assert all(set(rec) == kind for rec in records)
         assert len(records) > 1 or isinstance(payload, dict)
 
+
+
+@pytest.mark.parametrize("command", sorted(_CONTRACT))
+def test_json_help_prints_the_help_text_as_one_object(capsys, command):
+    code, text, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "") and text.startswith(f"usage: polydec {command}")
+    assert run(capsys, command, "--json", "--help") == (0, json.dumps({"help": text}) + "\n", "")
 
 
 _FIELDS = ["GF(2)", "GF(5)", "GF(2^2)", TOWER]

@@ -3,7 +3,11 @@ import itertools
 import pytest
 
 from polydec import (
+    AdditivePoly,
+    addecomp,
+    Felt,
     Poly,
+    add_compose,
     gendecomp,
     Strategy,
     upoly,
@@ -19,6 +23,7 @@ from polydec import (
 from polydec.errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
 
 from conftest import (
+    TOWER,
     field_of,
     first_complete_irred_by_rebuilds,
     irred_ff_bidecomp_by_full_product,
@@ -135,9 +140,11 @@ def test_irred_ff_bidecomp_trace_exit_matches_the_full_product(spec, degrees, pl
     ("GF(5)", 12, [(2, 6), (3, 4), (2, 2, 3)]),
 ])
 def test_first_complete_irreducible_builds_one_extension_per_level(spec, n, shapes, monkeypatch):
-    """Under the block method first_complete builds F[z]/(f) once per level
-    with a shape to try, where it built one per shape after a separate
-    irreducibility test, and returns the same factors."""
+    """Under the block method first_complete builds F[z]/(f) once, for the
+    top level, where it built one per shape after a separate
+    irreducibility test, and returns the same factors.  It recurses under
+    SEPARATED: a normal inner factor h has x | h, so the block method
+    cannot apply to it."""
     K = field_of(spec)
     rng = seeded_rng(("one extension per level", spec))
     cases = [Poly(K, find_irreducible(K, n, seed)) for seed in range(2)]
@@ -155,14 +162,10 @@ def test_first_complete_irreducible_builds_one_extension_per_level(spec, n, shap
         builds.clear()
         levels.clear()
         assert gendecomp.first_complete(f, Strategy.IRREDUCIBLE_FF).factors == factors
-        assert len(builds) == sum(strategy is Strategy.IRREDUCIBLE_FF and _composite(m)
-                                  for m, strategy in levels)
-        assert len(builds) == 1 or len(factors) > 1
+        assert len(builds) == 1
+        assert [strategy for _m, strategy in levels] == (
+            [Strategy.IRREDUCIBLE_FF] + [Strategy.SEPARATED] * (len(levels) - 1))
     assert sum(len(factors) > 1 for factors in want) >= len(shapes)
-
-
-def _composite(n):
-    return any(n % d == 0 for d in range(2, n))
 
 
 def test_ord_fact_decomp_examples(F2, F3, F7):
@@ -287,3 +290,80 @@ def test_first_complete_factors_each_level_once(spec, monkeypatch):
         factored.clear()
         first_complete(f)
         assert factored and len(factored) == len(set(factored))
+
+
+def _rand_additive(K, expn, rng):
+    return AdditivePoly(K, [K.rand_rep(rng) for _ in range(expn)] + [K.one()])
+
+
+def _affine_inputs(K, expn, rng):
+    """Seeded monic a + c, a additive of exponent expn and c zero in every
+    other input: random a, and a planted as a composition."""
+    out = []
+    for i in range(12):
+        a = _rand_additive(K, expn, rng)
+        if i % 3 == 2:
+            k = rng.randrange(1, expn)
+            a = add_compose(_rand_additive(K, expn - k, rng), _rand_additive(K, k, rng))
+        c = K.rand_rep(rng) if i % 2 else K.zero()
+        out.append(a.to_poly().shift_constant(Felt(K, c)))
+    return out
+
+
+def _ordered_shapes(p, expn):
+    """Every ordered factorisation of p**expn, outermost first."""
+    for k in range(expn):
+        for cuts in itertools.combinations(range(1, expn), k):
+            ends = (0,) + cuts + (expn,)
+            yield tuple(p ** (b - a) for a, b in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("spec, max_expn", [
+    ("GF(2)", 5), ("GF(3)", 3), ("GF(5)", 2), ("GF(2^2)", 3), ("GF(3^2)", 2), (TOWER, 2),
+])
+def test_affine_inputs_match_the_subset_search(spec, max_expn, monkeypatch):
+    """Additive and affine inputs, answered from the additive part in
+    exponent space, give the pairs, ordered decompositions and first
+    complete decomposition of the subset search over the factors of
+    (f - f(0))/x, at every shape."""
+    K = field_of(spec)
+    p = K.p
+    rng = seeded_rng(("affine inputs", spec))
+    cases = [(f, n) for n in range(2, max_expn + 1) for f in _affine_inputs(K, n, rng)]
+
+    def answers():
+        return [
+            (
+                [sep_bidecomp(f, (p**k, p ** (n - k))) for k in range(1, n)],
+                [ord_fact_decomp(f, shape) for shape in _ordered_shapes(p, n)],
+                first_complete(f),
+            )
+            for f, n in cases
+        ]
+
+    got = answers()
+    with monkeypatch.context() as m:
+        m.setattr(gendecomp, "_additive_part", lambda f: None)
+        want = answers()
+    assert got == want
+    assert all(gendecomp._additive_part(f) is not None for f, _n in cases)
+    assert sum(len(dec.factors) > 1 for _pairs, _decs, dec in got) >= len(cases) // 3
+
+
+def test_affine_inputs_past_the_output_bound_go_to_the_subset_search(monkeypatch):
+    """Over GF(p**e) decompose_ordered bounds the count of all complete
+    decompositions, whatever the shape; past it the pairs come from the
+    subset search, as for any other input."""
+    K = field_of("GF(2^2)")
+    f = Poly.parse(K, "x^16+x+g1")
+    shapes = [(2, 8), (4, 4), (8, 2)]
+    with monkeypatch.context() as m:
+        m.setattr(gendecomp, "_additive_part", lambda f: None)
+        want = [sep_bidecomp(f, shape) for shape in shapes]
+    searched = []
+    real = gendecomp._sep_pairs
+    monkeypatch.setattr(gendecomp, "_sep_pairs", lambda *a: searched.append(a) or real(*a))
+    assert [sep_bidecomp(f, shape) for shape in shapes] == want and not searched
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 4)
+    assert [sep_bidecomp(f, shape) for shape in shapes] == want
+    assert len(searched) == len(shapes) and all(want)
