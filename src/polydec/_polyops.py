@@ -6,19 +6,19 @@ mul/inv`` on representations.  The empty list is the zero polynomial.  The
 field tower uses these helpers for products, moduli, inverses and
 irreducibility testing, ``upoly.factor`` for its squarefree,
 distinct-degree and equal-degree stages, and the public ``Poly`` class
-wraps them.  With ``frobenius``, ``mul`` and ``divmod_`` are the product
-and right division of the additive composition ring as well.  Over a
-prime field (elements are the ints 0..p-1), where that twist is the
-identity, ``mul`` and ``divmod_`` pack long operands into integers, a slot
-per coefficient: a product is one integer product (Kronecker
-substitution), and division one shifted integer add per quotient term on
-a window of the dividend a few divisor lengths long.  Over GF(2) the
-squarefree, distinct-degree and equal-degree stages, and so ``_factor``
-and ``is_irreducible``, run on bit strings: a polynomial is a Python int
-whose bit i is the coefficient of x**i, converted once on the way in and
-once per factor on the way out.  Over GF(p), p odd, ``is_irreducible``
-runs the distinct-degree scan only until the scan would build the q-power
-matrix, and Rabin's test from there.
+wraps them.  With ``frobenius``, ``mul``, ``divmod_``, ``gcd`` and
+``extgcd`` are the product, division and Euclidean scheme of the additive
+composition ring.  Over a prime field (elements are the ints 0..p-1),
+where that twist is the identity, ``mul`` and ``divmod_`` pack long
+operands into integers, a slot per coefficient: a product is one integer
+product (Kronecker substitution), and division one shifted integer add
+per quotient term on a window of the dividend a few divisor lengths
+long.  Over GF(2) the squarefree, distinct-degree and equal-degree
+stages, and so ``_factor`` and ``is_irreducible``, run on bit strings: a
+polynomial is a Python int whose bit i is the coefficient of x**i,
+converted once on the way in and once per factor on the way out.  Over
+GF(p), p odd, ``is_irreducible`` runs the distinct-degree scan only until
+the scan would build the q-power matrix, and Rabin's test from there.
 """
 
 from __future__ import annotations
@@ -229,26 +229,26 @@ def monic(K, a):
     return scale(K, a, K.inv(a[-1]))
 
 
-def gcd(K, a, b):
-    """Monic greatest common divisor of a and b, not both zero."""
+def gcd(K, a, b, frobenius=False):
+    """Monic gcd of a and b, not both zero; with ``frobenius``, the greatest
+    common right factor in the skew ring of ``mul``."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, mod(K, a, b)
+        a, b = b, divmod_(K, a, b, frobenius)[1]
     return monic(K, a)
 
 
-def extgcd(K, a, b):
-    """Return (g, u, v) with u*a + v*b = g monic, for a and b not both zero."""
+def extgcd(K, a, b, frobenius=False):
+    """(r, s, t), a and b not both zero: r the last nonzero remainder, s and
+    t the cofactors of a at r and at 0, so s * a = r mod b and t * a is the
+    lcm; with ``frobenius``, in the skew ring of ``mul``, b on the right."""
     r0, r1 = list(a), list(b)
-    u0, u1 = [K.one()], []
-    v0, v1 = [], [K.one()]
+    s0, s1 = [K.one()], []
     while r1:
-        q, r = divmod_(K, r0, r1)
+        q, r = divmod_(K, r0, r1, frobenius)
         r0, r1 = r1, r
-        u0, u1 = u1, sub(K, u0, mul(K, q, u1))
-        v0, v1 = v1, sub(K, v0, mul(K, q, v1))
-    c = K.inv(r0[-1])
-    return scale(K, r0, c), scale(K, u0, c), scale(K, v0, c)
+        s0, s1 = s1, sub(K, s0, mul(K, q, s1, frobenius))
+    return r0, s0, s1
 
 
 def _power(mul, one, a, n):
@@ -311,6 +311,13 @@ _FROBENIUS_MIN_DEGREE = 8
 _FROBENIUS_MIN_ORDER = 3
 
 
+def _matrix_at(K, d, n):
+    """Whether the distinct-degree scan builds the q-power matrix at step d, deg v = n."""
+    q = K.order
+    return (d > 1 and q >= _FROBENIUS_MIN_ORDER and n >= _FROBENIUS_MIN_DEGREE
+            and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16)))
+
+
 def _frobenius_matrix(K, v):
     """The q-power matrix mod v of degree n >= 1, q = K.order: the rows
     x**(i*q) mod v, i < n (von zur Gathen-Shoup 1992).
@@ -357,19 +364,15 @@ def distinct_degree(K, f, kept=None):
     d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981).
 
     The product for d is gcd(x**(q**d) - x, v), where v is f with the
-    lower-degree products divided out.  The first step is the binary power
-    x**q mod f.  If q >= _FROBENIUS_MIN_ORDER and deg v >=
-    _FROBENIUS_MIN_DEGREE, the q-power matrix of v steps x**(q**d) mod v
-    from the second step on (over GF(p), from the step at which the binary
-    powers taken cost half as much as the matrix; see the note above
-    _FROBENIUS_MIN_DEGREE), since every later v divides that v; otherwise
-    binary powering steps it.  The
-    scan stops once deg v < 2(d+1) and yields what is left as one
-    irreducible.  On any f the first yield has d = deg f exactly when f is
-    irreducible: a reducible f has a factor of degree at most deg f / 2,
-    which the scan reaches before it stops.  When ``kept`` is a list, the
-    q-power matrix the scan builds, if any, is appended to it; for an
-    irreducible f it is the matrix of f itself.
+    lower-degree products divided out.  Binary powering steps x**(q**d)
+    mod v until _matrix_at has the q-power matrix of v built, which steps
+    it from there on, since every later v divides that v.  The scan stops
+    once deg v < 2(d+1) and yields what is left as one irreducible.  On
+    any f the first yield has d = deg f exactly when f is irreducible: a
+    reducible f has a factor of degree at most deg f / 2, which the scan
+    reaches before it stops.  When ``kept`` is a list, the q-power matrix
+    the scan builds, if any, is appended to it; for an irreducible f it is
+    the matrix of f itself.
     """
     q = K.order
     x = [K.zero(), K.one()]
@@ -377,8 +380,7 @@ def distinct_degree(K, f, kept=None):
     while deg(v) >= 2 * (d + 1):
         d += 1
         n = deg(v)
-        if (M is None and d > 1 and q >= _FROBENIUS_MIN_ORDER and n >= _FROBENIUS_MIN_DEGREE
-                and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16))):
+        if M is None and _matrix_at(K, d, n):
             M = _frobenius_matrix(K, v)
             h = mod(K, h, v)
             if kept is not None:
@@ -501,9 +503,9 @@ def _scan_then_rabin(K, f, built):
     """Irreducibility over GF(p), p odd, of f of degree n.
 
     The scan of distinct_degree checks gcd(x**(q**d) - x, f) = 1 at each d
-    until the step d at which it would build the q-power matrix of f, with
-    the same trigger.  From there f is irreducible exactly when x**(q**n)
-    = x mod f and, for each prime r | n, gcd(x**(q**(n/r)) - x, f) = 1
+    until the step d at which _matrix_at has it build the q-power matrix
+    of f.  From there f is irreducible exactly when x**(q**n) = x mod f
+    and, for each prime r | n, gcd(x**(q**(n/r)) - x, f) = 1
     (Rabin 1980), the matrix stepping x**(q**k) up to k = n.  A gcd at
     n/r < d is 1, since f has no factor of degree below d, and the gcds
     are taken only once x**(q**n) = x, which most inputs fail.  The matrix
@@ -514,7 +516,7 @@ def _scan_then_rabin(K, f, built):
     h, d = x, 0
     while n >= 2 * (d + 1):
         d += 1
-        if n >= _FROBENIUS_MIN_DEGREE and (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16):
+        if _matrix_at(K, d, n):
             M = _frobenius_matrix(K, f)
             built.append(M)
             at = {n // r for r in _prime_divisors(n) if n // r >= d}

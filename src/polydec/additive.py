@@ -6,8 +6,9 @@ and composition these form a left-Euclidean ring: right division always
 exists, the meet (greatest common right composition factor) coincides with
 the ordinary multiplicative gcd, and the join (least common left
 composition multiple) comes out of the extended Euclidean scheme.  It is
-the skew polynomial ring F_q[t; s], s the p-th power map (Ore 1933), on
-the product and division of ``_polyops`` twisted by Frobenius.
+the skew polynomial ring F_q[t; s], s the p-th power map (Ore 1933): its
+product, right division and Euclidean scheme are those of ``_polyops``
+twisted by Frobenius.
 """
 
 from __future__ import annotations
@@ -177,37 +178,22 @@ def right_quotient(f, g):
 def meet(f, g):
     """Greatest common right composition factor, monic.
 
-    The last nonzero remainder of the Euclidean scheme, made monic, so it
-    stays in exponent space on vectors of length expn + 1.  It coincides
-    with the ordinary multiplicative gcd because compositional and
-    multiplicative remainders agree for additive polynomials.
+    The twisted ``_polyops.gcd``, so it stays in exponent space on vectors
+    of length expn + 1.  It coincides with the ordinary multiplicative gcd
+    because compositional and multiplicative remainders agree for additive
+    polynomials.
     """
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise BothZero("meet(0, 0) is undefined")
-    if f.expn < g.expn:
-        f, g = g, f
-    while not g.is_zero():
-        f, g = g, add_rdivrem(f, g)[1]
-    return f.monic()
+    return AdditivePoly._raw(f.field, po.gcd(f.field, f.coeffs, g.coeffs, frobenius=True))
 
 
 def _last_cofactor(f, g):
-    """The cofactor s of f at the zero remainder of the scheme on (f, g).
-
-    The remainders r_0 = f, r_1 = g, r_(i+1) = r_(i-1) - q_i o r_i are
-    r_i = s_i o f + t_i o g with s_0 = x, s_1 = 0 and
-    s_(i+1) = s_(i-1) - q_i o s_i.  At the zero remainder s o f = -t o g is
-    the least common left multiple of f and g (Ore 1933).
-    """
-    K = f.field
-    r0, r1 = f, g
-    s0, s1 = AdditivePoly.x(K), AdditivePoly.zero(K)
-    while not r1.is_zero():
-        q, r = add_rdivrem(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - add_compose(q, s1)
-    return s1
+    """The cofactor s of f at the zero remainder of the Euclidean scheme on
+    (f, g), the twisted ``_polyops.extgcd``: s o f is the least common left
+    multiple of f and g (Ore 1933)."""
+    return AdditivePoly._raw(f.field, po.extgcd(f.field, f.coeffs, g.coeffs, frobenius=True)[2])
 
 
 def join(f, g):

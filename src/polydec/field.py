@@ -373,14 +373,15 @@ class ExtensionField(Field):
         return tuple(r) + self._zero[len(r):]
 
     def _inv_euclid(self, a):
-        """Inverse by the extended Euclidean algorithm against the modulus,
-        which is irreducible, so the monic gcd is 1."""
+        """Inverse s / r for s * a = r, r the last remainder of the extended
+        Euclidean scheme against the modulus: a constant, as it is irreducible."""
         if a == self._one:
             return a
         coeffs = po.trim(self.base, list(a))
         if not coeffs:
             raise DivideByZero("inverse of zero")
-        _, u, _ = po.extgcd(self.base, coeffs, list(self.modulus))
+        r, s, _ = po.extgcd(self.base, coeffs, self.modulus)
+        u = po.scale(self.base, s, self.base.inv(r[0]))
         return tuple(u) + self._zero[len(u):]
 
     def rand_rep(self, rng):

@@ -249,6 +249,16 @@ def factor(f):
     return parts, f.lc()
 
 
+# _divisors_of_factors raises before it forms more products than this.
+# The wild search (gendecomp._sep_pairs) right-divides by each one: over
+# GF(2) a candidate took 1.1-2.0 ms at degrees 720-1024 and 4.2-5.9 ms at
+# degree 4096 (one core of a 2-core VM), so a search at the bound takes a
+# few seconds at degree 1024 and about 10 s at 4096.  The complete
+# decomposition of x^1024+x^7+1 over GF(2) has 446,880 at its first
+# shape; the largest count in the tests and benchmark is about 150.
+_MAX_DIVISORS = 1 << 11
+
+
 def monic_divisors(f, d):
     """All monic divisors of degree d of a nonzero f, sorted by key."""
     return _divisors_of_factors(f.field, factor(f)[0], d)
@@ -258,12 +268,17 @@ def _divisors_of_factors(K, parts, d):
     """The monic products of degree d of the factor list ``parts`` of
     ``factor``, each irreducible taken up to its multiplicity, sorted by key.
 
-    A branch is taken only when the parts left can make up exactly the
-    degree it still lacks, and no product is formed past the highest
-    exponent that leaves such a branch.
+    More than _MAX_DIVISORS of them, counted by ``_reach`` first, is an
+    ExponentBoundExceeded.  A branch is taken only when the parts left can
+    make up exactly the degree it still lacks, and no product is formed
+    past the highest exponent that leaves such a branch.
     """
     out = []
     reach = _reach([irr.degree for irr, _ in parts], [mult for _, mult in parts], d)
+    count = reach[0].get(d, 0)
+    if count > _MAX_DIVISORS:
+        raise ExponentBoundExceeded(
+            f"{count} monic divisors of degree {d} are above the limit of {_MAX_DIVISORS}")
 
     def rec(idx, cur, deg):
         if deg == d:
@@ -278,18 +293,23 @@ def _divisors_of_factors(K, parts, d):
             if e < top:
                 cur = po.mul(K, cur, irr.coeffs)
 
-    if d in reach[0]:
+    if count:
         rec(0, [K.one()], 0)
     out.sort(key=lambda g: g.key())
     return out
 
 
 def _reach(degrees, mults, d):
-    """reach[i]: the sums up to d of e_k * degrees[k] over k >= i, each
-    0 <= e_k <= mults[k] (a knapsack over the multiplicities)."""
-    reach = [{0}]
+    """reach[i]: each sum s <= d of e_k * degrees[k] over k >= i, each
+    0 <= e_k <= mults[k], mapped to the number of such (e_k) (a knapsack
+    over the multiplicities; the degrees are positive)."""
+    reach = [{0: 1}]
     for n, mult in zip(reversed(degrees), reversed(mults)):
-        reach.append({s + e * n for s in reach[-1] for e in range(mult + 1) if s + e * n <= d})
+        ways = {}
+        for s, w in reach[-1].items():
+            for t in range(s, min(s + mult * n, d) + 1, n):
+                ways[t] = ways.get(t, 0) + w
+        reach.append(ways)
     return reach[::-1]
 
 

@@ -752,9 +752,10 @@ def factor_by_poly_stages(f):
     return sorted(parts.items(), key=lambda pm: pm[0].key()), f.lc()
 
 
-def mul_prime_loop(K, a, b):
+def mul_prime_loop(K, a, b, frobenius=False):
     """The product over a prime field reduced term by term: the oracle for
-    the packed product of _polyops.mul."""
+    the packed product of _polyops.mul.  ``frobenius`` is accepted and
+    ignored: the twist is the identity over a prime field."""
     if not a or not b:
         return []
     p = K.p
@@ -768,9 +769,10 @@ def mul_prime_loop(K, a, b):
     return po.trim(K, out)
 
 
-def divmod_by_element_ops(K, a, b):
+def divmod_by_element_ops(K, a, b, frobenius=False):
     """Long division by the field's element methods, one term at a time:
-    the oracle for the prime-field kernels of _polyops.divmod_."""
+    the oracle for the prime-field kernels of _polyops.divmod_.
+    ``frobenius`` is accepted and ignored, as in mul_prime_loop."""
     if not b:
         raise DivideByZero("polynomial division by zero")
     if len(a) < len(b):

@@ -53,6 +53,15 @@ from conftest import (
 )
 
 
+def ring_field(spec):
+    """field_of(spec), or for "untabulated" a field of order 4096 >
+    _TABLE_MAX_ORDER, where every inverse runs the extended Euclidean loop."""
+    if spec != "untabulated":
+        return field_of(spec)
+    F4 = field_of("GF(2^2)")
+    return build_extension(F4, find_irreducible(F4, 6))
+
+
 def rand_additive(field, rng, expn, monic=True):
     coeffs = [field.rand_rep(rng) for _ in range(expn)]
     lead = field.one()
@@ -128,9 +137,9 @@ def test_join_examples(F3):
         join(f, AdditivePoly.zero(F3))
 
 
-@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", "GF(3^2)", TOWER])
+@pytest.mark.parametrize("spec", [2, 3, 5, "GF(2^2)", "GF(3^2)", TOWER, "untabulated"])
 def test_meet_is_multiplicative_gcd_randomized(spec):
-    K = field_of(spec)
+    K = ring_field(spec)
     rng = seeded_rng(("meet", spec))
     for _ in range(30):
         f = rand_additive(K, rng, rng.randrange(1, 5), monic=False)
@@ -140,12 +149,7 @@ def test_meet_is_multiplicative_gcd_randomized(spec):
 
 @pytest.mark.parametrize("spec", [2, 3, "GF(2^2)", "GF(3^2)", TOWER, "untabulated"])
 def test_add_rdivrem_matches_the_composition_oracle(spec, monkeypatch):
-    if spec == "untabulated":
-        # order 4096 > _TABLE_MAX_ORDER: every inverse runs an extended gcd
-        F4 = field_of("GF(2^2)")
-        K = build_extension(F4, find_irreducible(F4, 6))
-    else:
-        K = field_of(spec)
+    K = ring_field(spec)
     inverses = []
     real_inv = ExtensionField.inv
 
@@ -173,11 +177,7 @@ def test_composition_ring_takes_frobenius_powers_from_one_table(spec, monkeypatc
     """add_compose matches the dense composition and add_rdivrem its
     oracle, with no Frobenius power over GF(p) and otherwise one power of
     each nonzero coefficient of g per residue mod e of the exponents read."""
-    if spec == "untabulated":
-        F4 = field_of("GF(2^2)")
-        K = build_extension(F4, find_irreducible(F4, 6))
-    else:
-        K = field_of(spec)
+    K = ring_field(spec)
     calls = []
     real = Field.frobenius_rep
     monkeypatch.setattr(Field, "frobenius_rep", lambda *args: calls.append(args) or real(*args))
@@ -256,9 +256,9 @@ def test_join_laws_randomized(p):
             assert add_rdivrem(m, j)[1].is_zero()
 
 
-@pytest.mark.parametrize("spec", [3, "GF(2^4)", TOWER])
+@pytest.mark.parametrize("spec", [2, 3, "GF(2^4)", TOWER, "untabulated"])
 def test_join_and_transform_match_alternation_oracle(spec):
-    K = field_of(spec)
+    K = ring_field(spec)
     rng = seeded_rng(("join-oracle", spec))
     for trial in range(30):
         monic = trial % 2 == 0

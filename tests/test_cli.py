@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from polydec import errors
 from polydec.addecomp import Decomposition
 from polydec.cli import build_parser, main
-from polydec.upoly import _CHEBYSHEV_MAX_INDEX
+from polydec.upoly import _CHEBYSHEV_MAX_INDEX, _MAX_DIVISORS
 
 from conftest import TOWER
 
@@ -405,6 +405,18 @@ def test_complete_over_gf2_at_degree_4096_answers(capsys):
     code, out, _ = run(capsys, "complete", "--field", "GF(2)", "x^4096+x^7+1")
     assert time.monotonic() - start < 20
     assert (code, out) == (0, "(x^4096+x^7+1)\n")
+
+
+def test_complete_with_too_many_wild_candidates_exits_2(capsys):
+    # the tail x^1023+x^6 has 446,880 monic divisors of degree 511: the
+    # candidates of the first shape (2, 512)
+    start = time.monotonic()
+    code, out, err = run(capsys, "complete", "--field", "GF(2)", "x^1024+x^7+1")
+    assert time.monotonic() - start < 5
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: 446880 monic divisors of degree 511 are above the limit of {_MAX_DIVISORS}\n"
+    )
 
 
 def test_decompose_additive_reads_blocks_of_one_factorisation(capsys):

@@ -114,6 +114,14 @@ def test_gcd_extgcd_powmod_match_per_term_loops(p):
     got = run()
     with per_term_kernels():
         assert run() == got
+    # extgcd is (r, s, t): r a gcd, s * a = r mod b, t * a the lcm
+    for a, b, _ in cases:
+        r, s, t = po.extgcd(K, a, b)
+        assert po.monic(K, r) == po.gcd(K, a, b)
+        assert po.mod(K, po.sub(K, po.mul(K, s, a), r), b) == []
+        lcm = po.mul(K, t, a)
+        assert po.mod(K, lcm, b) == [] and po.deg(lcm) == po.deg(a) + po.deg(b) - po.deg(r)
+        assert po.extgcd(K, a, b, frobenius=True) == (r, s, t)
 
 
 def _irreducible_on_lists(K, c):

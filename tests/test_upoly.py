@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from polydec import NEG_INF, Poly, chebyshev, compose, factor, gcd, right_divide
 from polydec import find_irreducible, is_irreducible
-from polydec.errors import BothZero, DegreeError, DegreeMismatch, DivideByZero, ZeroInput
+from polydec.errors import (
+    BothZero,
+    DegreeError,
+    DegreeMismatch,
+    DivideByZero,
+    ExponentBoundExceeded,
+    ZeroInput,
+)
 from polydec import upoly
 from polydec.upoly import monic_divisors
 
@@ -351,14 +358,22 @@ def test_monic_divisors_match_exhaustive_search(p):
 ])
 def test_divisor_enumeration_prunes_products(F2, monkeypatch, d, want, products):
     """The degree-d divisors of x * (x+1)**3 * (x^2+x+1), and the products
-    the enumeration forms on the way."""
+    the enumeration forms on the way, at a bound equal to their count; one
+    below it raises before any product."""
     parts = factor(Poly.parse(F2, "x*(x+1)^3*(x^2+x+1)"))[0]
     degrees = []
     real = upoly.po.mul
     monkeypatch.setattr(upoly.po, "mul", lambda K, a, b: degrees.append(len(a) + len(b) - 2)
                         or real(K, a, b))
+    monkeypatch.setattr(upoly, "_MAX_DIVISORS", len(want))
     assert [str(g) for g in upoly._divisors_of_factors(F2, parts, d)] == want
     assert max(degrees) <= d and len(degrees) == products
+    degrees.clear()
+    monkeypatch.setattr(upoly, "_MAX_DIVISORS", len(want) - 1)
+    message = f"^{len(want)} monic divisors of degree {d} are above the limit of {len(want) - 1}$"
+    with pytest.raises(ExponentBoundExceeded, match=message):
+        upoly._divisors_of_factors(F2, parts, d)
+    assert degrees == []
 
 
 def test_parse_print_roundtrip(F3, F4):
