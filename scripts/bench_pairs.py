@@ -11,7 +11,8 @@ once with ``--trace 1`` at the first seed, for the per-layer metrics.  The
 result lines go to ``BENCH_<N>.json`` at the root of this tree, with one
 summary line per workload, seed and end-to-end metric: the parent's median
 and quartiles, this tree's median, and in how many pairs this tree reads
-better.  Only the standard library is used.
+better.  The parent must be a git checkout (``git clone``), whose commit
+the file records.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ def run(checkout, workload, seed, seconds, trace):
 
 
 def short_head(checkout):
+    """The short commit id of HEAD in ``checkout``, or None when it is not
+    the top of a git checkout (a ``git archive`` copy, say)."""
+    if not os.path.exists(os.path.join(checkout, ".git")):
+        return None
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
@@ -83,6 +88,9 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[1])
     args = ap.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    parent_head = short_head(sides["parent"])
+    if parent_head is None:
+        sys.exit(f"--parent {sides['parent']} is not a git checkout: make it with git clone")
     seconds = SPEC["run_seconds"]
     workloads = [w["name"] for w in SPEC["workloads"]]
     runs, traces = [], []
@@ -116,7 +124,7 @@ def main(argv=None):
         "machine": f"{os.cpu_count()}-core {platform.machine()}, {platform.python_implementation()}"
                    f" {platform.python_version()}, one run at a time; times in the harness's"
                    " reference seconds",
-        "parent": short_head(sides["parent"]),
+        "parent": parent_head,
         "runs": runs,
         "traces": traces,
         "summary": lines,

@@ -283,10 +283,7 @@ def evaluate(K, a, x):
 
 
 def derivative(K, a):
-    out = []
-    for i in range(1, len(a)):
-        out.append(K.mul_int(a[i], i))
-    return trim(K, out)
+    return trim(K, [K.mul_int(a[i], i) for i in range(1, len(a))])
 
 
 # The q-power map h -> h**q mod v (q = K.order) is K-linear, since c**q = c

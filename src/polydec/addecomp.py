@@ -125,10 +125,7 @@ class Decomposition:
 
     def as_poly_factors(self):
         """Factors as plain Poly values (converting additive ones)."""
-        out = []
-        for f in self.factors:
-            out.append(f.to_poly() if isinstance(f, AdditivePoly) else f)
-        return tuple(out)
+        return tuple(f.to_poly() if isinstance(f, AdditivePoly) else f for f in self.factors)
 
     def to_json_dict(self):
         return {
@@ -291,11 +288,7 @@ def _split(s, rng):
 
 def is_indecomposable(f):
     """True when f has no decomposition into factors of degree >= p."""
-    if f.expn == 1:
-        return True
-    if f.expn < 1:
-        return False
-    return indec_right_factors(f) == [f]
+    return f.expn == 1 or f.expn > 1 and indec_right_factors(f) == [f]
 
 
 def complete_decomposition(f):
@@ -334,6 +327,13 @@ _ALL_COMPLETE_MAX_FACTORS = 1 << 19
 # it in 1.4 s (one core of a 2-core Xeon VM).
 _ORDERED_MAX_STEPS = 1 << 19
 
+# the walk of the quotient graph over GF(p**e) raises before it calls
+# indec_right_factors on more quotients than this.  x^256+x has 1,982 over
+# GF(2^4) and over the tower GF(16), walked in about 2 s; a quotient of
+# x^4096+x over GF(2^4) took about 2.3 ms, so decompose_ordered at shape
+# (2, 2048) reached the bound in 9.4 s (one core of a 2-core Xeon VM).
+_WALK_MAX_NODES = 1 << 12
+
 
 def _check_output_size(count, length, what="complete decompositions"):
     """ExponentBoundExceeded when count decompositions of length factors
@@ -343,6 +343,22 @@ def _check_output_size(count, length, what="complete decompositions"):
             f"{count} {what} of {length} factors are above"
             f" the limit of {_ALL_COMPLETE_MAX_FACTORS} factors"
         )
+
+
+class _QuotientGraph(dict):
+    """The quotient graph over GF(p**e), e > 1, walked on demand: maps a
+    quotient g to its edges (h, g/h), one per indecomposable right factor
+    h and none when g is indecomposable.  Each new quotient costs one
+    indec_right_factors call, and past _WALK_MAX_NODES of them it raises
+    ExponentBoundExceeded."""
+
+    def __missing__(self, g):
+        if len(self) == _WALK_MAX_NODES:
+            raise ExponentBoundExceeded(
+                f"the quotient graph has more than {_WALK_MAX_NODES} quotients to walk")
+        rf = indec_right_factors(g)
+        self[g] = [] if rf == [g] else [(h, right_quotient(g, h)) for h in rf]
+        return self[g]
 
 
 def all_complete_decompositions(f, limit=None):
@@ -355,12 +371,12 @@ def all_complete_decompositions(f, limit=None):
     irreducible factors (see :func:`_associate_factors`), enumerated in
     lexicographic order of the key-sorted factors, which is their key
     order, and their count is a multinomial coefficient, at most ``limit``.
-    Over GF(p**e), e > 1, one walk of the quotient graph calls
-    indec_right_factors once per quotient and records each quotient's
-    (factor, quotient) edges and its count of complete decompositions, a
-    sum over its edges; all of them have one length (Jordan-Hoelder).  The
-    decompositions are then built from the same edges, every one before
-    the sort, so ``limit`` does not lower the count checked.
+    Over GF(p**e), e > 1, the whole quotient graph is walked (see
+    :class:`_QuotientGraph`), and each quotient's count of complete
+    decompositions is the sum over its edges; all of them have one length
+    (Jordan-Hoelder).  The decompositions are then built from the same
+    edges, every one before the sort, so ``limit`` does not lower the
+    count checked.
     """
     _require_monic_additive(f)
     if limit is not None and limit < 0:
@@ -377,24 +393,19 @@ def all_complete_decompositions(f, limit=None):
             Decomposition(f, tuple(parts[i][0] for i in order), complete=True)
             for order in itertools.islice(_orderings(mults), count)
         ]
-    edges, sizes = {}, {}
+    edges = _QuotientGraph()
 
-    def walk(g):
+    @functools.cache
+    def size(g):
         """The count and the length of the complete decompositions of g."""
-        if g not in sizes:
-            rf = indec_right_factors(g)
-            edges[g] = [] if rf == [g] else [(h, right_quotient(g, h)) for h in rf]
-            below = [walk(q) for _h, q in edges[g]]
-            sizes[g] = (sum(c for c, _ in below), below[0][1] + 1) if below else (1, 1)
-        return sizes[g]
+        below = [size(q) for _h, q in edges[g]]
+        return (sum(c for c, _ in below), below[0][1] + 1) if below else (1, 1)
 
-    _check_output_size(*walk(f))
-    memo = {}
+    _check_output_size(*size(f))
 
+    @functools.cache
     def build(g):
-        if g not in memo:
-            memo[g] = [tail + (h,) for h, q in edges[g] for tail in build(q)] or [(g,)]
-        return memo[g]
+        return [tail + (h,) for h, q in edges[g] for tail in build(q)] or [(g,)]
 
     decs = sorted((Decomposition(f, factors, complete=True) for factors in build(f)),
                   key=lambda d: d.key())
@@ -453,56 +464,92 @@ def _blocks(kappa, rho):
 
 def decompose_ordered(f, shape):
     """All decompositions of f matching the ordered factorisation, sorted
-    by key.
-
-    Over GF(p) composition is the product of associates, so a
-    decomposition is a sequence of blocks of the associate's irreducible
-    factors (see :func:`_associate_factors`), each factor the product of
-    its block, and a block's degree is the exponent of its shape entry, a
-    power of p.  The sequences are counted before any is built (see
-    :func:`polydec.upoly._block_splits`); more than
-    _ALL_COMPLETE_MAX_FACTORS factors in all, or a count of more than
-    _ORDERED_MAX_STEPS steps, is an ExponentBoundExceeded.  Over GF(p**e),
-    e > 1, the complete decompositions whose shape refines it are grouped
-    into blocks.
+    by key.  They are counted before any is built: more than
+    _ALL_COMPLETE_MAX_FACTORS factors in all is an ExponentBoundExceeded.
+    All complete decompositions of f have one length (Jordan-Hoelder), so
+    these are complete exactly when the shape has that length.
     """
     _require_monic_additive(f)
     shape = _checked_shape(shape, f.degree)
-    if f.field.degree_over_prime == 1:
-        return _decompose_by_blocks(f, shape)
-    seen = {}
-    for dec in all_complete_decompositions(f):
-        ends = _blocks(dec.shape, shape)
-        if ends is None:
-            continue
-        grouped = tuple(_compose_chain(dec.factors[a:b]) for a, b in zip([0] + ends, ends))
-        cand = Decomposition(f, grouped, complete=(grouped == dec.factors))
-        seen.setdefault(cand.key(), cand)
-    return [seen[k] for k in sorted(seen)]
+    # the exponents of the entries, innermost first: the entries multiply
+    # to deg f = p**expn, so each is a power of p
+    sizes = [round(math.log(entry, f.field.p)) for entry in reversed(shape)]
+    by = _decompose_by_blocks if f.field.degree_over_prime == 1 else _decompose_by_walk
+    found, complete = by(f, sizes)
+    decs = [Decomposition(f, factors, complete=complete) for factors in found]
+    return sorted(decs, key=lambda d: d.key())
 
 
-def _decompose_by_blocks(f, shape):
-    """decompose_ordered over GF(p)."""
-    K = f.field
-    # the block degrees, innermost first: the entries multiply to
-    # deg f = p**expn, so each is a power of p
-    sizes = [round(math.log(entry, K.p)) for entry in reversed(shape)]
+def _decompose_by_blocks(f, sizes):
+    """decompose_ordered over GF(p), given the entries' exponents
+    ``sizes``, innermost first: the factor tuples, and whether they are
+    complete.
+
+    Composition is the product of associates, so a decomposition is a
+    sequence of blocks of the associate's irreducible factors (see
+    :func:`_associate_factors`), each factor the product of its block, of
+    degree its entry's exponent.  The sequences are counted by
+    :func:`polydec.upoly._block_splits` in at most _ORDERED_MAX_STEPS steps.
+    """
     parts = _associate_factors(f)
-    count, splits = upoly._block_splits([irr.expn for irr, _ in parts],
-                                        [mult for _irr, mult in parts], sizes,
+    mults = [mult for _irr, mult in parts]
+    count, splits = upoly._block_splits([irr.expn for irr, _ in parts], mults, sizes,
                                         _ORDERED_MAX_STEPS)
-    _check_output_size(count, len(shape), "decompositions")
+    _check_output_size(count, len(sizes), "decompositions")
 
     @functools.cache
     def product(block):
         return _compose_chain([irr for (irr, _), e in zip(parts, block) for _ in range(e)])
 
-    decs = [
-        Decomposition(f, tuple(map(product, reversed(blocks))),
-                      complete=all(sum(b) == 1 for b in blocks))
-        for blocks in splits
-    ]
-    return sorted(decs, key=lambda d: d.key())
+    return [tuple(map(product, reversed(blocks))) for blocks in splits], len(sizes) == sum(mults)
+
+
+def _decompose_by_walk(f, sizes):
+    """decompose_ordered over GF(p**e), e > 1, as _decompose_by_blocks.
+
+    An innermost factor of exponent s is the composition along a path of
+    the quotient graph (see :class:`_QuotientGraph`) whose exponents sum to
+    s, and the outer factors decompose the quotient it reaches, so the
+    walk goes no deeper than the entries need.
+    """
+    edges = _QuotientGraph()
+
+    @functools.cache
+    def reach(g, s):
+        """The quotients of g by its right factors of exponent s, each with
+        the factors of one path there, outermost first."""
+        if not s:
+            return {g: ()}
+        out = {}
+        for h, q in edges[g]:
+            for q2, path in (reach(q, s - h.expn) if h.expn <= s else {}).items():
+                out.setdefault(q2, path + (h,))
+        return out
+
+    @functools.cache
+    def count(g, i):
+        """The number of decompositions of g by the entries from the i-th on."""
+        return 1 if i == len(sizes) - 1 else sum(count(q, i + 1) for q in reach(g, sizes[i]))
+
+    def length(g):
+        """The length of the complete decompositions of g."""
+        return 1 + length(edges[g][0][1]) if edges[g] else 1
+
+    _check_output_size(count(f, 0), len(sizes), "decompositions")
+    complete = len(sizes) == length(f)
+
+    @functools.cache
+    def build(g, i):
+        """The factor tuples of those decompositions."""
+        if i == len(sizes) - 1:
+            return [(g,)]
+        out = []
+        for q, path in reach(g, sizes[i]).items():
+            h = _compose_chain(path)
+            out += [outer + (h,) for outer in build(q, i + 1)]
+        return out
+
+    return build(f, 0), complete
 
 
 def indec_basis(f):
@@ -612,10 +659,9 @@ def cr_decompose(f, shape):
         groups.setdefault(gi, []).append(basis[i])
     joined = [functools.reduce(join, groups[gi]) for gi in sorted(groups)]
     # place one group of the right degree into each shape slot, innermost first
-    slots = list(reversed(shape))
     remaining = sorted(joined, key=lambda g: g.key())
     ordered_parts = []
-    for want in slots:
+    for want in reversed(shape):
         pick = next(g for g in remaining if g.degree == want)
         remaining.remove(pick)
         ordered_parts.append(pick)
@@ -691,12 +737,9 @@ def simfree_bidecomp(f, shape):
         chosen = [k + 1 for k in range(m) if mask >> k & 1]
         if math.prod(inner_first[k - 1].degree for k in chosen) != shape[1]:
             continue
-        res = factors_to_right(dec, set(chosen))
-        t = len(chosen)
-        res_inner = list(reversed(res.factors))
-        inner = _compose_chain(list(reversed(res_inner[:t])))
-        outer = _compose_chain(list(reversed(res_inner[t:])))
-        return Decomposition(f, (outer, inner))
+        moved = factors_to_right(dec, set(chosen)).factors
+        cut = m - len(chosen)
+        return Decomposition(f, (_compose_chain(moved[:cut]), _compose_chain(moved[cut:])))
     return None
 
 

@@ -44,11 +44,6 @@ class AdditivePoly(CoeffVector):
         return cls._raw(field, [field.one()])
 
     @classmethod
-    def monomial(cls, field, i, c=1):
-        """c * x**(p**i)."""
-        return cls._raw(field, [field.zero()] * i + [field.rep(c)])
-
-    @classmethod
     def p_linear(cls, a):
         """x**p - a*x for a Felt a."""
         return cls(a.field, [-a, 1])
@@ -111,13 +106,6 @@ class AdditivePoly(CoeffVector):
         """Monic with nonzero linear coefficient (squarefree kernel)."""
         return self.is_monic() and self.coeffs[0] != self.field.zero()
 
-    def monic(self):
-        return AdditivePoly._raw(self.field, po.monic(self.field, self.coeffs))
-
-    def scale(self, c):
-        K = self.field
-        return AdditivePoly._raw(K, po.scale(K, self.coeffs, K.rep(c)))
-
     def evaluate(self, x):
         K = self.field
         rep = K.rep(x)
@@ -129,17 +117,6 @@ class AdditivePoly(CoeffVector):
             if a != K.zero():
                 acc = K.add(acc, K.mul(a, power))
         return Felt(K, acc)
-
-    def __add__(self, other):
-        self._check(other)
-        return AdditivePoly._raw(self.field, po.add(self.field, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AdditivePoly._raw(self.field, po.sub(self.field, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return AdditivePoly._raw(self.field, po.neg(self.field, self.coeffs))
 
     def __str__(self):
         p = self.field.p

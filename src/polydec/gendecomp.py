@@ -4,8 +4,10 @@ Four bidecomposition engines sit behind one recursion: the tame
 coefficient recurrence (characteristic not dividing the outer degree),
 subset search over the factors of f - f(0) (any characteristic), the
 finite-field block construction for irreducible inputs, and the additive
-machinery for additive inputs.  The additive machinery also answers the
-wild shapes of the subset search whenever f - f(0) is additive.  Every
+machinery for additive inputs.  Whenever f - f(0) is additive, the
+additive machinery alone also answers the wild shapes of the subset
+search: over GF(p) from one factorisation, over GF(p**e) from a walk of
+the quotient graph no deeper than the inner factor's exponent.  Every
 decomposition returned is normal: all factors monic, inner factors with
 zero constant term.
 """
@@ -18,7 +20,7 @@ import math
 
 from . import addecomp, additive, upoly
 from .addecomp import Decomposition, _checked_shape
-from .errors import DegreeError, ExponentBoundExceeded, NotIrreducible, NotTame, Reducible
+from .errors import DegreeError, NotIrreducible, NotTame, Reducible
 from .field import Felt, build_extension
 from .upoly import Poly, require_monic
 
@@ -83,23 +85,16 @@ def _wild_pairs(f, r, s, tail_parts):
     A normal decomposition of an additive polynomial has additive factors
     (Dorey and Whaples 1974), and with c = f(0), f = g(h) with h(0) = 0
     exactly when f - c = (g - c)(h).  So when f - c is additive the pairs
-    come from addecomp.decompose_ordered on it.  Otherwise, or when that
-    passes its output bounds, they come from the subset search, which
-    calls ``tail_parts`` for the factor list of (f - f(0))/x.
+    come from addecomp.decompose_ordered on it, and its bounds are theirs.
+    Otherwise they come from the subset search, which calls ``tail_parts``
+    for the factor list of (f - f(0))/x.
     """
     a = _additive_part(f)
-    if a is not None:
-        try:
-            decs = addecomp.decompose_ordered(a, (r, s))
-        except ExponentBoundExceeded:
-            # over GF(p**e) the bound is on all complete decompositions,
-            # whatever the shape, and the search still answers some shapes
-            pass
-        else:
-            c = f.coeff(0)
-            pairs = (dec.as_poly_factors() for dec in decs)
-            return sorted(((g.shift_constant(c), h) for g, h in pairs), key=_pair_key)
-    return _sep_pairs(f, s, tail_parts())
+    if a is None:
+        return _sep_pairs(f, s, tail_parts())
+    c = f.coeff(0)
+    pairs = (dec.as_poly_factors() for dec in addecomp.decompose_ordered(a, (r, s)))
+    return sorted(((g.shift_constant(c), h) for g, h in pairs), key=_pair_key)
 
 
 def _additive_part(f):
@@ -225,31 +220,24 @@ def ord_fact_decomp(f, shape, strategy=Strategy.SEPARATED):
     if strategy is Strategy.ADDITIVE:
         if isinstance(f, additive.AdditivePoly):
             return addecomp.decompose_ordered(f, shape)
-        decs = addecomp.decompose_ordered(
-            additive.AdditivePoly.from_poly(f), shape
-        )
-        return [
-            Decomposition(f, d.as_poly_factors(), complete=d.complete) for d in decs
-        ]
+        decs = addecomp.decompose_ordered(additive.AdditivePoly.from_poly(f), shape)
+        return [Decomposition(f, d.as_poly_factors(), complete=d.complete) for d in decs]
+    decs = [Decomposition(f, factors) for factors in _ordered_factors(f, shape, strategy)]
+    return sorted(decs, key=lambda d: d.key())
+
+
+def _ordered_factors(f, shape, strategy):
+    """The factor tuples of ord_fact_decomp, unchecked: each level's pairs
+    compose to it, so only the top level checks the composition."""
     if len(shape) == 1:
-        return [Decomposition(f, (f,))]
+        return [(f,)]
     inner = shape[-1]
-    outer_product = math.prod(shape) // inner
-    out = []
     tail_parts = functools.cache(lambda: _tail_factors(f))
-    for g, h in _bidecompositions(f, (outer_product, inner), strategy, tail_parts):
-        if len(shape) == 2:
-            out.append(Decomposition(f, (g, h)))
-            continue
-        for sub in ord_fact_decomp(g, shape[:-1], strategy):
-            out.append(Decomposition(f, sub.factors + (h,)))
-    out.sort(key=lambda d: d.key())
-    return out
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [
+        outer + (h,)
+        for g, h in _bidecompositions(f, (f.degree // inner, inner), strategy, tail_parts)
+        for outer in _ordered_factors(g, shape[:-1], strategy)
+    ]
 
 
 def first_complete(f, strategy=Strategy.SEPARATED):
@@ -266,12 +254,19 @@ def first_complete(f, strategy=Strategy.SEPARATED):
             return addecomp.complete_decomposition(f)
         dec = addecomp.complete_decomposition(additive.AdditivePoly.from_poly(f))
         return Decomposition(f, dec.as_poly_factors(), complete=True)
-    n = f.degree
-    if n < 2:
+    if f.degree < 2:
         raise DegreeError("complete decomposition needs degree >= 2")
+    return Decomposition(f, _first_complete_factors(f, strategy), complete=True)
+
+
+def _first_complete_factors(f, strategy):
+    """The factors of first_complete, unchecked: each level's pair composes
+    to it, so only the top level checks the composition."""
+    n = f.degree
     # F[z]/(f) is built once for every shape tried; a reducible f goes to
     # the separated search
-    divisors, ext = _divisors(n)[1:-1], None
+    divisors = sorted({e for d in range(2, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
+    ext = None
     if strategy is Strategy.IRREDUCIBLE_FF and divisors:
         try:
             ext = build_extension(f.field, f)
@@ -293,6 +288,5 @@ def first_complete(f, strategy=Strategy.SEPARATED):
             # apply below the top level
             if strategy is Strategy.IRREDUCIBLE_FF:
                 strategy = Strategy.SEPARATED
-            tail = first_complete(h, strategy)
-            return Decomposition(f, (g,) + tail.factors, complete=True)
-    return Decomposition(f, (f,), complete=True)
+            return (g,) + _first_complete_factors(h, strategy)
+    return (f,)

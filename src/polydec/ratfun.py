@@ -199,7 +199,7 @@ def rat_compose(g, h):
             c = poly.coeff(i)
             acc = acc * hN
             if not c.is_zero():
-                acc = acc + hD ** (r - i) * Poly.constant(g.field, c)
+                acc = acc + hD ** (r - i) * Poly.monomial(g.field, 0, c)
         return acc
 
     A = cleared(g.num, rN)

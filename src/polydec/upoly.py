@@ -33,11 +33,19 @@ class CoeffVector:
 
     ``coeffs`` is a tuple of field representations without trailing zeros.
     Holds what :class:`Poly` and :class:`polydec.additive.AdditivePoly`
-    share: coercion, accessors, equality, hashing and the sort key.  Values
+    share: coercion, accessors, equality, hashing, the sort key, scaling
+    and the additive group, each result of the caller's own class.  Values
     of different subclasses never compare equal.
     """
 
     __slots__ = ("field", "coeffs")
+
+    def __init_subclass__(cls):
+        # each subclass holds the shared operations in its own namespace, so
+        # a profiler can wrap one class's without the other's (as
+        # perfbench/tracer.py does)
+        for name in ("monic", "scale", "__add__", "__sub__", "__neg__"):
+            setattr(cls, name, vars(cls).get(name, vars(CoeffVector)[name]))
 
     def __init__(self, field, coeffs):
         """Build from an iterable of Felt / int / raw representations."""
@@ -54,6 +62,12 @@ class CoeffVector:
     @classmethod
     def zero(cls, field):
         return cls._raw(field, [])
+
+    @classmethod
+    def monomial(cls, field, i, c=1):
+        """c times the i-th basis element: c * x**i for a Poly, c * x**(p**i)
+        for an AdditivePoly."""
+        return cls._raw(field, [field.zero()] * i + [field.rep(c)])
 
     def is_zero(self):
         return not self.coeffs
@@ -89,6 +103,24 @@ class CoeffVector:
         """Canonical sort key: (length, coefficient keys low-to-high)."""
         return po._key(self.field, self.coeffs)
 
+    def monic(self):
+        return type(self)._raw(self.field, po.monic(self.field, self.coeffs))
+
+    def scale(self, c):
+        K = self.field
+        return type(self)._raw(K, po.scale(K, self.coeffs, K.rep(c)))
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)._raw(self.field, po.add(self.field, self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)._raw(self.field, po.sub(self.field, self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return type(self)._raw(self.field, po.neg(self.field, self.coeffs))
+
     def __repr__(self):
         return str(self)
 
@@ -107,17 +139,6 @@ class Poly(CoeffVector):
         return cls._raw(field, [field.zero(), field.one()])
 
     @classmethod
-    def monomial(cls, field, e, c=1):
-        rep = field.rep(c)
-        if rep == field.zero():
-            return cls.zero(field)
-        return cls._raw(field, [field.zero()] * e + [rep])
-
-    @classmethod
-    def constant(cls, field, c):
-        return cls._raw(field, [field.rep(c)])
-
-    @classmethod
     def parse(cls, field, text, var="x"):
         return cls._raw(field, dense(field, eval_poly_text(field, text, var)))
 
@@ -125,19 +146,12 @@ class Poly(CoeffVector):
     def degree(self):
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
-    def monic(self):
-        return Poly._raw(self.field, po.monic(self.field, list(self.coeffs)))
-
-    def scale(self, c):
-        K = self.field
-        return Poly._raw(K, po.scale(K, list(self.coeffs), K.rep(c)))
-
     def derivative(self):
-        return Poly._raw(self.field, po.derivative(self.field, list(self.coeffs)))
+        return Poly._raw(self.field, po.derivative(self.field, self.coeffs))
 
     def evaluate(self, x):
         K = self.field
-        return Felt(K, po.evaluate(K, list(self.coeffs), K.rep(x)))
+        return Felt(K, po.evaluate(K, self.coeffs, K.rep(x)))
 
     def shift_constant(self, c):
         """self + c for a scalar c."""
@@ -145,20 +159,9 @@ class Poly(CoeffVector):
         reps[0] = self.field.add(reps[0], self.field.rep(c))
         return Poly._raw(self.field, reps)
 
-    def __add__(self, other):
-        self._check(other)
-        return Poly._raw(self.field, po.add(self.field, list(self.coeffs), list(other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return Poly._raw(self.field, po.sub(self.field, list(self.coeffs), list(other.coeffs)))
-
-    def __neg__(self):
-        return Poly._raw(self.field, po.neg(self.field, list(self.coeffs)))
-
     def __mul__(self, other):
         self._check(other)
-        return Poly._raw(self.field, po.mul(self.field, list(self.coeffs), list(other.coeffs)))
+        return Poly._raw(self.field, po.mul(self.field, self.coeffs, other.coeffs))
 
     def __pow__(self, n):
         if n < 0:
@@ -167,7 +170,7 @@ class Poly(CoeffVector):
 
     def __divmod__(self, other):
         self._check(other)
-        q, r = po.divmod_(self.field, list(self.coeffs), list(other.coeffs))
+        q, r = po.divmod_(self.field, list(self.coeffs), other.coeffs)
         return Poly._raw(self.field, q), Poly._raw(self.field, r)
 
     def __floordiv__(self, other):

@@ -263,7 +263,7 @@ def all_complete_by_recursion(f, limit=None):
 def decompose_ordered_by_grouping(f, shape):
     """The complete decompositions of all_complete_by_recursion whose shape
     refines shape, grouped into blocks: the oracle for decompose_ordered
-    over GF(p)."""
+    over every field."""
     seen = {}
     for dec in all_complete_by_recursion(f):
         ends = _blocks(dec.shape, shape)
@@ -273,6 +273,14 @@ def decompose_ordered_by_grouping(f, shape):
         cand = Decomposition(f, grouped, complete=(grouped == dec.factors))
         seen.setdefault(cand.key(), cand)
     return [seen[k] for k in sorted(seen)]
+
+
+def ordered_shapes(p, expn):
+    """Every ordered factorisation of p**expn, outermost first."""
+    for k in range(expn):
+        for cuts in itertools.combinations(range(1, expn), k):
+            ends = (0,) + cuts + (expn,)
+            yield tuple(p ** (b - a) for a, b in zip(ends, ends[1:]))
 
 
 def complete_by_peeling(f):

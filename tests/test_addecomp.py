@@ -51,6 +51,7 @@ from conftest import (
     dense_indec_right_factors,
     field_of,
     monic_additive_polys,
+    ordered_shapes,
     seeded_rng,
     similarity_class_by_enumeration,
 )
@@ -859,3 +860,66 @@ def test_all_complete_output_bound_over_extension_fields(monkeypatch):
         with pytest.raises(ExponentBoundExceeded, match=msg):
             all_complete_decompositions(f, limit)
         assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("spec", ["GF(2^2)", "GF(3^2)", "GF(2^3)", TOWER])
+def test_extension_field_ordered_decompositions_match_grouping(spec):
+    """Over GF(p^e) the walk of the quotient graph, entry by entry, gives
+    exactly the complete decompositions grouped into blocks, at every
+    shape, order and completeness included."""
+    K = field_of(spec)
+    rng = seeded_rng(f"ordered-vs-grouping:{spec}")
+    cases = planted_inputs(K, 4, rng)
+    cases += [rand_monic_additive(K, expn, rng, simple)
+              for expn in range(1, 5) for simple in (True, False)]
+    several = complete = 0
+    for f in cases:
+        for shape in ordered_shapes(K.p, f.expn):
+            got = decompose_ordered(f, shape)
+            want = decompose_ordered_by_grouping(f, shape)
+            assert got == want, (str(f), shape)
+            assert [d.complete for d in got] == [d.complete for d in want]
+            several += len(got) > 1
+            complete += any(d.complete for d in got) and len(shape) > 1
+    assert several >= 10 and complete >= 10
+
+
+def test_decompose_ordered_walk_bound_over_extension_fields(monkeypatch):
+    """Over GF(p^e) decompose_ordered walks the quotient graph only as deep
+    as its shape needs, counts its output before composing any factor, and
+    past _WALK_MAX_NODES quotients raises before any decomposition is
+    built; all_complete_decompositions walks under the same bound."""
+    f = AdditivePoly.parse(field_of(TOWER), "x^16+x")
+    calls = []
+    real = addecomp.indec_right_factors
+    monkeypatch.setattr(addecomp, "indec_right_factors", lambda g: calls.append(g) or real(g))
+    all_complete_decompositions(f)
+    whole = len(calls)
+    calls.clear()
+    # one call for f, and three more down one chain for the length of its
+    # complete decompositions
+    want = decompose_ordered(f, (8, 2))
+    assert len(want) == 15 and len(calls) == 4
+    calls.clear()
+    want = decompose_ordered(f, (4, 4))
+    nodes = len(calls)
+    assert len(want) == 35 and nodes == len(set(calls)) and nodes < whole
+    monkeypatch.setattr(addecomp, "_WALK_MAX_NODES", nodes)
+    assert decompose_ordered(f, (4, 4)) == want
+
+    def build(*args, **kwargs):
+        raise AssertionError("a decomposition was built")
+
+    monkeypatch.setattr(addecomp, "Decomposition", build)
+    monkeypatch.setattr(addecomp, "_compose_chain", build)
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 69)
+    with pytest.raises(ExponentBoundExceeded,
+                       match="35 decompositions of 2 factors are above the limit of 69 factors"):
+        decompose_ordered(f, (4, 4))
+    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 70)
+    monkeypatch.setattr(addecomp, "_WALK_MAX_NODES", nodes - 1)
+    msg = f"the quotient graph has more than {nodes - 1} quotients to walk"
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        decompose_ordered(f, (4, 4))
+    with pytest.raises(ExponentBoundExceeded, match=msg):
+        all_complete_decompositions(f)

@@ -475,6 +475,28 @@ def test_all_complete_above_the_output_limit_over_a_tower_exits_2(capsys):
     )
 
 
+def test_decompose_over_gf16_walks_no_deeper_than_the_inner_factor(capsys):
+    # x^256+x over GF(16) has 771,435 complete decompositions of 8 factors,
+    # but 771 decompositions of shape (16, 16), four factors deep
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--strategy", "additive", "--field", "GF(2^4)",
+                         "--shape", "16,16", "x^256+x")
+    assert time.monotonic() - start < 10
+    assert (code, err) == (0, "") and len(out.splitlines()) == 771
+
+
+def test_affine_input_over_gf8_at_a_small_inner_degree_answers_at_once(capsys):
+    # the walk stops one factor deep: the 8 inner factors of degree 2
+    start = time.monotonic()
+    code, out, err = run(capsys, "decompose", "--field", "GF(2^3)", "--shape", "128,2",
+                         "x^256+x^4")
+    assert time.monotonic() - start < 1
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 8)
+    assert lines[3] == "(x^128+x^64+x^32+x^16+x^8+x^4) o (x^2+x)"
+    assert lines[-1] == "(x^128+x^2) o (x^2)"
+
+
 def test_absdec_names_a_new_level_by_the_first_unused_generator(capsys):
     code, out, _ = run(capsys, "absdec", "--field", "GF(5)[g2]/(g2^2+2)", "x^25+x^5+x")
     assert code == 0

@@ -20,13 +20,20 @@ from polydec import (
     sep_bidecomp,
     tame_bidecomp,
 )
-from polydec.errors import DegreeError, NotIrreducible, NotTame, ProductMismatch
+from polydec.errors import (
+    DegreeError,
+    ExponentBoundExceeded,
+    NotIrreducible,
+    NotTame,
+    ProductMismatch,
+)
 
 from conftest import (
     TOWER,
     field_of,
     first_complete_irred_by_rebuilds,
     irred_ff_bidecomp_by_full_product,
+    ordered_shapes,
     rand_poly,
     seeded_rng,
 )
@@ -310,14 +317,6 @@ def _affine_inputs(K, expn, rng):
     return out
 
 
-def _ordered_shapes(p, expn):
-    """Every ordered factorisation of p**expn, outermost first."""
-    for k in range(expn):
-        for cuts in itertools.combinations(range(1, expn), k):
-            ends = (0,) + cuts + (expn,)
-            yield tuple(p ** (b - a) for a, b in zip(ends, ends[1:]))
-
-
 @pytest.mark.parametrize("spec, max_expn", [
     ("GF(2)", 5), ("GF(3)", 3), ("GF(5)", 2), ("GF(2^2)", 3), ("GF(3^2)", 2), (TOWER, 2),
 ])
@@ -335,7 +334,7 @@ def test_affine_inputs_match_the_subset_search(spec, max_expn, monkeypatch):
         return [
             (
                 [sep_bidecomp(f, (p**k, p ** (n - k))) for k in range(1, n)],
-                [ord_fact_decomp(f, shape) for shape in _ordered_shapes(p, n)],
+                [ord_fact_decomp(f, shape) for shape in ordered_shapes(p, n)],
                 first_complete(f),
             )
             for f, n in cases
@@ -350,20 +349,23 @@ def test_affine_inputs_match_the_subset_search(spec, max_expn, monkeypatch):
     assert sum(len(dec.factors) > 1 for _pairs, _decs, dec in got) >= len(cases) // 3
 
 
-def test_affine_inputs_past_the_output_bound_go_to_the_subset_search(monkeypatch):
-    """Over GF(p**e) decompose_ordered bounds the count of all complete
-    decompositions, whatever the shape; past it the pairs come from the
-    subset search, as for any other input."""
+def test_affine_inputs_past_the_walk_bound_raise(monkeypatch):
+    """Over GF(p**e) the pairs of an affine input come from the walk of the
+    quotient graph alone: past its node bound sep_bidecomp raises, with no
+    subset search."""
     K = field_of("GF(2^2)")
     f = Poly.parse(K, "x^16+x+g1")
     shapes = [(2, 8), (4, 4), (8, 2)]
     with monkeypatch.context() as m:
         m.setattr(gendecomp, "_additive_part", lambda f: None)
         want = [sep_bidecomp(f, shape) for shape in shapes]
+    assert all(want)
     searched = []
     real = gendecomp._sep_pairs
     monkeypatch.setattr(gendecomp, "_sep_pairs", lambda *a: searched.append(a) or real(*a))
-    assert [sep_bidecomp(f, shape) for shape in shapes] == want and not searched
-    monkeypatch.setattr(addecomp, "_ALL_COMPLETE_MAX_FACTORS", 4)
     assert [sep_bidecomp(f, shape) for shape in shapes] == want
-    assert len(searched) == len(shapes) and all(want)
+    monkeypatch.setattr(addecomp, "_WALK_MAX_NODES", 1)
+    for shape in shapes:
+        with pytest.raises(ExponentBoundExceeded, match="more than 1 quotients to walk"):
+            sep_bidecomp(f, shape)
+    assert not searched

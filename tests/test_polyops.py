@@ -310,7 +310,7 @@ def _factor_inputs(K, rng):
     p-th-root recursion."""
     p = K.p
     x = Poly.x(K)
-    linear = [x - Poly.constant(K, c) for c in itertools.islice(K.elements(), 5)]
+    linear = [x - Poly.monomial(K, 0, c) for c in itertools.islice(K.elements(), 5)]
     cases = [rand_poly(K, rng, 0), math.prod(linear, start=Poly.one(K))]
     cases += [rand_poly(K, rng, rng.randrange(1, 13), monic=i % 2 == 0) for i in range(8)]
     for _ in range(3):

@@ -132,10 +132,10 @@ def test_rat_compose_parts_are_pairwise_coprime(F5):
         rN, rD = g.degree_pair
         A = Poly.zero(F5)
         for i in range(rN, -1, -1):
-            A = A * hN + hD ** (rN - i) * Poly.constant(F5, g.num.coeff(i))
+            A = A * hN + hD ** (rN - i) * Poly.monomial(F5, 0, g.num.coeff(i))
         B = Poly.zero(F5)
         for j in range(rD, -1, -1):
-            B = B * hN + hD ** (rD - j) * Poly.constant(F5, g.den.coeff(j))
+            B = B * hN + hD ** (rD - j) * Poly.monomial(F5, 0, g.den.coeff(j))
         assert gcd(A, B).degree == 0
         assert gcd(A, hD).degree == 0
         assert gcd(B, hD).degree == 0
