@@ -231,10 +231,35 @@ def monic(K, a):
 
 def gcd(K, a, b, frobenius=False):
     """Monic gcd of a and b, not both zero; with ``frobenius``, the greatest
-    common right factor in the skew ring of ``mul``."""
+    common right factor in the skew ring of ``mul``.
+
+    Over a prime field, where the twist is the identity, each remainder is
+    taken in place on the int list of the dividend, reduced only where
+    read, with one inverse per step and no quotient; a step long enough
+    for divmod_'s packed windows is left to it.
+    """
     a, b = list(a), list(b)
+    if K.kind != "prime":
+        while b:
+            a, b = b, divmod_(K, a, b, frobenius)[1]
+        return monic(K, a)
+    p = K.p
     while b:
-        a, b = b, divmod_(K, a, b, frobenius)[1]
+        db = len(b) - 1
+        if db >= _PACK_MIN and len(a) - db >= 2 * _PACK_MIN:
+            a, b = b, divmod_(K, a, b)[1]
+            continue
+        low, inv = b[:db], pow(b[-1], p - 2, p)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] % p
+            if c:
+                q = c * inv % p
+                for j, x in enumerate(low, k - db):
+                    a[j] -= q * x
+        a = [x % p for x in a[:db]]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
     return monic(K, a)
 
 
@@ -315,15 +340,32 @@ def _matrix_at(K, d, n):
             and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16)))
 
 
+def _fold_rows(K, n):
+    """Whether _frobenius_matrix builds the rows of v, deg v = n, by packed
+    folding: over GF(p), 3 <= q < n, once q * n exceeds the product of the
+    least order and degree at which _matrix_at builds a matrix.  Against
+    the rows by division (30 random v each, best of 7 runs) the fold was
+    0.8-0.98 times as fast at q = 3, n = 6-8, and 1.02-1.16 times at
+    n = 9-12, 1.6 at n = 64; from GF(5) on, 1.0-1.5 times at n <= 12 and
+    2.5-5 times at n = 64.  Over GF(2) it was slower at every n below 40."""
+    q = K.order
+    return (K.kind == "prime" and _FROBENIUS_MIN_ORDER <= q < n
+            and q * n > _FROBENIUS_MIN_ORDER * _FROBENIUS_MIN_DEGREE)
+
+
 def _frobenius_matrix(K, v):
     """The q-power matrix mod v of degree n >= 1, q = K.order: the rows
     x**(i*q) mod v, i < n (von zur Gathen-Shoup 1992).
 
     For q < n a row is the one before it shifted by q and reduced, else its
     product by x**q mod v.  Over GF(p) the rows are packed into integers
-    with slots wide enough for a sum of n coefficient products.
+    with slots wide enough for a sum of n coefficient products; where
+    _fold_rows holds, the running row stays packed, and a shift folds its
+    top q slots back by the packed x**(n+j) mod v, j < q.
     """
     n, q = deg(v), K.order
+    if _fold_rows(K, n):
+        return _folded_matrix(K.p, v)
     rows = [[K.one()]]
     if q < n:
         shift = [K.zero()] * q
@@ -337,6 +379,41 @@ def _frobenius_matrix(K, v):
         w = _slot_bytes(n * (K.p - 1) ** 2)
         return n, w, [_pack(r, w) for r in rows]
     return n, None, rows
+
+
+def _folded_matrix(p, v):
+    """_frobenius_matrix over GF(p), p < n = deg v, by packed folding.
+
+    A fold adds at most p * (p - 1)**2 to a slot, the top slots being
+    reduced as they are read, so the running row, unreduced, fits slots
+    for n folds; each row is reduced once, into the matrix's slots.
+    """
+    n = deg(v)
+    inv = pow(v[-1], p - 2, p)
+    tops = [[(-c * inv) % p for c in v[:n]]]  # x**n mod v, then x**(n+j)
+    while len(tops) < p:
+        t = tops[-1]
+        tops.append([(x + t[-1] * y) % p for x, y in zip([0] + t[:-1], tops[0])])
+    wide = _slot_bytes(1 + n * p * (p - 1) ** 2)
+    bits = 8 * wide
+    low_mask = (1 << bits * n) - 1
+    tops = [_pack(t, wide) for t in tops]
+    row, rows = 1, [1]
+    while len(rows) < n:
+        row <<= bits * p
+        spill = _unpack(row >> bits * n, wide, p)
+        row &= low_mask
+        for c, t in zip(spill, tops):
+            if c := c % p:
+                row += c * t
+        rows.append(row)
+    # every row reduced in one pass, then cut into the matrix's slots
+    w = _slot_bytes(n * (p - 1) ** 2)
+    slots = _unpack(int.from_bytes(b"".join(r.to_bytes(wide * n, "little") for r in rows),
+                                   "little"), wide, n * n)
+    data = _pack([c % p for c in slots], w).to_bytes(w * n * n, "little")
+    rows = [int.from_bytes(data[i : i + w * n], "little") for i in range(0, w * n * n, w * n)]
+    return n, w, rows
 
 
 def _frobenius_apply(K, M, h):

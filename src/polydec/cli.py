@@ -10,8 +10,9 @@ several, ``[]`` for none).  A decomposition's record is ``{"target",
 "result"}``.  Under ``--json`` an input error found after argv is parsed
 also prints ``{"error", "type"}`` on stdout, and no ``note:`` line is
 printed; ``--json --help`` prints the help text as ``{"help"}``.
-``counts`` and ``selftest`` print text only.  Identical argv and seed give
-byte-identical output.
+``counts`` and ``selftest``, which have no polynomial result, print
+``{"field", "result"}`` records of their text lines, ``field`` null where
+no field applies.  Identical argv and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -167,9 +168,8 @@ def _cmd_counts(args):
     # S, T <= F <= p**(nu(nu+1)/2): F has nu factors (p**k - 1)/(p - 1) <= p**k
     if limit and p >= 2 and 0 <= args.sigma <= nu and nu * (nu + 1) // 2 >= limit / math.log10(p):
         raise DegreeError(f"counts for p={p}, nu={nu} may have more than {limit} digits")
-    s, t, flags = additive.counts(p, nu, args.sigma)
-    print(f"S={s} T={t} F={flags}")
-    return 0
+    counts = "S={} T={} F={}".format(*additive.counts(p, nu, args.sigma))
+    return _emit(args, [counts], lambda c: {"field": None, "result": c}, str, None)
 
 
 def _cmd_chebyshev(args):
@@ -201,7 +201,9 @@ def _cmd_ratdec(args):
 def _cmd_selftest(args):
     from .selftest import run_selftest
 
-    return run_selftest()
+    lines, failures = run_selftest()
+    _emit(args, lines, lambda fl: {"field": fl[0], "result": fl[1]}, lambda fl: fl[1], None)
+    return 1 if failures else 0
 
 
 class _HelpAction(argparse._HelpAction):
@@ -293,6 +295,7 @@ def build_parser():
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("counts", help="subspace/extension/flag counts")
+    p.add_argument("--json", action="store_true")
     p.add_argument("p", type=int)
     p.add_argument("nu", type=int)
     p.add_argument("sigma", type=int)
@@ -312,6 +315,7 @@ def build_parser():
     p.set_defaults(func=_cmd_ratdec)
 
     p = sub.add_parser("selftest", help="replay the bundled worked-example corpus")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -4,7 +4,10 @@ Four bidecomposition engines sit behind one recursion: the tame
 coefficient recurrence (characteristic not dividing the outer degree),
 subset search over the factors of f - f(0) (any characteristic), the
 finite-field block construction for irreducible inputs, and the additive
-machinery for additive inputs.  Whenever f - f(0) is additive, the
+machinery for additive inputs.  In every entry point a tame shape (p not
+dividing the outer degree) is answered by the recurrence, with no
+factorisation, since its normal decomposition is unique; the subset
+search serves only wild shapes.  Whenever f - f(0) is additive, the
 additive machinery alone also answers the wild shapes of the subset
 search: over GF(p) from one factorisation, over GF(p**e) from a walk of
 the quotient graph no deeper than the inner factor's exponent.  Every
@@ -63,15 +66,16 @@ def tame_bidecomp(f, shape):
 def sep_bidecomp(f, shape):
     """All normal (g, h) with f = g(h) for the given (r, s) shape, sorted.
 
-    When f - f(0) is additive the pairs are read off its decompositions in
-    the composition ring, in exponent space.  For every other input the
-    candidate inner factors are x times the monic degree-(s - 1) divisors
-    of (f - f(0))/x; each candidate is checked by right division.  Works
-    in tame and wild cases alike.
+    Where p does not divide r the normal decomposition is unique (von zur
+    Gathen 1990), so the pair, or none, comes from tame_bidecomp with no
+    factorisation.  At a wild shape, when f - f(0) is additive the pairs
+    are read off its decompositions in the composition ring, in exponent
+    space; for every other input the candidate inner factors are x times
+    the monic degree-(s - 1) divisors of (f - f(0))/x, each checked by
+    right division.
     """
     require_monic(f, _INPUTS)
-    r, s = _checked_shape(shape, f.degree, DegreeError)
-    return _wild_pairs(f, r, s, lambda: _tail_factors(f))
+    return _bidecompositions(f, shape, Strategy.SEPARATED, _Level(f))
 
 
 def _tail_factors(f):
@@ -79,19 +83,37 @@ def _tail_factors(f):
     return upoly.factor(f.shift_constant(-f.coeff(0)) // Poly.x(f.field))[0]
 
 
-def _wild_pairs(f, r, s, tail_parts):
-    """The pairs of sep_bidecomp with shape (r, s), sorted by (h, g) key.
+class _Level:
+    """What the wild shapes of one level read of f, each computed at most
+    once for every shape tried: ``additive``, f - f(0) as an AdditivePoly
+    or None (_additive_part), and ``tail_parts``, the factor list of
+    (f - f(0))/x."""
+
+    def __init__(self, f):
+        self.f = f
+
+    @functools.cached_property
+    def additive(self):
+        return _additive_part(self.f)
+
+    @functools.cached_property
+    def tail_parts(self):
+        return _tail_factors(self.f)
+
+
+def _wild_pairs(f, r, s, level):
+    """The pairs of sep_bidecomp with shape (r, s), sorted by (h, g) key,
+    reading f's ``level``.
 
     A normal decomposition of an additive polynomial has additive factors
     (Dorey and Whaples 1974), and with c = f(0), f = g(h) with h(0) = 0
     exactly when f - c = (g - c)(h).  So when f - c is additive the pairs
     come from addecomp.decompose_ordered on it, and its bounds are theirs.
-    Otherwise they come from the subset search, which calls ``tail_parts``
-    for the factor list of (f - f(0))/x.
+    Otherwise they come from the subset search over ``level.tail_parts``.
     """
-    a = _additive_part(f)
+    a = level.additive
     if a is None:
-        return _sep_pairs(f, s, tail_parts())
+        return _sep_pairs(f, s, level.tail_parts)
     c = f.coeff(0)
     pairs = (dec.as_poly_factors() for dec in addecomp.decompose_ordered(a, (r, s)))
     return sorted(((g.shift_constant(c), h) for g, h in pairs), key=_pair_key)
@@ -186,15 +208,13 @@ def _block_pair(f, r, ext):
     return g, h
 
 
-def _bidecompositions(f, shape, strategy, tail_parts):
+def _bidecompositions(f, shape, strategy, level):
     """All normal pairs for one level of the recursion, sorted.
 
     Under SEPARATED the tame recurrence answers whenever p does not divide
     the outer degree: the normal decomposition is then unique (von zur
     Gathen 1990), so the subset search could find no other pair.  Wild
-    shapes go to _wild_pairs: additive and affine inputs are answered from
-    the additive part in exponent space, every other input by the subset
-    search, which calls ``tail_parts`` for the factor list of (f - f(0))/x.
+    shapes go to _wild_pairs, which reads f's ``level``.
     """
     r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
@@ -205,7 +225,7 @@ def _bidecompositions(f, shape, strategy, tail_parts):
     elif tame:
         got = tame_bidecomp(f, shape)
     else:
-        return _wild_pairs(f, r, s, tail_parts)
+        return _wild_pairs(f, r, s, level)
     return [got] if got is not None else []
 
 
@@ -232,10 +252,9 @@ def _ordered_factors(f, shape, strategy):
     if len(shape) == 1:
         return [(f,)]
     inner = shape[-1]
-    tail_parts = functools.cache(lambda: _tail_factors(f))
     return [
         outer + (h,)
-        for g, h in _bidecompositions(f, (f.degree // inner, inner), strategy, tail_parts)
+        for g, h in _bidecompositions(f, (f.degree // inner, inner), strategy, _Level(f))
         for outer in _ordered_factors(g, shape[:-1], strategy)
     ]
 
@@ -272,14 +291,13 @@ def _first_complete_factors(f, strategy):
             ext = build_extension(f.field, f)
         except Reducible:
             strategy = Strategy.SEPARATED
-    # (f - f(0))/x, factored at most once for every shape tried
-    tail_parts = functools.cache(lambda: _tail_factors(f))
+    level = _Level(f)
     for d in divisors:
         shape = (d, n // d)
         if strategy is Strategy.TAME and d % f.field.p == 0:
             continue
         if ext is None:
-            pairs = _bidecompositions(f, shape, strategy, tail_parts)
+            pairs = _bidecompositions(f, shape, strategy, level)
         else:
             pairs = [got] if (got := _block_pair(f, d, ext)) else []
         if pairs:

@@ -213,21 +213,24 @@ _CHECKS = {
 
 
 def run_selftest():
-    """Run every corpus record, printing one line each; returns 0 when all
-    pass, 1 otherwise."""
-    failures = 0
+    """Run every corpus record.  Returns the report, one (field, line) pair
+    per line, field the describe() of the record's field or None, and the
+    number of failed records: a record gets one ok/FAIL line, and a crash
+    one more line before it; a summary line follows when any failed."""
+    lines, failures = [], 0
     for rec in load_corpus():
         field = parse_field_spec(rec["field"]) if "field" in rec else None
+        spec = None if field is None else field.describe()
         try:
             ok = _CHECKS[rec["op"]](rec, field)
         except Exception as exc:  # a crash is a failure, not an abort
             ok = False
-            print(f"FAIL {rec['id']}: {exc!r}")
+            lines.append((spec, f"FAIL {rec['id']}: {exc!r}"))
         if ok:
-            print(f"ok   {rec['id']}: {rec['note']}")
+            lines.append((spec, f"ok   {rec['id']}: {rec['note']}"))
         else:
             failures += 1
-            print(f"FAIL {rec['id']}: {rec['note']}")
+            lines.append((spec, f"FAIL {rec['id']}: {rec['note']}"))
     if failures:
-        print(f"{failures} corpus record(s) failed")
-    return 0 if failures == 0 else 1
+        lines.append((None, f"{failures} corpus record(s) failed"))
+    return lines, failures

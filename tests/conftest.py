@@ -806,6 +806,35 @@ def divmod_by_element_ops(K, a, b, frobenius=False):
     return po.trim(K, quot), po.trim(K, rem)
 
 
+def gcd_by_divmod(K, a, b, frobenius=False):
+    """Monic gcd by one divmod_ call per Euclid step: the oracle for the
+    in-place prime-field loop of _polyops.gcd."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, po.divmod_(K, a, b, frobenius)[1]
+    return po.monic(K, a)
+
+
+def frobenius_matrix_by_division(K, v):
+    """The q-power matrix of v, a row x**(i*q) mod v by division: the one
+    before it shifted by q for q < n, else its product by x**q.  The
+    oracle for the packed folding of _polyops._frobenius_matrix."""
+    n, q = po.deg(v), K.order
+    rows = [[K.one()]]
+    if q < n:
+        shift = [K.zero()] * q
+        while len(rows) < n:
+            rows.append(po.mod(K, shift + rows[-1], v))
+    else:
+        xq = po.powmod(K, [K.zero(), K.one()], q, v)
+        while len(rows) < n:
+            rows.append(po.mod(K, po.mul(K, rows[-1], xq), v))
+    if K.kind == "prime":
+        w = po._slot_bytes(n * (K.p - 1) ** 2)
+        return n, w, [po._pack(r, w) for r in rows]
+    return n, None, rows
+
+
 @contextlib.contextmanager
 def per_term_kernels():
     """Run _polyops, and everything above it, on the two loops above in

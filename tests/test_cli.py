@@ -680,12 +680,29 @@ _CONTRACT = {
         ["--field", "GF(5)", "--shape", "4,0,1,1", "x^4/(x^2+2*x+1)"],
         ["--field", "GF(5)", "--shape", "2,0,2", "x^4/(x^2+2*x+1)"],
     ]),
+    "counts": (_ONE, [["2", "3", "1"], ["2", "1", "5"]]),
+    "selftest": (_ONE, [[]]),
 }
 
 
 def test_contract_table_covers_every_subcommand_that_takes_json():
     assert set(_CONTRACT) == {cmd for cmd in _subcommands() if _takes_json(cmd)}
-    assert not {"counts", "selftest"} & set(_CONTRACT)
+    assert set(_CONTRACT) == set(_subcommands())
+
+
+def test_counts_and_selftest_json_records_carry_their_text_lines(capsys):
+    """counts and selftest have no field or polynomial result: a record's
+    result is its text line, and its field that of the corpus record."""
+    code, text, _ = run(capsys, "counts", "2", "3", "1")
+    assert (code, text) == (0, "S=7 T=7 F=21\n")
+    assert json.loads(run(capsys, "counts", "--json", "2", "3", "1")[1]) == {
+        "field": None, "result": "S=7 T=7 F=21"}
+    code, text, _ = run(capsys, "selftest")
+    json_code, out, _ = run(capsys, "selftest", "--json")
+    records = json.loads(out)
+    assert (json_code, code) == (0, 0)
+    assert [rec["result"] for rec in records] == text.splitlines()
+    assert {rec["field"] for rec in records} >= {"GF(3)", "GF(5)"}
 
 
 @pytest.mark.parametrize(

@@ -262,8 +262,9 @@ def test_first_complete_irreducible_strategy_recurses_cleanly(F2):
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2^2)", "GF(3^2)"])
 def test_sep_bidecomp_equals_tame_when_p_does_not_divide_r(spec):
-    """The normal tame decomposition is unique, so the subset search finds
-    exactly the tame pair, or nothing with it; half the inputs are planted."""
+    """The normal tame decomposition is unique, so the subset search, the
+    oracle of the tame route of sep_bidecomp, finds exactly the tame pair,
+    or nothing with it; half the inputs are planted."""
     from polydec import parse_field_spec
 
     K = parse_field_spec(spec)
@@ -278,9 +279,56 @@ def test_sep_bidecomp_equals_tame_when_p_does_not_divide_r(spec):
         else:
             f = rand_poly(K, rng, r * s, monic=True)
         tame = tame_bidecomp(f, (r, s))
-        assert sep_bidecomp(f, (r, s)) == ([] if tame is None else [tame]), str(f)
+        want = [] if tame is None else [tame]
+        assert gendecomp._sep_pairs(f, s, gendecomp._tail_factors(f)) == want, str(f)
+        assert sep_bidecomp(f, (r, s)) == want, str(f)
         hits += tame is not None
     assert hits >= 12
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(7)", "GF(3^2)"])
+def test_sep_bidecomp_at_a_tame_shape_factors_nothing(spec, monkeypatch):
+    """A tame shape is answered by the recurrence; a wild one still factors."""
+    K = field_of(spec)
+    factored = []
+    real = upoly.factor
+    monkeypatch.setattr(upoly, "factor", lambda f: factored.append(f) or real(f))
+    rng = seeded_rng(("sep tame no factor", spec))
+    r = next(r for r in (2, 3, 4) if r % K.p)
+    for planted in (False, True):
+        if planted:
+            f = compose(rand_poly(K, rng, r, monic=True),
+                        rand_poly(K, rng, 4, monic=True, zero_const=True))
+        else:
+            f = rand_poly(K, rng, 4 * r, monic=True)
+        assert len(sep_bidecomp(f, (r, 4))) == planted
+    assert factored == []
+    f = rand_poly(K, rng, K.p * 2, monic=True)
+    sep_bidecomp(f, (K.p, 2))
+    assert len(factored) == 1
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2^2)"])
+def test_first_complete_reads_the_additive_part_once_per_level(spec, monkeypatch):
+    """Every wild shape of one level reads one scan of f's coefficients
+    for its additive part; planted inputs have several levels."""
+    K = field_of(spec)
+    read = []
+    real = gendecomp._additive_part
+    monkeypatch.setattr(gendecomp, "_additive_part", lambda f: read.append(f) or real(f))
+    rng = seeded_rng(("additive part once", spec))
+    p = K.p
+    inputs = [rand_poly(K, rng, n, monic=True) for n in (12, 18)]
+    inputs.append(compose(rand_poly(K, rng, 2 * p, monic=True),
+                          rand_poly(K, rng, 2 * p, monic=True, zero_const=True)))
+    inputs.append(_affine_inputs(K, 3, rng)[1])
+    levels = 0
+    for f in inputs:
+        read.clear()
+        first_complete(f)
+        assert read and len(read) == len(set(read)), str(f)
+        levels += len(read) > 1
+    assert levels >= 1
 
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(2^2)", "GF(3)"])

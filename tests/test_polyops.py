@@ -19,6 +19,8 @@ from conftest import (
     equal_degree_split_by_poly,
     factor_by_poly_stages,
     field_of,
+    frobenius_matrix_by_division,
+    gcd_by_divmod,
     is_irreducible_by_scan,
     is_irreducible_rabin,
     mul_prime_loop,
@@ -122,6 +124,48 @@ def test_gcd_extgcd_powmod_match_per_term_loops(p):
         lcm = po.mul(K, t, a)
         assert po.mod(K, lcm, b) == [] and po.deg(lcm) == po.deg(a) + po.deg(b) - po.deg(r)
         assert po.extgcd(K, a, b, frobenius=True) == (r, s, t)
+
+
+# the fields of the in-place gcd and the folded q-power rows; 2**64 - 59,
+# the largest prime below 2**64, has every degree below its order
+KERNEL_PRIMES = [2, 3, 7, 13, 2**64 - 59]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_gcd_matches_the_divmod_loop(p):
+    """Non-monic operands of equal and unequal length, steps short and long
+    enough for divmod_'s packed windows, a zero operand, and the twisted
+    scheme, which over GF(p) is the same one."""
+    K = build_prime_field(p)
+    rng = seeded_rng(("in-place gcd", p))
+    cases = []
+    for la, lb in [(1, 1), (2, 5), (5, 2), (CUT, CUT - 1), (12, 12), (30, 12), (40, 40),
+                   (90, 3), (3, 90)]:
+        g = coeffs(K, rng, rng.randrange(1, 8), lead=nonzero(K, rng))
+        a = po.mul(K, g, coeffs(K, rng, la, lead=nonzero(K, rng)))
+        b = po.mul(K, g, coeffs(K, rng, lb, rng.random() < 0.5, nonzero(K, rng)))
+        cases.append((a, b))
+    c = coeffs(K, rng, 7, lead=nonzero(K, rng))
+    cases += [([], c), (c, []), (c, c)]
+    for a, b in cases:
+        for frobenius in (False, True):
+            want = gcd_by_divmod(K, a, b, frobenius)
+            assert po.gcd(K, a, b, frobenius) == want, (a, b, frobenius)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_frobenius_matrix_matches_the_rows_by_division(p):
+    """The (n, w, rows) tuple, for monic and non-monic v, at degrees on both
+    sides of q and of the folding cutoff."""
+    K = build_prime_field(p)
+    rng = seeded_rng(("folded rows", p))
+    degrees = sorted({1, 2, 3, 5, 8, 9, 12, 18, 31, 40} | {n for n in (p - 1, p, p + 1) if n < 64})
+    for n in degrees:
+        for lead in (1, nonzero(K, rng), nonzero(K, rng)):
+            v = coeffs(K, rng, n + 1, rng.random() < 0.3, lead)
+            assert po._frobenius_matrix(K, v) == frobenius_matrix_by_division(K, v), (n, v)
+    assert any(po._fold_rows(K, n) for n in degrees) == (3 <= p < 40)
+    assert any(p < n and not po._fold_rows(K, n) for n in degrees) == (p <= 3)
 
 
 def _irreducible_on_lists(K, c):
