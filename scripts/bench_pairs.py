@@ -11,7 +11,9 @@ once with ``--trace 1`` at the first seed, for the per-layer metrics.  The
 result lines go to ``BENCH_<N>.json`` at the root of this tree, with one
 summary line per workload, seed and end-to-end metric: the parent's median
 and quartiles, this tree's median, and in how many pairs this tree reads
-better.  The parent must be a git checkout (``git clone``), whose commit
+better.  The file also records, per side, the non-blank, non-comment lines
+of each ``src/polydec/*.py``, and one more summary line gives the net
+change.  The parent must be a git checkout (``git clone``), whose commit
 the file records.  Only the standard library is used.
 """
 
@@ -57,6 +59,31 @@ def short_head(checkout):
     proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
     return proc.stdout.strip() or None
+
+
+def src_lines(checkout):
+    """Per module of ``src/polydec`` in ``checkout``, its lines that are
+    neither blank nor comments (first non-blank character ``#``)."""
+    src = os.path.join(checkout, "src", "polydec")
+    counts = {}
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as f:
+                counts[name] = sum(1 for line in f
+                                   if line.strip() and not line.lstrip().startswith("#"))
+    return counts
+
+
+def lines_summary(lines):
+    """One line: the total of each side and the net change, with the net
+    change of every module whose count changed."""
+    parent, change = lines["parent"], lines["change"]
+    nets = [f"{name} {change.get(name, 0) - parent.get(name, 0):+d}"
+            for name in sorted(parent.keys() | change.keys())
+            if change.get(name) != parent.get(name)]
+    total_p, total_c = sum(parent.values()), sum(change.values())
+    return (f"src/polydec non-blank, non-comment lines: parent {total_p}, change {total_c}"
+            f" ({total_c - total_p:+d}{': ' if nets else ''}{', '.join(nets)})")
 
 
 def summary(runs):
@@ -110,14 +137,17 @@ def main(argv=None):
             traces.append({"side": side, "workload": workload, "seed": args.seeds[0],
                            "trace": 1, "result": run(sides[side], workload,
                                                      args.seeds[0], seconds, 1)})
-    lines = summary(runs)
+    counted = {side: src_lines(path) for side, path in sides.items()}
+    lines = summary(runs) + [lines_summary(counted)]
     report = {
         "about": (
             "Result lines of perfbench/run.py for the parent commit and for this change, in"
             f" the order run. 'pairs': {args.pairs} alternating pairs per workload and seed"
             " (parent first in odd pairs). 'traces': --trace 1 at the first seed"
             " (per-layer metrics). 'summary': per end-to-end metric, the parent's median"
-            " [quartiles], the change's median and the pairs in which the change reads better."
+            " [quartiles], the change's median and the pairs in which the change reads better;"
+            " its last line the net change in 'src_lines'. 'src_lines': per side, the"
+            " non-blank lines of each src/polydec/*.py that are not comments."
         ),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}"
                    " --trace 0",
@@ -127,6 +157,7 @@ def main(argv=None):
         "parent": parent_head,
         "runs": runs,
         "traces": traces,
+        "src_lines": counted,
         "summary": lines,
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")

@@ -13,12 +13,15 @@ where that twist is the identity, ``mul`` and ``divmod_`` pack long
 operands into integers, a slot per coefficient: a product is one integer
 product (Kronecker substitution), and division one shifted integer add
 per quotient term on a window of the dividend a few divisor lengths
-long.  Over GF(2) the squarefree, distinct-degree and equal-degree
-stages, and so ``_factor`` and ``is_irreducible``, run on bit strings: a
-polynomial is a Python int whose bit i is the coefficient of x**i,
-converted once on the way in and once per factor on the way out.  Over
-GF(p), p odd, ``is_irreducible`` runs the distinct-degree scan only until
-the scan would build the q-power matrix, and Rabin's test from there.
+long.  The squarefree, distinct-degree and equal-degree stages are
+written once for two representations, read off their input: a list or
+tuple is a coefficient list over K, and an int a GF(2) bit string, bit i
+the coefficient of x**i.  What differs between the two sits in the
+operation sets _LISTS and _BITS.  Over GF(2) ``_factor`` and
+``is_irreducible`` convert f to its bit string once on the way in, and
+``_factor`` each factor back on the way out.  Over GF(p), p odd,
+``is_irreducible`` runs the distinct-degree scan only until the scan
+would build the q-power matrix, and Rabin's test from there.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import operator
 import random
 import struct
+from types import SimpleNamespace
 
 from .errors import DivideByZero
 
@@ -435,7 +439,8 @@ def _frobenius_apply(K, M, h):
 
 def distinct_degree(K, f, kept=None):
     """Yield (product of the degree-d irreducible factors of f, d), lowest
-    d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981).
+    d first, for squarefree f of degree >= 1 (Cantor-Zassenhaus 1981), in
+    the representation of f (see _ops).
 
     The product for d is gcd(x**(q**d) - x, v), where v is f with the
     lower-degree products divided out.  Binary powering steps x**(q**d)
@@ -448,80 +453,79 @@ def distinct_degree(K, f, kept=None):
     the scan builds, if any, is appended to it; for an irreducible f it is
     the matrix of f itself.
     """
-    q = K.order
-    x = [K.zero(), K.one()]
-    v, h, d, M = list(f), x, 0, None
-    while deg(v) >= 2 * (d + 1):
+    o = _ops(f)
+    v, h, d, M = f, o.x(K), 0, None
+    while o.size(v) > 2 * (d + 1):
         d += 1
-        n = deg(v)
-        if M is None and _matrix_at(K, d, n):
+        # never over GF(2), so never on bit strings
+        if M is None and _matrix_at(K, d, o.size(v) - 1):
             M = _frobenius_matrix(K, v)
             h = mod(K, h, v)
             if kept is not None:
                 kept.append(M)
-        h = powmod(K, h, q, v) if M is None else _frobenius_apply(K, M, h)
-        g = gcd(K, sub(K, h, x), v)
-        if deg(g) > 0:
+        h = o.power(K, h, v, M)
+        g = o.gcd(K, o.minus_x(K, h), v)
+        if o.size(g) > 1:
             yield g, d
-            v = divmod_(K, v, g)[0]
-    if deg(v) > 0:
-        yield v, deg(v)
+            v = o.quo(K, v, g)
+    if o.size(v) > 1:
+        yield v, o.size(v) - 1
 
 
 def squarefree(K, f):
-    """Monic f as (squarefree monic part, multiplicity) pairs, sorted by key.
+    """Monic f as (squarefree monic part, multiplicity) pairs, sorted by
+    key, in the representation of f (see _ops).
 
     Characteristic-p Yun: a squarefree f costs the one gcd(f, f').
     Factors whose multiplicity is divisible by p stay in gcd(f, f') with
     zero derivative and are recovered through a p-th root of the
     coefficient list (all of f when f' = 0, since gcd(f, 0) = f).
     """
-    if len(f) < 2:
+    o = _ops(f)
+    if o.size(f) < 2:
         return []
-    t = gcd(K, f, derivative(K, f))
-    if len(t) == 1:
+    t = o.gcd(K, f, o.derivative(K, f))
+    if o.size(t) == 1:
         return [(f, 1)]
     parts, i = [], 0
-    v = divmod_(K, f, t)[0]
-    while len(v) > 1:
+    v = o.quo(K, f, t)
+    while o.size(v) > 1:
         i += 1
-        w = gcd(K, t, v)
-        z = divmod_(K, v, w)[0]
-        if len(z) > 1:
+        w = o.gcd(K, t, v)
+        z = o.quo(K, v, w)
+        if o.size(z) > 1:
             parts.append((z, i))
-        v, t = w, divmod_(K, t, w)[0]
-    if len(t) > 1:
-        p = K.p
-        root = [K.pth_root_rep(c) for c in t[::p]]
-        parts += [(g, m * p) for g, m in squarefree(K, root)]
-    return sorted(parts, key=lambda pm: _key(K, pm[0]))
+        v, t = w, o.quo(K, t, w)
+    if o.size(t) > 1:
+        parts += [(g, m * K.p) for g, m in squarefree(K, o.root(K, t))]
+    return sorted(parts, key=lambda pm: o.key(K, pm[0]))
 
 
 def equal_degree(K, u, d, rng):
     """The monic irreducible factors of a monic u whose irreducible factors
     all have degree d (Cantor-Zassenhaus 1981), splitting by random draws
-    from rng.  Over GF(2^k) a split is gcd of u and a trace map, else of u
-    and a**((q**d - 1) / 2) - 1."""
-    n = deg(u)
+    from rng, in the representation of u (see _ops).  Over GF(2^k) a split
+    is gcd of u and the trace map a + a**2 + ... + a**(2**(kd-1)) mod u,
+    else of u and a**((q**d - 1) / 2) - 1."""
+    o = _ops(u)
+    n = o.size(u) - 1
     if n == d:
         return [u]
     while True:
-        a = trim(K, [K.rand_rep(rng) for _ in range(n)])
-        if len(a) < 2:
+        a = o.draw(K, n, rng)
+        if o.size(a) < 2:
             continue
         if K.p == 2:
-            t = tr = a
+            t = split = a
             for _ in range(K.degree_over_prime * d - 1):
-                t = mod(K, mul(K, t, t), u)
-                tr = add(K, tr, t)
-            split = mod(K, tr, u)
+                t, split = o.square_add(K, t, split, u)
         else:
             split = sub(K, powmod(K, a, (K.order**d - 1) // 2, u), [K.one()])
         if not split:
             continue
-        g = gcd(K, split, u)
-        if 0 < deg(g) < n:
-            return equal_degree(K, g, d, rng) + equal_degree(K, divmod_(K, u, g)[0], d, rng)
+        g = o.gcd(K, split, u)
+        if 1 < o.size(g) <= n:
+            return equal_degree(K, g, d, rng) + equal_degree(K, o.quo(K, u, g), d, rng)
 
 
 def _key(K, c):
@@ -534,40 +538,33 @@ def _factor(K, f, seed):
     the order the stages find them: its squarefree parts, each split by
     distinct_degree, each product by equal_degree with draws from
     random.Random(seed), seeded at the first split that draws.  A factor
-    is a coefficient list, over GF(2) bytes."""
-    if K.order == 2:
-        by_squarefree, by_degree, f, size = _squarefree2, _distinct_degree2, _bits(f), int.bit_length
-
-        def split(K, u, d, rng):
-            return map(_coeffs, _equal_degree2(K, u, d, rng))
-    else:
-        by_squarefree, by_degree, split = squarefree, distinct_degree, equal_degree
-        f, size = monic(K, f), len
-    rng, parts = None, []
-    for sq, mult in by_squarefree(K, f):
-        for prod, d in by_degree(K, sq):
+    is a coefficient list, over GF(2) bytes: there the stages run on the
+    bit string of f."""
+    bits = K.order == 2
+    f = _bits(f) if bits else monic(K, f)
+    size, rng, parts = _ops(f).size, None, []
+    for sq, mult in squarefree(K, f):
+        for prod, d in distinct_degree(K, sq):
             if rng is None and size(prod) > d + 1:
                 rng = random.Random(seed)
-            parts += [(irr, mult) for irr in split(K, prod, d, rng)]
-    return parts
+            parts += [(irr, mult) for irr in equal_degree(K, prod, d, rng)]
+    return [(_coeffs(g), m) for g, m in parts] if bits else parts
 
 
 def is_irreducible(K, f, kept=None):
-    """Irreducibility over K.  Over GF(2) and extension fields the first
-    product of the distinct-degree scan is all of f; over GF(p), p odd, see
-    _scan_then_rabin.  When ``kept`` is a list and f is irreducible, the
-    q-power matrix, if built, is appended to it."""
-    if K.order == 2:
-        f = _bits(f)
-        n = f.bit_length() - 1
-        return n > 0 and next(_distinct_degree2(K, f))[1] == n
+    """Irreducibility over K.  Over GF(2), on the bit string of f, and
+    over extension fields the first product of the distinct-degree scan is
+    all of f; over GF(p), p odd, see _scan_then_rabin.  When ``kept`` is a
+    list and f is irreducible, the q-power matrix, if built, is appended
+    to it."""
     n, built = deg(f), []
-    if K.kind == "prime":
+    if K.kind == "prime" and K.p > 2:
         irreducible = _scan_then_rabin(K, f, built)
     else:
         # a matrix step costs about a gcd here: Rabin's n steps made random
         # GF(3^2) inputs of degree 12-40 up to 2.8 times as slow as the scan
-        irreducible = n > 0 and next(distinct_degree(K, f, built))[1] == n
+        scan = distinct_degree(K, _bits(f) if K.order == 2 else f, built)
+        irreducible = n > 0 and next(scan)[1] == n
     if irreducible and kept is not None:
         kept += built
     return irreducible
@@ -606,13 +603,10 @@ def _scan_then_rabin(K, f, built):
     return n > 0
 
 
-# The GF(2) stages.  A polynomial is an int, bit i the coefficient of x**i;
-# the zero polynomial is 0 and every other one is monic.  Each stage takes
-# the arguments of its list stage, K = GF(2) included, and does the same
-# arithmetic, equal_degree with the same draws, so the factors and their
-# order are the same.  A remainder is
-# one shift and XOR per quotient term, and a square spreads the bits of
-# each byte through _SPREAD.
+# Over GF(2) the stages run on bit strings: a polynomial is an int, bit i
+# the coefficient of x**i; the zero polynomial is 0 and every other one is
+# monic.  A remainder is one shift and XOR per quotient term, and a square
+# spreads the bits of each byte through _SPREAD.
 _SPREAD = [int("0".join(f"{b:b}"), 2).to_bytes(2, "little") for b in range(256)]
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
@@ -666,64 +660,50 @@ def _key2(a):
     return a.bit_length(), bin(a)[:1:-1]
 
 
-def _squarefree2(K, f):
-    """squarefree over GF(2)."""
-    if f < 2:
-        return []
-    # the derivative keeps the odd terms, each one degree down
-    t = _gcd2(f, f >> 1 & int("01" * (f.bit_length() // 2 + 1), 2))
-    if t == 1:
-        return [(f, 1)]
-    parts, i = [], 0
-    v = _quo2(f, t)
-    while v > 1:
-        i += 1
-        w = _gcd2(t, v)
-        z = _quo2(v, w)
-        if z > 1:
-            parts.append((z, i))
-        v, t = w, _quo2(t, w)
-    if t > 1:
-        # t has only even terms: its square root keeps every other bit
-        parts += [(g, m * 2) for g, m in _squarefree2(K, int(bin(t)[2::2], 2))]
-    return sorted(parts, key=lambda pm: _key2(pm[0]))
+# What squarefree, distinct_degree and equal_degree do differently on the
+# two representations, each operation taking K first: ``size`` is the
+# degree plus one (0 for the zero polynomial), ``gcd`` is monic, ``quo``
+# an exact quotient, ``power`` the q-th power of h mod v (by the q-power
+# matrix M of a multiple of v when M is built), ``draw`` the n random
+# coefficients of an equal-degree split and ``square_add`` a step of its
+# trace map over GF(2^k).  The list set looks the module's functions up
+# when it is called, so that a patched or traced gcd or divmod_ is the
+# one it calls.  The bit-string set draws with rng.randrange(2), as
+# rand_rep does over GF(2), so both give the same factors in one order.
+_LISTS = SimpleNamespace(
+    size=len,
+    gcd=lambda K, a, b: gcd(K, a, b),
+    quo=lambda K, a, b: divmod_(K, a, b)[0],
+    derivative=lambda K, a: derivative(K, a),
+    root=lambda K, a: [K.pth_root_rep(c) for c in a[::K.p]],
+    key=lambda K, a: _key(K, a),
+    x=lambda K: [K.zero(), K.one()],
+    minus_x=lambda K, h: sub(K, h, [K.zero(), K.one()]),
+    power=lambda K, h, v, M: powmod(K, h, K.order, v) if M is None else _frobenius_apply(K, M, h),
+    draw=lambda K, n, rng: trim(K, [K.rand_rep(rng) for _ in range(n)]),
+    square_add=lambda K, t, tr, u: (t := mod(K, mul(K, t, t), u), add(K, tr, t)),
+)
+_BITS = SimpleNamespace(
+    size=int.bit_length,
+    gcd=lambda K, a, b: _gcd2(a, b),
+    quo=lambda K, a, b: _quo2(a, b),
+    # the odd terms, each one degree down
+    derivative=lambda K, a: a >> 1 & int("01" * (a.bit_length() // 2 + 1), 2),
+    # a has only even terms: its square root keeps every other bit
+    root=lambda K, a: int(bin(a)[2::2], 2),
+    key=lambda K, a: _key2(a),
+    x=lambda K: 2,
+    minus_x=lambda K, h: h ^ 2,
+    power=lambda K, h, v, M: _rem2(_square2(h), v),
+    draw=lambda K, n, rng: _bits([rng.randrange(2) for _ in range(n)]),
+    square_add=lambda K, t, tr, u: (t := _rem2(_square2(t), u), tr ^ t),
+)
 
 
-def _distinct_degree2(K, f):
-    """distinct_degree over GF(2), where a step is one square mod v."""
-    v, h, d = f, 2, 0
-    while v.bit_length() > 2 * (d + 1):
-        d += 1
-        h = _rem2(_square2(h), v)
-        g = _gcd2(h ^ 2, v)
-        if g > 1:
-            yield g, d
-            v = _quo2(v, g)
-            h = _rem2(h, v)
-    if v > 1:
-        yield v, v.bit_length() - 1
-
-
-def _equal_degree2(K, u, d, rng):
-    """equal_degree over GF(2): a split is gcd of u and the trace map
-    a + a**2 + ... + a**(2**(d-1)) mod u."""
-    n = u.bit_length() - 1
-    if n == d:
-        return [u]
-    draw = rng.randrange
-    while True:
-        a = _bits([draw(2) for _ in range(n)])
-        if a < 2:
-            continue
-        t = split = a
-        for _ in range(d - 1):
-            t = _rem2(_square2(t), u)
-            split ^= t
-        if not split:
-            continue
-        g = _gcd2(split, u)
-        if 1 < g and g.bit_length() <= n:
-            return _equal_degree2(K, g, d, rng) + _equal_degree2(K, _quo2(u, g), d, rng)
+def _ops(f):
+    """The operation set of f's representation: a bit string over GF(2)
+    when f is an int, else a coefficient list over K."""
+    return _BITS if isinstance(f, int) else _LISTS
 
 
 def _prime_divisors(n):

@@ -1,10 +1,13 @@
 """General univariate decomposition over finite fields.
 
-Four bidecomposition engines sit behind one recursion: the tame
-coefficient recurrence (characteristic not dividing the outer degree),
-subset search over the factors of f - f(0) (any characteristic), the
-finite-field block construction for irreducible inputs, and the additive
-machinery for additive inputs.  In every entry point a tame shape (p not
+Four bidecomposition engines sit behind one dispatcher, which every
+entry point and every level of the recursion calls: the tame coefficient
+recurrence (characteristic not dividing the outer degree), subset search
+over the factors of f - f(0) (any characteristic), the finite-field block
+construction for irreducible inputs, and the additive machinery for
+additive inputs.  What a level reads of f (F[z]/(f), the additive part of
+f - f(0), the factors of (f - f(0))/x) is computed once for every shape
+tried.  In every entry point a tame shape (p not
 dividing the outer degree) is answered by the recurrence, with no
 factorisation, since its normal decomposition is unique; the subset
 search serves only wild shapes.  Whenever f - f(0) is additive, the
@@ -23,7 +26,7 @@ import math
 
 from . import addecomp, additive, upoly
 from .addecomp import Decomposition, _checked_shape
-from .errors import DegreeError, NotIrreducible, NotTame, Reducible
+from .errors import DegreeError, NotAdditive, NotIrreducible, NotTame, Reducible
 from .field import Felt, build_extension
 from .upoly import Poly, require_monic
 
@@ -84,10 +87,11 @@ def _tail_factors(f):
 
 
 class _Level:
-    """What the wild shapes of one level read of f, each computed at most
-    once for every shape tried: ``additive``, f - f(0) as an AdditivePoly
-    or None (_additive_part), and ``tail_parts``, the factor list of
-    (f - f(0))/x."""
+    """What the shapes of one level read of f, each computed at most once
+    for every shape tried: ``additive``, f - f(0) as an AdditivePoly or
+    None (_additive_part), and ``tail_parts``, the factor list of
+    (f - f(0))/x, for the wild shapes; ``ext``, F[z]/(f) or None when f
+    is reducible, for the block method."""
 
     def __init__(self, f):
         self.f = f
@@ -95,6 +99,13 @@ class _Level:
     @functools.cached_property
     def additive(self):
         return _additive_part(self.f)
+
+    @functools.cached_property
+    def ext(self):
+        try:
+            return build_extension(self.f.field, self.f)
+        except Reducible:
+            return None
 
     @functools.cached_property
     def tail_parts(self):
@@ -120,24 +131,11 @@ def _wild_pairs(f, r, s, level):
 
 
 def _additive_part(f):
-    """f - f(0) as an AdditivePoly when it is additive, else None.
-
-    Scans the coefficients from the top and stops at the first nonzero one
-    off a p-power exponent, for most inputs the leading one.
-    """
-    K, coeffs = f.field, f.coeffs
-    z, p = K.zero(), K.p
-    powers = [1]
-    while powers[-1] < len(coeffs) - 1:
-        powers.append(powers[-1] * p)
-    out = []
-    for i in range(len(coeffs) - 1, 0, -1):
-        if i == powers[-1]:
-            out.append(coeffs[i])
-            powers.pop()
-        elif coeffs[i] != z:
-            return None
-    return additive.AdditivePoly._raw(K, out[::-1])
+    """f - f(0) as an AdditivePoly when it is additive, else None."""
+    try:
+        return additive.AdditivePoly._from_terms(f.field, enumerate(f.coeffs[1:], 1))
+    except NotAdditive:
+        return None
 
 
 def _pair_key(gh):
@@ -169,12 +167,8 @@ def irred_ff_bidecomp(f, shape):
     entries = tuple(shape)
     if len(entries) == 2 and min(entries) < 2:
         raise DegreeError("normal bidecomposition factors need degree >= 2")
-    r, _ = _checked_shape(shape, f.degree, DegreeError)
-    try:
-        ext = build_extension(f.field, f)
-    except Reducible:
-        raise NotIrreducible("input must be irreducible over its field") from None
-    return _block_pair(f, r, ext)
+    pairs = _bidecompositions(f, shape, Strategy.IRREDUCIBLE_FF, _Level(f))
+    return pairs[0] if pairs else None
 
 
 def _block_pair(f, r, ext):
@@ -209,19 +203,24 @@ def _block_pair(f, r, ext):
 
 
 def _bidecompositions(f, shape, strategy, level):
-    """All normal pairs for one level of the recursion, sorted.
+    """All normal pairs for one level of the recursion, sorted: the one
+    dispatcher of the tame, subset-search and block engines.
 
-    Under SEPARATED the tame recurrence answers whenever p does not divide
-    the outer degree: the normal decomposition is then unique (von zur
-    Gathen 1990), so the subset search could find no other pair.  Wild
-    shapes go to _wild_pairs, which reads f's ``level``.
+    Under IRREDUCIBLE_FF the pair comes from the block method in
+    ``level.ext``, and a reducible f raises NotIrreducible.  Under
+    SEPARATED the tame recurrence answers whenever p does not divide the
+    outer degree: the normal decomposition is then unique (von zur Gathen
+    1990), so the subset search could find no other pair.  Wild shapes go
+    to _wild_pairs, which reads f's ``level``.
     """
     r, s = _checked_shape(shape, f.degree, DegreeError)
     tame = r % f.field.p != 0
     if strategy is Strategy.TAME and not tame:
         raise NotTame("tame strategy with p | outer degree")
     if strategy is Strategy.IRREDUCIBLE_FF:
-        got = irred_ff_bidecomp(f, shape)
+        if level.ext is None:
+            raise NotIrreducible("input must be irreducible over its field")
+        got = _block_pair(f, r, level.ext)
     elif tame:
         got = tame_bidecomp(f, shape)
     else:
@@ -282,24 +281,16 @@ def _first_complete_factors(f, strategy):
     """The factors of first_complete, unchecked: each level's pair composes
     to it, so only the top level checks the composition."""
     n = f.degree
-    # F[z]/(f) is built once for every shape tried; a reducible f goes to
-    # the separated search
     divisors = sorted({e for d in range(2, math.isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
-    ext = None
-    if strategy is Strategy.IRREDUCIBLE_FF and divisors:
-        try:
-            ext = build_extension(f.field, f)
-        except Reducible:
-            strategy = Strategy.SEPARATED
     level = _Level(f)
+    # a reducible f goes to the separated search
+    if strategy is Strategy.IRREDUCIBLE_FF and divisors and level.ext is None:
+        strategy = Strategy.SEPARATED
     for d in divisors:
         shape = (d, n // d)
         if strategy is Strategy.TAME and d % f.field.p == 0:
             continue
-        if ext is None:
-            pairs = _bidecompositions(f, shape, strategy, level)
-        else:
-            pairs = [got] if (got := _block_pair(f, d, ext)) else []
+        pairs = _bidecompositions(f, shape, strategy, level)
         if pairs:
             g, h = pairs[0]
             # a normal inner factor has x | h, so the block method cannot

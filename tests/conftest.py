@@ -619,11 +619,8 @@ def is_irreducible_by_scan(K, f, kept=None):
     f, with the q-power matrix the scan builds, if any, appended to
     ``kept``.  The oracle for the scan-then-Rabin split of
     _polyops.is_irreducible."""
-    if K.order == 2:
-        f = po._bits(f)
-        n, scan = f.bit_length() - 1, po._distinct_degree2(K, f)
-    else:
-        n, scan = po.deg(f), po.distinct_degree(K, f, kept)
+    n = po.deg(f)
+    scan = po.distinct_degree(K, po._bits(f) if K.order == 2 else f, kept)
     return n > 0 and next(scan)[1] == n
 
 
@@ -667,6 +664,25 @@ def irred_ff_bidecomp_by_full_product(f, shape):
     h = Poly(K, [K.zero()] + down)
     g = upoly.right_divide(f, h)
     return None if g is None else (g, h)
+
+
+def additive_part_by_scan(f):
+    """f - f(0) as an AdditivePoly when it is additive, else None, by a
+    scan of the coefficients from the top that stops at the first nonzero
+    one off a p-power exponent: the oracle for gendecomp._additive_part."""
+    K, coeffs = f.field, f.coeffs
+    z, p = K.zero(), K.p
+    powers = [1]
+    while powers[-1] < len(coeffs) - 1:
+        powers.append(powers[-1] * p)
+    out = []
+    for i in range(len(coeffs) - 1, 0, -1):
+        if i == powers[-1]:
+            out.append(coeffs[i])
+            powers.pop()
+        elif coeffs[i] != z:
+            return None
+    return AdditivePoly._raw(K, out[::-1])
 
 
 def first_complete_irred_by_rebuilds(f):

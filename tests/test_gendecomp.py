@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -30,6 +31,7 @@ from polydec.errors import (
 
 from conftest import (
     TOWER,
+    additive_part_by_scan,
     field_of,
     first_complete_irred_by_rebuilds,
     irred_ff_bidecomp_by_full_product,
@@ -175,6 +177,34 @@ def test_first_complete_irreducible_builds_one_extension_per_level(spec, n, shap
     assert sum(len(factors) > 1 for factors in want) >= len(shapes)
 
 
+@pytest.mark.parametrize("spec, shape", [
+    ("GF(3)", (2, 2, 2)), ("GF(5)", (2, 3, 2)), ("GF(3^2)", (2, 2, 2)),
+])
+def test_block_method_builds_one_extension_per_level(spec, shape, monkeypatch):
+    """irred_ff_bidecomp builds F[z]/(f) once, and ord_fact_decomp under
+    the block method at a three-entry shape once for f and once for each
+    outer factor it recurses on, on planted and on random irreducibles."""
+    K = field_of(spec)
+    rng = seeded_rng(("block builds", spec))
+    n = math.prod(shape)
+    cases = [_planted_irreducible(K, rng, shape) for _ in range(3)]
+    cases += [Poly(K, find_irreducible(K, n, seed)) for seed in range(2)]
+    builds = []
+    real = gendecomp.build_extension
+    monkeypatch.setattr(gendecomp, "build_extension",
+                        lambda *args: builds.append(args[1]) or real(*args))
+    planted = 0
+    for f in cases:
+        builds.clear()
+        got = irred_ff_bidecomp(f, (n // shape[-1], shape[-1]))
+        assert builds == [f]
+        builds.clear()
+        decs = ord_fact_decomp(f, shape, Strategy.IRREDUCIBLE_FF)
+        assert builds == [f] + ([got[0]] if got else [])
+        planted += bool(decs)
+    assert planted >= 3
+
+
 def test_ord_fact_decomp_examples(F2, F3, F7):
     f = Poly.parse(F7, "x^8")
     decs = ord_fact_decomp(f, (2, 2, 2), Strategy.TAME)
@@ -306,6 +336,42 @@ def test_sep_bidecomp_at_a_tame_shape_factors_nothing(spec, monkeypatch):
     f = rand_poly(K, rng, K.p * 2, monic=True)
     sep_bidecomp(f, (K.p, 2))
     assert len(factored) == 1
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2^2)", TOWER], ids=str)
+def test_additive_part_matches_the_top_down_scan(spec):
+    """_additive_part, read bottom up by AdditivePoly._from_terms, against
+    the scan from the top: dense random inputs, planted additive and affine
+    ones, additive ones with one nonzero coefficient just below the top,
+    and sparse additive text of degree about 2**20."""
+    K = field_of(spec)
+    rng = seeded_rng(("additive part", spec))
+    p = K.p
+    cases = [rand_poly(K, rng, n, monic=True) for n in (1, 2, p, p * p, 12, 30)]
+    for expn in (1, 2, 3):
+        a = _rand_additive(K, expn, rng)
+        if expn > 1:
+            a = add_compose(_rand_additive(K, 1, rng), _rand_additive(K, expn - 1, rng))
+            top = a.to_poly()
+            cases.append(top + Poly.monomial(K, top.degree - 1, Felt(K, _nonzero(K, rng))))
+        cases += [a.to_poly(), a.to_poly().shift_constant(Felt(K, _nonzero(K, rng)))]
+    e = 20 if p == 2 else 12
+    cases += [Poly.parse(K, f"x^{p**e}+x^{p**5}+x+1"), Poly.parse(K, f"x^{p**e}+x^{p**e - 1}+x")]
+    additive = 0
+    for f in cases:
+        got, want = gendecomp._additive_part(f), additive_part_by_scan(f)
+        assert (got and got.coeffs) == (want and want.coeffs), str(f)[:80]
+        additive += got is not None
+    # the six planted additive or affine inputs and the first sparse text
+    # are additive; the three with a term just below the top and degree
+    # 30 are not
+    assert additive >= 7 and len(cases) - additive >= 4
+
+
+def _nonzero(K, rng):
+    while (c := K.rand_rep(rng)) == K.zero():
+        pass
+    return c
 
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(2^2)"])

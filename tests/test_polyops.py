@@ -446,24 +446,25 @@ def _gf2_inputs(rng):
 
 
 def test_gf2_stages_match_the_list_stages():
-    """The GF(2) stages on bit strings against the list stages over GF(2):
-    squarefree parts, every (product, d) of the distinct-degree scan,
-    equal-degree splits from one seed (the generator left in one state, so
-    the draws are the same), factor end to end and irreducibility."""
+    """Each stage on the bit string of f against the same stage on the
+    list f over GF(2): squarefree parts, every (product, d) of the
+    distinct-degree scan, equal-degree splits from one seed (the generator
+    left in one state, so the draws are the same), factor end to end and
+    irreducibility."""
     K = field_of(2)
     rng = seeded_rng("gf2 stages")
     for f in _gf2_inputs(rng):
         assert list(po._coeffs(po._bits(f))) == f
         parts = po.squarefree(K, f)
-        assert [(list(po._coeffs(g)), m) for g, m in po._squarefree2(K, po._bits(f))] == parts, f
+        assert [(list(po._coeffs(g)), m) for g, m in po.squarefree(K, po._bits(f))] == parts, f
         for sq, _mult in parts:
             scan = list(po.distinct_degree(K, sq))
             assert [(list(po._coeffs(g)), d)
-                    for g, d in po._distinct_degree2(K, po._bits(sq))] == scan
+                    for g, d in po.distinct_degree(K, po._bits(sq))] == scan
             for prod, d in scan:
                 seed = rng.random()
                 split, split2 = random.Random(seed), random.Random(seed)
-                got = po._equal_degree2(K, po._bits(prod), d, split2)
+                got = po.equal_degree(K, po._bits(prod), d, split2)
                 assert [list(po._coeffs(g)) for g in got] == po.equal_degree(K, prod, d, split)
                 assert split2.getstate() == split.getstate()
         assert factor(Poly(K, f)) == factor_by_poly_stages(Poly(K, f))
