@@ -412,7 +412,8 @@ class ExtensionField(Field):
         return f"{self.base.describe()}[{self.gen_name}]/({mod_str})"
 
     def __eq__(self, other):
-        return (
+        # identity first: CoeffVector._check compares fields on every Poly op
+        return other is self or (
             isinstance(other, ExtensionField)
             and other.base == self.base
             and other.modulus == self.modulus

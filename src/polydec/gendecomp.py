@@ -1,14 +1,14 @@
 """General univariate decomposition over finite fields.
 
 Four bidecomposition engines sit behind one dispatcher, which every
-entry point and every level of the recursion calls: the tame coefficient
-recurrence (characteristic not dividing the outer degree), subset search
+entry point and every level of the recursion calls: the tame r-th root
+(characteristic not dividing the outer degree), subset search
 over the factors of f - f(0) (any characteristic), the finite-field block
 construction for irreducible inputs, and the additive machinery for
 additive inputs.  What a level reads of f (F[z]/(f), the additive part of
 f - f(0), the factors of (f - f(0))/x) is computed once for every shape
 tried.  In every entry point a tame shape (p not
-dividing the outer degree) is answered by the recurrence, with no
+dividing the outer degree) is answered by the root, with no
 factorisation, since its normal decomposition is unique; the subset
 search serves only wild shapes.  Whenever f - f(0) is additive, the
 additive machinery alone also answers the wild shapes of the subset
@@ -24,7 +24,7 @@ import enum
 import functools
 import math
 
-from . import addecomp, additive, upoly
+from . import _polyops as po, addecomp, additive, upoly
 from .addecomp import Decomposition, _checked_shape
 from .errors import DegreeError, NotAdditive, NotIrreducible, NotTame, Reducible
 from .field import Felt, build_extension
@@ -44,26 +44,32 @@ def tame_bidecomp(f, shape):
     """The unique normal (g, h) with f = g(h) and the given (r, s) shape,
     or None.  Requires p not dividing r.
 
-    The inner factor comes out of the coefficient recurrence
-    c_{s-k} = (a_{rs-k} - coeff(mu_k**r, rs-k)) / r on the partial sums
-    mu_k of its top k terms; the outer factor is then a right division.
+    The top s coefficients of f are those of h**r, so the reversal H of h
+    is the r-th root with H(0) = 1 of the reversal F of f modulo y**s (von
+    zur Gathen 1990).  Newton's iteration G <- G + G(1 - F G**r)/r on
+    coefficient lists doubles the precision of G = F**(-1/r) at each
+    step, and H = F G**(r-1).  The outer factor is then a right division.
     """
     require_monic(f, _INPUTS)
     r, s = _checked_shape(shape, f.degree, DegreeError)
     K = f.field
     if r % K.p == 0:
         raise NotTame("outer degree divisible by the characteristic")
-    n = r * s
-    inv_r = K.felt(r).inv()
-    mu = Poly.monomial(K, s)
-    for k in range(1, s):
-        a = f.coeff(n - k)
-        c = (a - (mu**r).coeff(n - k)) * inv_r
-        mu = mu + Poly.monomial(K, s - k, c)
-    g = upoly.right_divide(f, mu)
-    if g is None:
-        return None
-    return g, mu
+    one, inv_r = K.one(), K.inv(K.from_int(r))
+
+    def power(a, e, m):
+        """a**e mod y**m."""
+        return po._power(lambda u, v: po.mul(K, u, v)[:m], [one], a, e)
+
+    F, G, m = f.coeffs[::-1][:s], [one], 1
+    while m < s:
+        m = min(2 * m, s)
+        err = po.sub(K, [one], po.mul(K, F[:m], power(G, r, m))[:m])
+        G = po.add(K, G, po.scale(K, po.mul(K, G, err)[:m], inv_r))
+    H = po.mul(K, F, power(G, r - 1, s))[:s]
+    h = Poly._raw(K, [K.zero()] * (s + 1 - len(H)) + H[::-1])
+    g = upoly.right_divide(f, h)
+    return None if g is None else (g, h)
 
 
 def sep_bidecomp(f, shape):
@@ -208,7 +214,7 @@ def _bidecompositions(f, shape, strategy, level):
 
     Under IRREDUCIBLE_FF the pair comes from the block method in
     ``level.ext``, and a reducible f raises NotIrreducible.  Under
-    SEPARATED the tame recurrence answers whenever p does not divide the
+    SEPARATED the tame root answers whenever p does not divide the
     outer degree: the normal decomposition is then unique (von zur Gathen
     1990), so the subset search could find no other pair.  Wild shapes go
     to _wild_pairs, which reads f's ``level``.

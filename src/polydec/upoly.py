@@ -10,6 +10,7 @@ a canonical order, so no caller needs a seed.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import _polyops as po
@@ -192,20 +193,32 @@ def gcd(f, g):
 
 
 def compose(g, h):
-    """g(h), by Horner's rule on the nonzero coefficients of g: a run of
-    zero coefficients costs one product by a power of h.  DegreeError when
+    """g(h), by Horner's rule on the nonzero coefficients of g, on
+    coefficient lists: a run of zero coefficients costs one product by a
+    power of h, and each distinct power is built once.  DegreeError when
     deg g * deg h is above the dense limit, before any work."""
     g._check(h)
     K = g.field
     n = 0 if g.is_zero() or h.is_zero() else g.degree * h.degree
     if n > _DENSE_MAX_DEGREE:
         raise DegreeError(f"degree {n} of g(h) is above the dense limit {_DENSE_MAX_DEGREE}")
-    acc, prev = Poly.zero(K), len(g.coeffs)
-    for i in reversed(range(len(g.coeffs))):
-        if g.coeffs[i] != K.zero():
-            acc = (acc * h ** (prev - i)).shift_constant(Felt(K, g.coeffs[i]))
-            prev = i
-    return acc * h**prev if prev else acc
+    z = K.zero()
+    terms = [(i, c) for i, c in enumerate(g.coeffs) if c != z]
+    if not terms:
+        return g
+
+    @functools.cache
+    def power(gap):
+        return po._power(lambda a, b: po.mul(K, a, b), [K.one()], h.coeffs, gap)
+
+    prev, c = terms.pop()
+    acc = [c]
+    for i, c in reversed(terms):
+        # a constant h leaves acc constant, and zero once h = 0
+        acc = po.mul(K, acc, power(prev - i)) or [z]
+        acc[0] = K.add(acc[0], c)
+        prev = i
+    return Poly._raw(K, po.mul(K, acc, power(prev)) if prev else acc)
 
 
 def right_divide(f, h):
@@ -214,20 +227,20 @@ def right_divide(f, h):
     Reads g off the h-adic expansion f = sum_i c_i h**i, deg c_i < deg h
     (Kozen-Landau 1989): f = g(h) exactly when every digit c_i is a
     constant, and then g = sum_i c_i x**i.  The digits come from repeated
-    division by h, lowest first, so a non-constant digit stops the loop
-    early.  Requires deg h >= 1 and deg h | deg f.
+    division by h on coefficient lists, lowest first, so a non-constant
+    digit stops the loop early.  Requires deg h >= 1 and deg h | deg f.
     """
     if h.degree is NEG_INF or h.degree < 1:
         raise DegreeMismatch("inner polynomial must have degree >= 1")
     if not f.is_zero() and f.degree % h.degree != 0:
         raise DegreeMismatch("deg h does not divide deg f")
-    digits = []
-    while f.degree >= h.degree:
-        f, r = divmod(f, h)
-        if r.degree > 0:
+    K, rest, digits = f.field, list(f.coeffs), []
+    while len(rest) >= len(h.coeffs):
+        rest, r = po.divmod_(K, rest, h.coeffs)
+        if len(r) > 1:
             return None
-        digits.append(r.coeff(0))
-    return Poly(f.field, digits + [f.coeff(0)])
+        digits.append(r[0] if r else K.zero())
+    return Poly._raw(K, digits + rest)
 
 
 def is_irreducible(f):
@@ -391,8 +404,8 @@ def _block_splits(degrees, mults, sizes, max_steps):
 
 
 # Chebyshev indices above this are a DegreeError: at this index T_n took
-# 0.3 s over GF(7) and 5 s over the largest certifiable prime, 3.3e24, whose
-# packed products are wider (one core of a 2-core Xeon VM).
+# 0.14-0.20 s over GF(7) and 2.9-4.1 s over the largest certifiable prime,
+# 3.3e24, whose packed products are wider (one core of a 2-core Xeon VM).
 _CHEBYSHEV_MAX_INDEX = 1 << 16
 
 
@@ -402,7 +415,8 @@ def chebyshev(i, field):
     Built from the binary digits of i by T_2k = 2 T_k^2 - 1 and
     T_2k+1 = 2 T_k T_k+1 - x, identities over the integers that hold in
     every characteristic.  The coefficients are integers, so T_i is built
-    over the prime field and mapped into ``field``.  An index above
+    on int lists over the prime field, each step one product of 2a by b
+    less one coefficient, and mapped into ``field`` once.  An index above
     _CHEBYSHEV_MAX_INDEX is a DegreeError.
     """
     if i < 0:
@@ -410,15 +424,22 @@ def chebyshev(i, field):
     if i > _CHEBYSHEV_MAX_INDEX:
         raise DegreeError(f"Chebyshev index {i} is above the limit {_CHEBYSHEV_MAX_INDEX}")
     K = build_prime_field(field.p)
-    one, x = Poly.one(K), Poly.x(K)
-    t, u = one, x  # (T_k, T_k+1), k running over the leading digits of i // 2
+    p = K.p
+
+    def twice_minus(a, b, k):
+        """2ab - x**k, on int lists over GF(p)."""
+        out = po.mul(K, [2 * c % p for c in a], b) or [0] * (k + 1)  # [] over GF(2)
+        out[k] = (out[k] - 1) % p
+        return out
+
+    t, u = [1], [0, 1]  # (T_k, T_k+1), k running over the leading digits of i // 2
     for digit in bin(i >> 1)[2:]:
         if digit == "1":
-            t, u = (t * u).scale(2) - x, (u * u).scale(2) - one
+            t, u = twice_minus(t, u, 1), twice_minus(u, u, 0)
         else:
-            t, u = (t * t).scale(2) - one, (t * u).scale(2) - x
-    t = (t * u).scale(2) - x if i & 1 else (t * t).scale(2) - one
-    return Poly._raw(field, [field.from_int(c) for c in t.coeffs])
+            t, u = twice_minus(t, t, 0), twice_minus(t, u, 1)
+    t = twice_minus(t, u, 1) if i & 1 else twice_minus(t, t, 0)
+    return Poly._raw(field, [field.from_int(c) for c in t])
 
 
 def require_monic(f, what="input"):

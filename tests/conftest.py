@@ -124,6 +124,23 @@ def right_divide_by_h_powers(f, h):
     return g1 * Poly.monomial(f.field, t) + g0
 
 
+def tame_bidecomp_by_recurrence(f, shape):
+    """The normal (g, h) of shape (r, s) with f = g(h), p not dividing r,
+    or None, by the coefficient recurrence c_{s-k} = (a_{rs-k} -
+    coeff(mu_k**r, rs-k)) / r on the partial sums mu_k of the top k terms
+    of h, each power of full degree: the oracle for gendecomp.tame_bidecomp."""
+    r, s = shape
+    K = f.field
+    n = r * s
+    inv_r = K.felt(r).inv()
+    mu = Poly.monomial(K, s)
+    for k in range(1, s):
+        c = (f.coeff(n - k) - (mu**r).coeff(n - k)) * inv_r
+        mu = mu + Poly.monomial(K, s - k, c)
+    g = right_divide_by_h_powers(f, mu)
+    return None if g is None else (g, mu)
+
+
 def general_rat_dec_one_conjugation(f, quad):
     """Rational decompositions found behind a single conjugation: the
     identity when sN > sD, 1/x when sN < sD, and (x+1)/x when sN = sD,

@@ -38,6 +38,7 @@ from conftest import (
     ordered_shapes,
     rand_poly,
     seeded_rng,
+    tame_bidecomp_by_recurrence,
 )
 
 
@@ -108,15 +109,26 @@ def test_irred_ff_bidecomp_errors(F2):
         irred_ff_bidecomp(f, (4, 1))
 
 
-def _planted_irreducible(K, rng, shape):
+def _planted_irreducible(K, rng, shape, draws=1000):
     """A seeded irreducible chain g_1(g_2(...)) of the given shape, with
-    monic factors over K, the inner ones with zero constant term."""
-    while True:
+    monic factors over K, the inner ones with zero constant term; a test
+    failure after ``draws`` reducible chains, since a shape may have no
+    irreducible chain at all."""
+    for _ in range(draws):
         f = rand_poly(K, rng, shape[0], monic=True)
         for s in shape[1:]:
             f = compose(f, rand_poly(K, rng, s, monic=True, zero_const=True))
         if is_irreducible(f):
             return f
+    pytest.fail(f"no irreducible chain of shape {shape} over {K.describe()} in {draws} draws")
+
+
+def test_planted_irreducible_gives_up_where_no_chain_is_irreducible(F2):
+    """Over GF(2) every chain of shape (2, 2, 2) is reducible: an inner x^2
+    makes f a square, and (x^2+x) o (x^2+x) = x^4+x leaves
+    (x^4+x)^2 + (x^4+x) + 1 = (x^4+x^3+1)(x^4+x^3+x^2+x+1)."""
+    with pytest.raises(pytest.fail.Exception, match=r"\(2, 2, 2\)"):
+        _planted_irreducible(F2, seeded_rng("no irreducible chain"), (2, 2, 2))
 
 
 @pytest.mark.parametrize("spec, degrees, planted", [
@@ -285,6 +297,31 @@ def test_tame_roundtrip_and_uniqueness(spec):
         done += 1
 
 
+@pytest.mark.parametrize("spec", [2, 3, 5, 7, 13, "GF(2^2)", "GF(3^2)", TOWER])
+def test_tame_root_matches_the_recurrence(spec):
+    """The reversed r-th root of tame_bidecomp gives the pair of the
+    Poly-level coefficient recurrence at every tame shape with r <= 8 and
+    s <= 16, on planted compositions and on random monics, most of which
+    have none."""
+    K = field_of(spec)
+    rng = seeded_rng(("tame root", spec))
+    shapes = random_hits = 0
+    for r in range(2, 9):
+        if r % K.p == 0:
+            continue
+        for s in range(2, 17):
+            g = rand_poly(K, rng, r, monic=True)
+            h = rand_poly(K, rng, s, monic=True, zero_const=True)
+            f = compose(g, h)
+            assert tame_bidecomp(f, (r, s)) == (g, h) == tame_bidecomp_by_recurrence(f, (r, s))
+            f = rand_poly(K, rng, r * s, monic=True)
+            got = tame_bidecomp(f, (r, s))
+            assert got == tame_bidecomp_by_recurrence(f, (r, s)), (str(f), r, s)
+            random_hits += got is not None
+            shapes += 1
+    assert random_hits < shapes // 2
+
+
 def test_first_complete_irreducible_strategy_recurses_cleanly(F2):
     dec = first_complete(Poly.parse(F2, "x^4+x+1"), Strategy.IRREDUCIBLE_FF)
     assert [str(g) for g in dec.factors] == ["x^2+x+1", "x^2+x"]
@@ -318,7 +355,7 @@ def test_sep_bidecomp_equals_tame_when_p_does_not_divide_r(spec):
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(7)", "GF(3^2)"])
 def test_sep_bidecomp_at_a_tame_shape_factors_nothing(spec, monkeypatch):
-    """A tame shape is answered by the recurrence; a wild one still factors."""
+    """A tame shape is answered by the root; a wild one still factors."""
     K = field_of(spec)
     factored = []
     real = upoly.factor

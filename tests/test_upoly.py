@@ -88,6 +88,39 @@ def test_compose_examples(F5, F7):
     )
 
 
+@pytest.mark.parametrize("spec", [7, 10007, "GF(3^2)"])
+def test_compose_builds_each_power_of_h_once(spec, monkeypatch):
+    """compose pays one product per Horner step below the top term of g,
+    and builds h**gap by binary powering once for each distinct gap
+    between the exponents of g's nonzero terms (the lowest counting as a
+    gap from 0): bitlen(gap) + popcount(gap) - 2 products each, of which
+    the first squares h.  Over GF(10007) the 19 terms of T_36 are all
+    nonzero, and T_36 o h squares h once, where a power per term squared
+    it 18 times."""
+    K = field_of(spec)
+    rng = seeded_rng(("compose powers", spec))
+    h = rand_poly(K, rng, 3)
+    cases = [chebyshev(36, K)]
+    for n in (5, 17, 40):
+        cases.append(Poly(K, [K.rand_rep(rng) if rng.random() < 0.3 else K.zero()
+                              for _ in range(n)] + [K.one()]))
+    want = [compose_by_horner(g, h) for g in cases]
+    products = []
+    real = upoly.po.mul
+    monkeypatch.setattr(upoly.po, "mul", lambda K, a, b: products.append((a, b)) or real(K, a, b))
+    for g, gh in zip(cases, want):
+        products.clear()
+        assert compose(g, h) == gh
+        exps = [i for i, c in enumerate(g.coeffs) if c != K.zero()]
+        gaps = [j - i for i, j in zip([0] + exps, exps) if j > i]
+        cost = sum(gap.bit_length() + gap.bit_count() - 2 for gap in set(gaps))
+        assert len(products) == len(gaps) + cost, str(g)
+        squares = sum(a is h.coeffs and b is h.coeffs for a, b in products)
+        assert squares == len({gap for gap in gaps if gap > 1}), str(g)
+        if spec == 10007 and g == cases[0]:
+            assert set(gaps) == {2} and squares == 1 and len(products) == 19
+
+
 def test_right_divide_examples(F5, F7):
     f = Poly.parse(F7, "x^6+2*x^4+x^2")
     assert right_divide(f, Poly.parse(F7, "x^3+x")) == Poly.parse(F7, "x^2")
