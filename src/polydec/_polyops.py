@@ -13,7 +13,9 @@ where that twist is the identity, ``mul`` and ``divmod_`` pack long
 operands into integers, a slot per coefficient: a product is one integer
 product (Kronecker substitution), and division one shifted integer add
 per quotient term on a window of the dividend a few divisor lengths
-long.  The squarefree, distinct-degree and equal-degree stages are
+long.  Over a tabulated extension field these kernels, ``gcd``, ``extgcd``,
+``powmod`` and the q-power matrix run on Zech-log codes (see _codes).
+The squarefree, distinct-degree and equal-degree stages are
 written once for two representations, read off their input: a list or
 tuple is a coefficient list over K, and an int a GF(2) bit string, bit i
 the coefficient of x**i.  What differs between the two sits in the
@@ -120,6 +122,82 @@ def _frobenius_rows(K, coeffs):
     return row
 
 
+# Over a tabulated extension field (K._log is not None) the kernels run on
+# codes: the code of an element is its log K._log[x], in [0, n) for a
+# nonzero element (n = q - 1) and 2n for zero, and K._exp[c] the element.
+# A kernel converts its operands once on the way in and its results once on
+# the way out.  A product of codes is norm[x + y], a sum of a nonzero t to o
+# is t when o is zero and else norm[o + zech[t - o]] (Huber 1990), with
+# norm, zech = K._norm, K._zech; a product may stay unreduced, below 2n,
+# until it is summed.  -1 has the code K._log_minus_one (n/2, or 0 for
+# p = 2), an inverse is (n - c) % n and a p**k-th power c * p**k % n.
+
+
+def _codes(K, a):
+    return list(map(K._log.__getitem__, a))
+
+
+def _decode(K, c):
+    return list(map(K._exp.__getitem__, c))
+
+
+def _code_trim(K, c):
+    z = 2 * K._n
+    while c and c[-1] == z:
+        c.pop()
+    return c
+
+
+def _code_row(K, rows, k):
+    """rows[k]: the p**k-th powers of the codes in rows[0], built on first
+    read, for twisted term t to read row t mod e."""
+    n, z, pk = K._n, 2 * K._n, K.p**k
+    row = rows[k] = [c if c == z else c * pk % n for c in rows[0]]
+    return row
+
+
+def _code_mul(K, a, b, frobenius=False, acc=()):
+    """mul on codes; with ``acc``, acc + a * b."""
+    n, norm, zech = K._n, K._norm, K._zech
+    z, e = 2 * n, K.degree_over_prime
+    rows = {0: b} if frobenius else None
+    out = [z] * (len(a) + len(b) - 1)
+    out[:len(acc)] = acc
+    for i, x in enumerate(a):
+        if x != z:
+            r = (rows.get(i % e) or _code_row(K, rows, i % e)) if rows else b
+            for k, y in enumerate(r, i):
+                if y != z:
+                    t, o = x + y, out[k]
+                    out[k] = norm[t] if o == z else norm[o + zech[t - o]]
+    return _code_trim(K, out)
+
+
+def _code_divmod(K, a, b, frobenius=False):
+    """divmod_ on codes: quotient term t is rem[t + db] / r[db] with r the
+    p**t-th powers of b, as the twist commutes with the inverse."""
+    if not b:
+        raise DivideByZero("polynomial division by zero")
+    if len(a) < len(b):
+        return [], list(a)
+    n, norm, zech, e = K._n, K._norm, K._zech, K.degree_over_prime
+    z, minus_one, db = 2 * n, K._log_minus_one, len(b) - 1
+    rows = {0: b} if frobenius else None
+    rem = list(a)
+    quot = [z] * (len(a) - db)
+    for t in reversed(range(len(quot))):
+        c = rem[t + db]
+        if c != z:
+            r = (rows.get(t % e) or _code_row(K, rows, t % e)) if rows else b
+            quot[t] = c = norm[c + n - r[db]]
+            c = norm[c + minus_one]
+            for j, y in zip(range(t, t + db), r):
+                if y != z:
+                    u, o = c + y, rem[j]
+                    rem[j] = norm[u] if o == z else norm[o + zech[u - o]]
+    return _code_trim(K, quot), _code_trim(K, rem[:db])
+
+
 def mul(K, a, b, frobenius=False):
     """The product a * b; with ``frobenius``, that of the skew ring K[t; s],
     s the p-th power map (Ore 1933), where term i of a multiplies the
@@ -143,6 +221,10 @@ def mul(K, a, b, frobenius=False):
                     if y:
                         out[k] = (out[k] + x * y) % p
         return trim(K, out)
+    if K._log is not None:
+        log = K._log.__getitem__
+        out = _code_mul(K, list(map(log, a)), list(map(log, b)), frobenius)
+        return list(map(K._exp.__getitem__, out))
     z = K.zero()
     rows = _frobenius_rows(K, b) if frobenius else None
     out = [z] * (len(a) + len(b) - 1)
@@ -162,6 +244,10 @@ def divmod_(K, a, b, frobenius=False):
         raise DivideByZero("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
+    if K._log is not None:
+        log, exp = K._log.__getitem__, K._exp.__getitem__
+        q, r = _code_divmod(K, list(map(log, a)), list(map(log, b)), frobenius)
+        return list(map(exp, q)), list(map(exp, r))
     monic = b[-1] == K.one()
     inv_lead = None if monic else K.inv(b[-1])
     db = len(b) - 1
@@ -242,6 +328,11 @@ def gcd(K, a, b, frobenius=False):
     read, with one inverse per step and no quotient; a step long enough
     for divmod_'s packed windows is left to it.
     """
+    if K._log is not None:
+        a, b = _codes(K, a), _codes(K, b)
+        while b:
+            a, b = b, _code_divmod(K, a, b, frobenius)[1]
+        return monic(K, _decode(K, a))
     a, b = list(a), list(b)
     if K.kind != "prime":
         while b:
@@ -271,6 +362,15 @@ def extgcd(K, a, b, frobenius=False):
     """(r, s, t), a and b not both zero: r the last nonzero remainder, s and
     t the cofactors of a at r and at 0, so s * a = r mod b and t * a is the
     lcm; with ``frobenius``, in the skew ring of ``mul``, b on the right."""
+    if K._log is not None:
+        norm, minus_one = K._norm, K._log_minus_one
+        r0, r1, s0, s1 = _codes(K, a), _codes(K, b), [0], []
+        while r1:
+            q, r = _code_divmod(K, r0, r1, frobenius)
+            r0, r1 = r1, r
+            # s0 - q * s1 as s0 + (-q) * s1: the twist acts on s1 alone
+            s0, s1 = s1, _code_mul(K, [norm[c + minus_one] for c in q], s1, frobenius, s0)
+        return _decode(K, r0), _decode(K, s0), _decode(K, s1)
     r0, r1 = list(a), list(b)
     s0, s1 = [K.one()], []
     while r1:
@@ -300,6 +400,10 @@ def _power(mul, one, a, n):
 
 def powmod(K, a, n, m):
     """a**n reduced modulo m, by binary powering."""
+    if K._log is not None:
+        m = _codes(K, m)
+        return _decode(K, _power(lambda u, v: _code_divmod(K, _code_mul(K, u, v), m)[1], [0],
+                                 _code_divmod(K, _codes(K, a), m)[1], n))
     return _power(lambda u, v: mod(K, mul(K, u, v), m), [K.one()], mod(K, a, m), n)
 
 
@@ -338,9 +442,10 @@ _FROBENIUS_MIN_ORDER = 3
 
 
 def _matrix_at(K, d, n):
-    """Whether the distinct-degree scan builds the q-power matrix at step d, deg v = n."""
+    """Whether the distinct-degree scan builds the q-power matrix at step d,
+    deg v = n, for q >= _FROBENIUS_MIN_ORDER."""
     q = K.order
-    return (d > 1 and q >= _FROBENIUS_MIN_ORDER and n >= _FROBENIUS_MIN_DEGREE
+    return (d > 1 and n >= _FROBENIUS_MIN_DEGREE
             and (K.kind != "prime" or (d - 1) * 48 * q.bit_length() >= n * min(q + 1, 16)))
 
 
@@ -382,6 +487,8 @@ def _frobenius_matrix(K, v):
     if K.kind == "prime":
         w = _slot_bytes(n * (K.p - 1) ** 2)
         return n, w, [_pack(r, w) for r in rows]
+    if K._log is not None:
+        rows = [_codes(K, r) for r in rows]
     return n, None, rows
 
 
@@ -427,6 +534,16 @@ def _frobenius_apply(K, M, h):
     if w:
         p = K.p
         return trim(K, [c % p for c in _unpack(sum(map(operator.mul, h, rows)), w, n)])
+    if K._log is not None:
+        norm, zech, z = K._norm, K._zech, 2 * K._n
+        out = [z] * n
+        for c, row in zip(_codes(K, h), rows):
+            if c != z:
+                for j, r in enumerate(row):
+                    if r != z:
+                        t, o = c + r, out[j]
+                        out[j] = norm[t] if o == z else norm[o + zech[t - o]]
+        return _decode(K, _code_trim(K, out))
     z = K.zero()
     out = [z] * n
     for c, row in zip(h, rows):
@@ -455,10 +572,12 @@ def distinct_degree(K, f, kept=None):
     """
     o = _ops(f)
     v, h, d, M = f, o.x(K), 0, None
+    # decided once: never over GF(2), so never on bit strings
+    build = K.order >= _FROBENIUS_MIN_ORDER
     while o.size(v) > 2 * (d + 1):
         d += 1
-        # never over GF(2), so never on bit strings
-        if M is None and _matrix_at(K, d, o.size(v) - 1):
+        if build and _matrix_at(K, d, o.size(v) - 1):
+            build = False
             M = _frobenius_matrix(K, v)
             h = mod(K, h, v)
             if kept is not None:
@@ -622,20 +741,19 @@ def _coeffs(a):
     return bin(a)[:1:-1].encode().translate(_FROM_DIGITS) if a else b""
 
 
-def _square2(a):
-    return int.from_bytes(
+def _square_mod2(K, a, b, M=None):
+    """a**2 mod nonzero b: ``power`` and a step of ``square_add`` (no matrix
+    M is built over GF(2))."""
+    a = int.from_bytes(
         b"".join(map(_SPREAD.__getitem__, a.to_bytes((a.bit_length() + 7) // 8, "little"))),
         "little")
-
-
-def _rem2(a, b):
     n = b.bit_length()
     while (s := a.bit_length() - n) >= 0:
         a ^= b << s
     return a
 
 
-def _quo2(a, b):
+def _quo2(K, a, b):
     """The quotient of a by nonzero b."""
     n, q = b.bit_length(), 0
     while (s := a.bit_length() - n) >= 0:
@@ -644,8 +762,8 @@ def _quo2(a, b):
     return q
 
 
-def _gcd2(a, b):
-    # the loop of _rem2 inlined: a call per step made a gcd 9-24% slower
+def _gcd2(K, a, b):
+    # the remainder loop inlined: a call per step made a gcd 9-24% slower
     while b:
         n = b.bit_length()
         while (s := a.bit_length() - n) >= 0:
@@ -654,7 +772,7 @@ def _gcd2(a, b):
     return a
 
 
-def _key2(a):
+def _key2(K, a):
     """_key of the coefficient list of a: bit length, then the bits from
     the lowest up."""
     return a.bit_length(), bin(a)[:1:-1]
@@ -685,18 +803,18 @@ _LISTS = SimpleNamespace(
 )
 _BITS = SimpleNamespace(
     size=int.bit_length,
-    gcd=lambda K, a, b: _gcd2(a, b),
-    quo=lambda K, a, b: _quo2(a, b),
+    gcd=_gcd2,
+    quo=_quo2,
     # the odd terms, each one degree down
     derivative=lambda K, a: a >> 1 & int("01" * (a.bit_length() // 2 + 1), 2),
     # a has only even terms: its square root keeps every other bit
     root=lambda K, a: int(bin(a)[2::2], 2),
-    key=lambda K, a: _key2(a),
+    key=_key2,
     x=lambda K: 2,
     minus_x=lambda K, h: h ^ 2,
-    power=lambda K, h, v, M: _rem2(_square2(h), v),
+    power=_square_mod2,
     draw=lambda K, n, rng: _bits([rng.randrange(2) for _ in range(n)]),
-    square_add=lambda K, t, tr, u: (t := _rem2(_square2(t), u), tr ^ t),
+    square_add=lambda K, t, tr, u: (t := _square_mod2(K, t, u), tr ^ t),
 )
 
 

@@ -69,6 +69,7 @@ class Field:
     height = 0          # number of extension levels above the prime field
     _names = ()         # generator names of the tower levels, lowest first
     degree_over_prime = 1
+    _log = None         # element -> Zech-log code, on a tabulated extension
 
     def zero(self):
         raise NotImplementedError
@@ -194,8 +195,9 @@ class PrimeField(Field):
 
 
 # Fields of at most this order get log, antilog and Zech-log tables
-# (Huber 1990, "Some comments on Zech's logarithms"); larger fields multiply
-# on the polynomial kernel.  At the bound the tables take about 0.25 MB.
+# (Huber 1990, "Some comments on Zech's logarithms"), on which the
+# polynomial kernels of _polyops also run; larger fields multiply on the
+# polynomial kernel.  At the bound the tables take about 0.29 MB.
 _TABLE_MAX_ORDER = 1 << 10
 
 
@@ -230,7 +232,6 @@ class ExtensionField(Field):
         self._one = (base.one(),) + self._zero[1:]
         self._gen = (base.zero(), base.one()) + self._zero[2:]
         self._frobenius = kept[0] if kept else None  # else built by _pth_powers
-        self._log = None
         if self.order <= _TABLE_MAX_ORDER:
             self._tabulate()
 
@@ -267,6 +268,9 @@ class ExtensionField(Field):
     # ``exp`` holds g^0 .. g^(n-1) twice, then zeros, so a sum of two logs
     # indexes the product directly.  ``zech`` is also two periods long: a
     # difference of two logs indexes it directly, negative ones from the end.
+    # ``norm`` reduces a sum of up to two logs, or of a log and a Zech log,
+    # to a log: j mod n below 2n and 2n (zero) from there.  The polynomial
+    # kernels of _polyops run on these logs ("codes") over such a field.
 
     def add(self, a, b):
         if self._log is None:
@@ -320,7 +324,7 @@ class ExtensionField(Field):
 
         A primitive element ``g`` is the first nonzero element, in element
         order, with ``g^(n/r) != 1`` for every prime ``r | n``; one walk of
-        ``n`` products gives its powers.
+        ``n`` products gives its powers, on the codes of a tabulated base.
         """
         n = self.order - 1
         zero, one = self._zero, self._one
@@ -330,17 +334,26 @@ class ExtensionField(Field):
             c for c in self.elements()
             if c != zero and all(po._power(mul, one, c, t) != one for t in tests)
         )
-        powers = [one]
-        for _ in range(n - 1):
-            powers.append(mul(powers[-1], g))
+        base, powers = self.base, [one]
+        if base._log is None:
+            for _ in range(n - 1):
+                powers.append(mul(powers[-1], g))
+        else:
+            # on the codes of the base (see _polyops._codes): g and the
+            # modulus converted once, and each power once, into a tuple
+            step, m = po._codes(base, g), po._codes(base, self.modulus)
+            exp, pad, c = base._exp, [2 * base._n] * self.deg, [0]
+            for _ in range(n - 1):
+                c = po._code_divmod(base, po._code_mul(base, c, step), m)[1]
+                powers.append(tuple([exp[x] for x in c + pad[len(c):]]))
         log = {x: k for k, x in enumerate(powers)}
         log[zero] = 2 * n
-        base = self.base
         zech = [log[(base.add(x[0], base.one()),) + x[1:]] for x in powers]
         self._n = n
         self._log_minus_one = 0 if self.p == 2 else n // 2
         self._exp = powers * 2 + [zero] * (2 * n + 1)
         self._zech = zech * 2
+        self._norm = [*range(n)] * 2 + [2 * n] * (2 * n + 1)
         self._log = log
 
     def _pth_powers(self, a, times):

@@ -1,6 +1,7 @@
 """Shared fixtures and brute-force oracles for the test suite."""
 
 import contextlib
+import copy
 import itertools
 import random
 import re
@@ -866,6 +867,15 @@ def frobenius_matrix_by_division(K, v):
         w = po._slot_bytes(n * (K.p - 1) ** 2)
         return n, w, [po._pack(r, w) for r in rows]
     return n, None, rows
+
+
+def generic_twin(K):
+    """A copy of the tabulated extension field K with ``_log = None``: its
+    element ops and _polyops kernels run the generic loops on elements,
+    the oracle for the kernels on Zech-log codes."""
+    twin = copy.copy(K)
+    twin._log = None
+    return twin
 
 
 @contextlib.contextmanager

@@ -250,6 +250,28 @@ def test_tables_at_the_order_bound(spec, tabulated):
             assert K.mul(K.mul(a, K.inv(b)), b) == a
 
 
+@pytest.mark.parametrize(
+    "base, n", [("GF(2^2)", 2), ("GF(2^2)", 4), ("GF(2^2)", 5), ("GF(3^2)", 3), ("GF(2^4)", 2),
+                ("GF(5^2)", 2)])
+def test_tables_on_base_codes_match_the_element_walk(base, n):
+    """Over a tabulated base the powers of g are walked on base codes; the
+    walk by _mul_mod from the first primitive element gives the same tables."""
+    F = field_of(base)
+    K = build_extension(F, find_irreducible(F, n))
+    assert F._log is not None and K._log is not None
+    N, zero, one = K.order - 1, K.zero(), K.one()
+    tests = [N // r for r in po._prime_divisors(N)]
+    g = next(c for c in K.elements()
+             if c != zero and all(po._power(K._mul_mod, one, c, t) != one for t in tests))
+    powers = [one]
+    while len(powers) < N:
+        powers.append(K._mul_mod(powers[-1], g))
+    assert K._exp == powers * 2 + [zero] * (2 * N + 1)
+    assert K._log == {zero: 2 * N, **{x: k for k, x in enumerate(powers)}}
+    assert K._zech == [K._log[(F.add(x[0], F.one()),) + x[1:]] for x in powers] * 2
+    assert K._norm == [j % N if j < 2 * N else 2 * N for j in range(4 * N + 1)]
+
+
 @pytest.mark.parametrize("spec", [2, 3, 5, 13, "GF(2^2)", "GF(3^2)", TOWER])
 def test_find_irreducible_matches_a_search_with_the_rabin_oracle(spec):
     K = field_of(spec)

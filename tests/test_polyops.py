@@ -11,6 +11,7 @@ import pytest
 
 from polydec import Poly, build_prime_field, compose, factor, find_irreducible, is_irreducible
 from polydec import _polyops as po
+from polydec.errors import DivideByZero
 
 from conftest import (
     TOWER,
@@ -21,6 +22,7 @@ from conftest import (
     field_of,
     frobenius_matrix_by_division,
     gcd_by_divmod,
+    generic_twin,
     is_irreducible_by_scan,
     is_irreducible_rabin,
     mul_prime_loop,
@@ -469,3 +471,61 @@ def test_gf2_stages_match_the_list_stages():
                 assert split2.getstate() == split.getstate()
         assert factor(Poly(K, f)) == factor_by_poly_stages(Poly(K, f))
         assert is_irreducible(Poly(K, f)) == _irreducible_on_lists(K, f)
+
+
+@pytest.mark.parametrize(
+    "spec", ["GF(2^2)", "GF(3^2)", "GF(5^2)", "GF(2^4)", "GF(3^3)", "GF(31^2)", "GF(2^10)", TOWER])
+def test_code_kernels_match_the_generic_loops(spec):
+    """Over a tabulated field the kernels run on Zech-log codes, over its
+    generic_twin on elements: both twists, lengths 0-40, zero operands,
+    monic, non-monic and constant divisors, and the factoring stages."""
+    K = field_of(spec)
+    T = generic_twin(K)
+    assert K._log is not None and T._log is None
+    rng = seeded_rng(("code kernels", spec))
+    z = K.zero()
+
+    def nonzero():
+        while (c := K.rand_rep(rng)) == z:
+            pass
+        return c
+
+    def poly(n, monic=False):
+        c = [K.rand_rep(rng) for _ in range(n)]
+        if n:
+            c[-1] = K.one() if monic else nonzero()
+        return c
+
+    lengths = [0, 1, 2, 3, 7, 16, 40]
+    for la, lb in itertools.product(lengths, repeat=2):
+        a, b = poly(la), poly(lb, monic=rng.random() < 0.3)
+        for frobenius in (False, True):
+            for u, v in ((a, b), (b, a)):
+                assert po.mul(K, u, v, frobenius) == po.mul(T, u, v, frobenius), (u, v)
+            if b:
+                want = po.divmod_(T, a, b, frobenius)
+                assert po.divmod_(K, a, b, frobenius) == want, (a, b, frobenius)
+            else:
+                with pytest.raises(DivideByZero, match="^polynomial division by zero$"):
+                    po.divmod_(K, a, b, frobenius)
+            if a or b:
+                assert po.gcd(K, a, b, frobenius) == po.gcd(T, a, b, frobenius), (a, b)
+                assert po.extgcd(K, a, b, frobenius) == po.extgcd(T, a, b, frobenius), (a, b)
+            else:
+                with pytest.raises(DivideByZero, match="^cannot normalise the zero polynomial$"):
+                    po.gcd(K, a, b, frobenius)
+        if lb in (1, 7, 16) and la <= 16:
+            n = rng.choice([0, 1, K.order, rng.randrange(2, 3 * K.order)])
+            assert po.powmod(K, a, n, b) == po.powmod(T, a, n, b), (a, n, b)
+    for n in (1, 2, 5, 12):
+        v = poly(n + 1, monic=rng.random() < 0.5)
+        M, oracle = po._frobenius_matrix(K, v), po._frobenius_matrix(T, v)
+        assert [po._decode(K, row) for row in M[2]] == oracle[2]
+        for _ in range(3):
+            h = po.trim(K, poly(n))
+            assert po._frobenius_apply(K, M, h) == po._frobenius_apply(T, oracle, h), (v, h)
+    for n in (1, 2, 3, 4, 6, 8):
+        for f in (poly(n + 1), po.mul(K, poly(n // 2 + 1), poly(n // 2 + 1)) or [K.one()],
+                  find_irreducible(K, n, rng.randrange(3))):
+            assert po._factor(K, f, 0) == po._factor(T, f, 0), f
+            assert po.is_irreducible(K, f) == po.is_irreducible(T, f), f
